@@ -3,7 +3,9 @@
 Applied here to padded word-index sequences: synthetic samples are linear
 interpolations between a minority sample and one of its k nearest minority
 neighbours, optionally rounded back to valid integer indices so they stay
-feedable to the embedding layer.
+feedable to the embedding layer. Neighbours are computed only for the minority
+samples SMOTE visits, one distance row at a time, so memory is O(n*L) for n
+minority samples of length L.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ def k_nearest_minority(X_minority: np.ndarray, index: int, k: int) -> list[int]:
     if k < 1:
         raise BalanceError("k must be >= 1")
     d = np.linalg.norm(X - X[index], axis=1)
-    order = sorted(i for i in range(n) if i != index)
-    order.sort(key=lambda i: (d[i], i))
-    return order[:k]
+    d[index] = np.inf
+    return np.argsort(d, kind="stable")[:min(k, n - 1)].tolist()
 
 
 def smote(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
@@ -80,16 +81,14 @@ def smote(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
         diagnostics.append(f"k shrunk from {k} to {len(Xm) - 1}: minority count {len(Xm)}")
         k = len(Xm) - 1
 
-    # all-pairs neighbor table (small corpora; distances fit in memory)
-    d = np.linalg.norm(Xm[:, None, :] - Xm[None, :, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    neighbor_table = np.argsort(d, axis=1, kind="stable")[:, :k]
+    # neighbours only of the bases the round-robin below visits
+    neighbor_table = [k_nearest_minority(Xm, b, k) for b in range(min(deficit, len(Xm)))]
 
     rng = np.random.default_rng(seed)
     synth = np.empty((deficit, X.shape[1]), dtype=np.float64)
     for i in range(deficit):
         base = i % len(Xm)
-        nb = neighbor_table[base, rng.integers(k)]
+        nb = neighbor_table[base][rng.integers(k)]
         g = rng.random()
         s = Xm[base] + g * (Xm[nb] - Xm[base])
         records.append(SmoteRecord(int(minority_idx[base]), int(minority_idx[nb]),

@@ -219,7 +219,6 @@ def cmd_train(cfg: config.RunConfig) -> int:
     model_cfg = _model_config(cfg, dictionary.vocab_size)
     if cfg.balance.enabled:
         res = balance.smote(X, y, k=cfg.balance.k, seed=cfg.seed,
-                            rounding=cfg.balance.rounding,
                             max_index=model_cfg.vocab_size - 1)
         X, y = res.X, res.y
     model = nnet.init_model(model_cfg, seed=cfg.seed, dict_hash=dictionary.content_hash())

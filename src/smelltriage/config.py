@@ -67,11 +67,11 @@ def _build(cls, data: dict, prefix: str):
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown config key {prefix}{key}")
-        ftype = known[key].type
-        if dataclasses.is_dataclass(_resolve(cls, key)):
+        sub = _resolve(cls, key)
+        if sub is not None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{prefix}{key} must be an object")
-            kwargs[key] = _build(_resolve(cls, key), value, f"{prefix}{key}.")
+            kwargs[key] = _build(sub, value, f"{prefix}{key}.")
         else:
             if key == "allowed_package_prefixes" and isinstance(value, list):
                 value = tuple(value)
@@ -80,14 +80,11 @@ def _build(cls, data: dict, prefix: str):
 
 
 def _resolve(cls, key):
+    """The dataclass type of a nested config section, else None."""
     for f in fields(cls):
-        if f.name == key:
-            t = f.default_factory if f.default_factory is not dataclasses.MISSING else None
-            if t is not None and dataclasses.is_dataclass(t):
-                return t
-    # fall back: inspect the default value's class
-    default = getattr(cls(), key, None)
-    return type(default) if dataclasses.is_dataclass(default) else None
+        if f.name == key and dataclasses.is_dataclass(f.default_factory):
+            return f.default_factory
+    return None
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
@@ -110,7 +107,7 @@ def flat_keys(cls=RunConfig, prefix: str = "") -> list[tuple[str, type]]:
     out = []
     for f in fields(cls):
         sub = _resolve(cls, f.name)
-        if sub is not None and dataclasses.is_dataclass(sub):
+        if sub is not None:
             out.extend(flat_keys(sub, f"{prefix}{f.name}."))
         else:
             out.append((f"{prefix}{f.name}", f.type))

@@ -335,19 +335,17 @@ class CorpusStore:
             raise CorpusError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
         return proc
 
+    def _parents(self, commit_hash: str) -> list[str]:
+        """Parent hashes, first parent first; empty for a root commit."""
+        proc = self._git("rev-list", "--parents", "-n", "1", commit_hash, check=False)
+        if proc.returncode != 0:
+            raise CorpusError(f"unknown commit hash {commit_hash}")
+        return proc.stdout.split()[1:]
+
     def parent_of(self, commit_hash: str) -> str | None:
         """First parent, or None for a root commit."""
-        proc = self._git("rev-list", "--parents", "-n", "1", commit_hash, check=False)
-        if proc.returncode != 0:
-            raise CorpusError(f"unknown commit hash {commit_hash}")
-        parts = proc.stdout.split()
-        return parts[1] if len(parts) > 1 else None
-
-    def is_merge_commit(self, commit_hash: str) -> bool:
-        proc = self._git("rev-list", "--parents", "-n", "1", commit_hash, check=False)
-        if proc.returncode != 0:
-            raise CorpusError(f"unknown commit hash {commit_hash}")
-        return len(proc.stdout.split()) > 2
+        parents = self._parents(commit_hash)
+        return parents[0] if parents else None
 
     def _show_file(self, commit_hash: str, path: str) -> str | None:
         proc = self._git("show", f"{commit_hash}:{path}", check=False)
@@ -359,8 +357,9 @@ class CorpusStore:
                                     diagnostics: list[str] | None = None) -> list[ChangedFile]:
         """Changed source files of a commit with contents at the commit and
         its first parent; renames surface as delete+create (no rename detection)."""
-        parent = self.parent_of(commit_hash)
-        if diagnostics is not None and self.is_merge_commit(commit_hash):
+        parents = self._parents(commit_hash)
+        parent = parents[0] if parents else None
+        if diagnostics is not None and len(parents) > 1:
             diagnostics.append(f"merge commit {commit_hash}: first-parent diff only")
         if parent is not None:
             proc = self._git("diff", "--numstat", "--no-renames", parent, commit_hash)

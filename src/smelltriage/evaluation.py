@@ -132,7 +132,6 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsRow:
 class BalanceConfig:
     k: int = 5
     scope: str = "train"  # "train" (leak-free) or "all"
-    rounding: bool = True
     enabled: bool = True
 
 
@@ -175,7 +174,6 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
         sampling = f"SMOTE/{balance_cfg.scope}"
     if balance_cfg.enabled and balance_cfg.scope == "all":
         res = balance.smote(X, y, k=balance_cfg.k, seed=seed,
-                            rounding=balance_cfg.rounding,
                             max_index=model_cfg.vocab_size - 1)
         diagnostics.extend(res.diagnostics)
         X, y = res.X, res.y
@@ -190,7 +188,6 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
         if balance_cfg.enabled and balance_cfg.scope == "train":
             try:
                 res = balance.smote(X_train, y_train, k=balance_cfg.k, seed=child_seed,
-                                    rounding=balance_cfg.rounding,
                                     max_index=model_cfg.vocab_size - 1)
                 diagnostics.extend(f"fold {fold}: {d}" for d in res.diagnostics)
                 X_train, y_train = res.X, res.y

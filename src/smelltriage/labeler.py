@@ -113,13 +113,9 @@ class VectorTableSource:
 
     rows: dict[tuple[str, str], SmellVector]
     parents: dict[str, str | None] = field(default_factory=dict)
-    changed_paths: dict[str, list[str]] | None = None
 
     def file_vectors(self, commit_hash, diagnostics):
-        if self.changed_paths is not None:
-            paths = self.changed_paths.get(commit_hash, [])
-        else:
-            paths = sorted(p for (h, p) in self.rows if h == commit_hash)
+        paths = sorted(p for (h, p) in self.rows if h == commit_hash)
         parent = self.parents.get(commit_hash)
         out = []
         for path in paths:

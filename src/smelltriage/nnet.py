@@ -180,13 +180,6 @@ def forward_batch(model: Model, X: np.ndarray, training: bool = False,
     return prob, cache
 
 
-def forward(model: Model, seq, training: bool = False,
-            rng: np.random.Generator | None = None) -> tuple[float, dict]:
-    """Single-sequence forward pass returning a probability in [0, 1]."""
-    prob, cache = forward_batch(model, np.asarray(seq), training=training, rng=rng)
-    return float(prob[0]), cache
-
-
 def loss(prob, label) -> float:
     """Binary cross-entropy with probability clipped to [eps, 1-eps]."""
     p = np.clip(np.asarray(prob, dtype=np.float64), _LOSS_EPS, 1.0 - _LOSS_EPS)
@@ -252,11 +245,6 @@ def backward_batch(model: Model, cache: dict, y: np.ndarray) -> dict[str, np.nda
             "wd": dwd, "bd": np.asarray(dbd, dtype=model.bd.dtype)}
 
 
-def backward(model: Model, cache: dict, label) -> dict[str, np.ndarray]:
-    """Single-sample gradient (mean over a batch of one)."""
-    return backward_batch(model, cache, np.asarray([label]))
-
-
 class _Adam:
     def __init__(self, params: dict[str, np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -314,8 +302,8 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, seed: int) -> tuple[Model,
 
 def predict(model: Model, seq) -> tuple[int, float]:
     """Class 1 iff probability >= 0.5."""
-    prob, _ = forward(model, seq, training=False)
-    return (1 if prob >= 0.5 else 0), prob
+    labels, probs = predict_batch(model, seq)
+    return int(labels[0]), float(probs[0])
 
 
 def predict_batch(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

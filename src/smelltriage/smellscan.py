@@ -584,11 +584,6 @@ def scan_metrics(cleaned_source: str, file_path: str = "<memory>") -> FileMetric
     return fm
 
 
-def compose_npath(body_text: str) -> int:
-    """Public alias: acyclic path count of a method body."""
-    return npath_of_block(body_text)
-
-
 # ---------------------------------------------------------------------------
 # Rule evaluation
 # ---------------------------------------------------------------------------

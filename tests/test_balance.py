@@ -5,6 +5,15 @@ from hypothesis import given, settings, strategies as st
 from smelltriage.balance import BalanceError, k_nearest_minority, smote
 
 
+def _all_pairs_table(X):
+    """Reference neighbour table from all pairwise distances at once, self
+    excluded, ties to the lower index."""
+    X = np.asarray(X, dtype=np.float64)
+    d = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    np.fill_diagonal(d, np.inf)
+    return np.argsort(d, axis=1, kind="stable")
+
+
 def _dataset(n_major=80, n_minor=20, dim=10, seed=0, max_index=50):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, max_index + 1, size=(n_major + n_minor, dim))
@@ -120,3 +129,37 @@ def test_smote_counts_property(minor, major, seed):
     res = smote(X, y, seed=seed, max_index=19)
     assert int(np.sum(res.y == 0)) == int(np.sum(res.y == 1)) == major
     assert len(res.records) == major - minor
+
+
+@st.composite
+def _tied_matrices(draw):
+    """Few distinct small integer rows, so duplicates and distance ties abound."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(st.lists(st.integers(0, 2), min_size=dim, max_size=dim),
+                         min_size=1, max_size=3))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_matrices())
+def test_k_nearest_matches_all_pairs_oracle(X):
+    table = _all_pairs_table(X)
+    for k in range(1, len(X)):
+        for row in range(len(X)):
+            assert k_nearest_minority(X, row, k) == table[row, :k].tolist()
+
+
+def test_smote_deficit_above_minority_reuses_bases_round_robin():
+    X, y = _dataset(n_major=11, n_minor=3)
+    res = smote(X, y, k=2, seed=4, max_index=50)
+    minority_idx = np.flatnonzero(y == 1)
+    table = _all_pairs_table(X[minority_idx])
+    rng = np.random.default_rng(4)  # replay smote's draws: neighbour slot, then gap
+    assert len(res.records) == 8
+    for i, rec in enumerate(res.records):
+        base = i % 3
+        assert rec.base_index == minority_idx[base]
+        assert rec.neighbor_index == minority_idx[table[base, rng.integers(2)]]
+        assert rec.gap == rng.random()

@@ -184,3 +184,11 @@ def test_unknown_config_key_is_fatal(tmp_path):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"modle": {}}))
     assert cli.main(["--config", str(cfg_file), "train"]) == EXIT_FATAL
+
+
+def test_removed_balance_rounding_key_is_a_one_line_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"balance": {"rounding": False}}))
+    assert cli.main(["--config", str(cfg_file), "train"]) == EXIT_FATAL
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown config key balance.rounding"]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import _git
 from smelltriage.corpus import (
     ChangeLink, CommitRecord, CorpusError, CorpusStore, DanglingLinkError,
     FileChange, IngestResult, IssueRecord, IssueType, RecordKind,
@@ -145,7 +146,33 @@ def test_parent_of_and_root(bug_repo):
     hashes = bug_repo["hashes"]
     assert store.parent_of(hashes[0]) is None
     assert store.parent_of(hashes[1]) == hashes[0]
-    assert not store.is_merge_commit(hashes[1])
+    diagnostics: list[str] = []
+    store.changed_files_with_contents(hashes[1], diagnostics)
+    assert not any(d.startswith("merge commit") for d in diagnostics)
+
+
+def test_merge_commit_diffs_against_first_parent_with_diagnostic(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q", "-b", "main")
+    (repo / "A.java").write_text("class A {}\n", encoding="utf-8")
+    _git(repo, "add", "."), _git(repo, "commit", "-q", "-m", "base")
+    _git(repo, "checkout", "-q", "-b", "side")
+    (repo / "B.java").write_text("class B {}\n", encoding="utf-8")
+    _git(repo, "add", "."), _git(repo, "commit", "-q", "-m", "side")
+    _git(repo, "checkout", "-q", "main")
+    (repo / "A.java").write_text("class A { int x; }\n", encoding="utf-8")
+    _git(repo, "add", "."), _git(repo, "commit", "-q", "-m", "main")
+    first_parent = _git(repo, "rev-parse", "HEAD")
+    _git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side")
+    merge = _git(repo, "rev-parse", "HEAD")
+
+    store = CorpusStore(repo_path=repo)
+    assert store.parent_of(merge) == first_parent
+    diagnostics: list[str] = []
+    files = store.changed_files_with_contents(merge, diagnostics)
+    assert diagnostics == [f"merge commit {merge}: first-parent diff only"]
+    assert [(f.file_path, f.content_at_parent) for f in files] == [("B.java", None)]
 
 
 def test_parent_of_unknown_hash(bug_repo):

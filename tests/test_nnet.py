@@ -33,19 +33,19 @@ def test_forward_matches_hand_computation():
     # E = [1,2,3,0,1,2,3,0]; conv1 (sum of pairs) -> [3,5,3,1,3,5,3];
     # pool -> [5,3,5]; conv2 (difference) -> [2,-2]; relu -> [2,0];
     # pool -> [2]; dense 0.5*2 - 1 = 0 -> sigmoid 0.5
-    prob, _ = nnet.forward(_hand_model(), [1, 2, 3, 0, 1, 2, 3, 0])
+    prob = nnet.forward_batch(_hand_model(), [1, 2, 3, 0, 1, 2, 3, 0])[0][0]
     assert prob == pytest.approx(0.5, abs=1e-12)
 
 
 def test_forward_hand_computation_with_bias_shift():
-    prob, _ = nnet.forward(_hand_model(bd=0.0), [1, 2, 3, 0, 1, 2, 3, 0])
+    prob = nnet.forward_batch(_hand_model(bd=0.0), [1, 2, 3, 0, 1, 2, 3, 0])[0][0]
     assert prob == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
 
 
 def test_all_pad_input_gives_half():
     # embedding row 0 is zero, so the whole network collapses to sigmoid(bd)
     model = _hand_model(bd=0.0)
-    prob, _ = nnet.forward(model, [0] * 8)
+    prob = nnet.forward_batch(model, [0] * 8)[0][0]
     assert prob == pytest.approx(0.5, abs=1e-12)
 
 
@@ -89,12 +89,12 @@ def test_shape_law(seq_len, w1, w2, pool):
 def test_forward_rejects_out_of_vocab_index():
     model = _hand_model()
     with pytest.raises(ValueError, match="vocab"):
-        nnet.forward(model, [1, 2, 9, 0, 0, 0, 0, 0])
+        nnet.forward_batch(model, [1, 2, 9, 0, 0, 0, 0, 0])
 
 
 def test_forward_rejects_wrong_length():
     with pytest.raises(ValueError, match="length"):
-        nnet.forward(_hand_model(), [1, 2, 3])
+        nnet.forward_batch(_hand_model(), [1, 2, 3])
 
 
 def test_loss_values():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from smelltriage.smellscan import (
     RULE_NAMES, RuleThresholds, SmellRule, SmellVector,
-    compose_npath, evaluate_rules, ingest_pmd_report, npath_of_block,
+    evaluate_rules, ingest_pmd_report, npath_of_block,
     scan_metrics, scan_source, strip_comments_and_strings, PmdReportError,
 )
 
@@ -82,10 +82,6 @@ def test_npath_golden(body, expected):
 def test_npath_six_sequential_ifs():
     body = " ".join("if (a) { x = 1; }" for _ in range(6))
     assert npath_of_block(body) == 64
-
-
-def test_compose_npath_alias():
-    assert compose_npath("if (a) { x = 1; }") == 2
 
 
 @given(st.integers(min_value=0, max_value=8))
