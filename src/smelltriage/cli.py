@@ -22,8 +22,16 @@ EXIT_FATAL = 1
 EXIT_DIAGNOSTICS = 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is fatal (exit 1) and one line, like every other failure;
+    argparse's own exit code 2 would read as "completed with diagnostics"."""
+
+    def error(self, message):
+        self.exit(EXIT_FATAL, f"error: {message} (see {self.prog} --help)\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="smelltriage",
         description="Label bug fixes by the code smells they introduced and "
                     "predict that label from new bug-report text.",
@@ -94,14 +102,7 @@ def _load_store(cfg: config.RunConfig) -> tuple[corpus.CorpusStore, list[str]]:
 def _smell_source(cfg: config.RunConfig, store: corpus.CorpusStore):
     if cfg.paths.smell_vectors:
         _, records = datafiles.read_jsonl(cfg.paths.smell_vectors)
-        rows = {}
-        parents: dict[str, str | None] = {}
-        for rec in records:
-            key = (rec.get("Commit_Hash", ""), rec.get("File_path", ""))
-            rows[key] = smellscan.SmellVector.from_record(rec)
-            if rec.get("Parent_Hash"):
-                parents[key[0]] = rec["Parent_Hash"]
-        return labeler.VectorTableSource(rows=rows, parents=parents)
+        return labeler.VectorTableSource.from_records(records)
     if store.repo_path is None:
         raise corpus.CorpusError(
             "missing input: either paths.repo (built-in scanner) or "
@@ -137,8 +138,6 @@ def cmd_build_dataset(cfg: config.RunConfig) -> int:
 
 
 def cmd_scan_smells(cfg: config.RunConfig) -> int:
-    out_dir = Path(cfg.paths.out_dir)
-    rows: list[dict] = []
     diagnostics: list[str] = []
     if cfg.paths.pmd_report:
         report_text = Path(cfg.paths.pmd_report).read_text(encoding="utf-8")
@@ -146,33 +145,15 @@ def cmd_scan_smells(cfg: config.RunConfig) -> int:
         diagnostics.extend(result.diagnostics)
         for rule, count in sorted(result.unmatched_rules.items()):
             diagnostics.append(f"unmatched PMD rule {rule}: {count} violation(s)")
-        for fname, vec in result.vectors:
-            rec = {"Commit_Hash": "", "File_path": fname}
-            rec.update(vec.to_record())
-            rows.append(rec)
+        records = [labeler.vectors_record("", [(f, vec, None) for f, vec in result.vectors])]
     else:
-        store, diags = _load_store(cfg)
-        diagnostics.extend(diags)
+        store, diagnostics = _load_store(cfg)
         if store.repo_path is None:
             log.error("missing input: paths.repo is required to scan sources")
             return EXIT_FATAL
-        commits = sorted({l.commit_hash for l in store.links})
-        for commit in commits:
-            parent = store.parent_of(commit)
-            for cf in store.changed_files_with_contents(commit, diagnostics):
-                for hash_, content, par in (
-                    (commit, cf.content_at_commit, parent),
-                    (parent, cf.content_at_parent, None),
-                ):
-                    if content is None or hash_ is None:
-                        continue
-                    vec = smellscan.scan_source(content, cf.file_path, cfg.smell)
-                    rec = {"Commit_Hash": hash_, "File_path": cf.file_path}
-                    if par:
-                        rec["Parent_Hash"] = par
-                    rec.update(vec.to_record())
-                    rows.append(rec)
-    datafiles.write_jsonl(out_dir / "smell_vectors.jsonl", rows,
+        source = labeler.GitScanSource(store=store, thresholds=cfg.smell)
+        records = labeler.scan_fix_commits(store, source, diagnostics)
+    datafiles.write_jsonl(Path(cfg.paths.out_dir) / "smell_vectors.jsonl", records,
                           seed=cfg.seed, kind="smell-vectors")
     return EXIT_DIAGNOSTICS if diagnostics else EXIT_OK
 

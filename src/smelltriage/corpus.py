@@ -14,6 +14,7 @@ import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 _HASH_RE = re.compile(r"^[0-9a-f]{40}$")
@@ -115,12 +116,6 @@ class CommitRecord:
         if not _HASH_RE.match(self.commit_hash):
             raise ValueError(f"hash length/format: {self.commit_hash!r} is not 40 lowercase hex")
 
-    def to_record(self) -> dict:
-        return {
-            "Commit_Hash": self.commit_hash,
-            "Committed_Date": format_utc(self.committed_date),
-        }
-
     @classmethod
     def from_record(cls, rec: dict) -> "CommitRecord":
         obj = cls(
@@ -146,14 +141,6 @@ class FileChange:
         if self.sum_added_lines < 0 or self.sum_removed_lines < 0:
             raise ValueError("negative line counts")
 
-    def to_record(self) -> dict:
-        return {
-            "Commit_Hash": self.commit_hash,
-            "File_path": self.file_path,
-            "Sum_added_lines": self.sum_added_lines,
-            "Sum_removed_lines": self.sum_removed_lines,
-        }
-
     @classmethod
     def from_record(cls, rec: dict) -> "FileChange":
         obj = cls(
@@ -177,9 +164,6 @@ class ChangeLink:
         if not _HASH_RE.match(self.commit_hash):
             raise ValueError(f"hash length/format: {self.commit_hash!r}")
 
-    def to_record(self) -> dict:
-        return {"Issue_id": self.issue_id, "Commit_Hash": self.commit_hash}
-
     @classmethod
     def from_record(cls, rec: dict) -> "ChangeLink":
         obj = cls(issue_id=str(rec["Issue_id"]), commit_hash=str(rec["Commit_Hash"]))
@@ -201,6 +185,14 @@ _KIND_CLASSES = {
     RecordKind.LINKS: ChangeLink,
 }
 
+# the unique key of each record kind in its CorpusStore table
+_KIND_KEYS = {
+    RecordKind.ISSUES: attrgetter("issue_id"),
+    RecordKind.COMMITS: attrgetter("commit_hash"),
+    RecordKind.CHANGES: attrgetter("commit_hash", "file_path"),
+    RecordKind.LINKS: attrgetter("issue_id", "commit_hash"),
+}
+
 
 @dataclass
 class IngestResult:
@@ -220,7 +212,7 @@ class CorpusStore:
     issues: dict[str, IssueRecord] = field(default_factory=dict)
     commits: dict[str, CommitRecord] = field(default_factory=dict)
     changes: dict[tuple[str, str], FileChange] = field(default_factory=dict)
-    links: list[ChangeLink] = field(default_factory=list)
+    links: dict[tuple[str, str], ChangeLink] = field(default_factory=dict)
     repo_path: Path | None = None
     source_extensions: tuple[str, ...] = (".java",)
 
@@ -254,60 +246,20 @@ class CorpusStore:
         return result
 
     def _insert(self, kind: RecordKind, obj) -> bool:
-        if kind is RecordKind.ISSUES:
-            if obj.issue_id in self.issues:
-                return False
-            self.issues[obj.issue_id] = obj
-        elif kind is RecordKind.COMMITS:
-            if obj.commit_hash in self.commits:
-                return False
-            self.commits[obj.commit_hash] = obj
-        elif kind is RecordKind.CHANGES:
-            key = (obj.commit_hash, obj.file_path)
-            if key in self.changes:
-                return False
-            self.changes[key] = obj
-        else:
-            if any(l.issue_id == obj.issue_id and l.commit_hash == obj.commit_hash
-                   for l in self.links):
-                return False
-            self.links.append(obj)
+        table = getattr(self, kind.value)  # kinds are named after their tables
+        key = _KIND_KEYS[kind](obj)
+        if key in table:
+            return False
+        table[key] = obj
         return True
 
-    def export_records(self, out_dir: str | Path) -> dict[RecordKind, Path]:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        paths: dict[RecordKind, Path] = {}
-        collections = {
-            RecordKind.ISSUES: list(self.issues.values()),
-            RecordKind.COMMITS: list(self.commits.values()),
-            RecordKind.CHANGES: list(self.changes.values()),
-            RecordKind.LINKS: list(self.links),
-        }
-        for kind, objs in collections.items():
-            p = out_dir / f"{kind.value}.jsonl"
-            with p.open("w", encoding="utf-8") as fh:
-                for obj in objs:
-                    fh.write(json.dumps(obj.to_record(), sort_keys=True) + "\n")
-            paths[kind] = p
-        return paths
-
     # -- queries ------------------------------------------------------------
-
-    def check_integrity(self) -> list[str]:
-        problems = []
-        for link in self.links:
-            if link.issue_id not in self.issues:
-                problems.append(f"dangling link: unknown issue {link.issue_id}")
-            if link.commit_hash not in self.commits:
-                problems.append(f"dangling link: unknown commit {link.commit_hash}")
-        return problems
 
     def resolve_fix_commit(self, issue_id: str) -> str:
         """The linked fix commit; with several links, the latest committed_date wins."""
         if issue_id not in self.issues:
             raise CorpusError(f"unknown issue {issue_id}")
-        linked = [l.commit_hash for l in self.links if l.issue_id == issue_id]
+        linked = [h for i, h in self.links if i == issue_id]
         if not linked:
             raise UnlinkedIssueError(f"unlinked issue {issue_id}")
         dated = []
@@ -341,11 +293,6 @@ class CorpusStore:
         if proc.returncode != 0:
             raise CorpusError(f"unknown commit hash {commit_hash}")
         return proc.stdout.split()[1:]
-
-    def parent_of(self, commit_hash: str) -> str | None:
-        """First parent, or None for a root commit."""
-        parents = self._parents(commit_hash)
-        return parents[0] if parents else None
 
     def _show_file(self, commit_hash: str, path: str) -> str | None:
         proc = self._git("show", f"{commit_hash}:{path}", check=False)

@@ -4,7 +4,7 @@ smell to any changed source file (additions-only delta), else 0."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterator, Protocol
 
 from .corpus import CorpusStore, IssueType, UnlinkedIssueError, DanglingLinkError, CorpusError
 from .smellscan import RuleThresholds, SmellVector, scan_source
@@ -103,29 +103,41 @@ class GitScanSource:
         return out
 
 
+def vectors_record(commit_hash: str,
+                   vectors: list[tuple[str, SmellVector, SmellVector | None]]) -> dict:
+    """One `smell_vectors.jsonl` record: a commit's changed files, each with its
+    vector at the commit and, under `Previous`, at the first parent (or null)."""
+    return {"Commit_Hash": commit_hash, "Files": [
+        {"File_path": path, **cur.to_record(),
+         "Previous": prev.to_record() if prev is not None else None}
+        for path, cur, prev in vectors]}
+
+
 @dataclass
 class VectorTableSource:
-    """Pre-computed smell vectors keyed by (commit, path), e.g. from PMD runs.
+    """Pre-computed smell vectors: commit -> [(path, current, previous)]."""
 
-    Previous-version vectors are looked up under the parent hash, taken from
-    the per-row Parent_Hash field when present or from `parents`.
-    """
+    files: dict[str, list[tuple[str, SmellVector, SmellVector | None]]]
 
-    rows: dict[tuple[str, str], SmellVector]
-    parents: dict[str, str | None] = field(default_factory=dict)
+    @classmethod
+    def from_records(cls, records: list[dict]) -> "VectorTableSource":
+        """Read back the records written by `vectors_record`."""
+        files = {}
+        for n, rec in enumerate(records, start=1):
+            try:
+                files[rec["Commit_Hash"]] = [
+                    (f["File_path"], SmellVector.from_record(f),
+                     SmellVector.from_record(f["Previous"]) if f["Previous"] is not None else None)
+                    for f in rec["Files"]]
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise CorpusError(f"smell vectors record {n}: missing or malformed field "
+                                  f"{exc}; rewrite the file with scan-smells") from None
+        return cls(files)
 
     def file_vectors(self, commit_hash, diagnostics):
-        paths = sorted(p for (h, p) in self.rows if h == commit_hash)
-        parent = self.parents.get(commit_hash)
-        out = []
-        for path in paths:
-            cur = self.rows.get((commit_hash, path))
-            if cur is None:
-                diagnostics.append(f"{commit_hash}:{path}: no smell vector, zero delta assumed")
-                continue
-            prev = self.rows.get((parent, path)) if parent else None
-            out.append((path, cur, prev))
-        return out
+        if commit_hash not in self.files:
+            raise CorpusError(f"no smell vectors for commit {commit_hash}")
+        return self.files[commit_hash]
 
 
 @dataclass
@@ -166,16 +178,11 @@ def _sample_text(issue) -> str:
     return " ".join(p for p in parts if p).strip()
 
 
-def build_labeled_dataset(store: CorpusStore, source: SmellSource,
-                          project: str = "project") -> LabeledDataset:
-    """One sample per Bug issue with a resolvable fix commit and nonempty text."""
-    samples: list[LabeledSample] = []
-    skipped: list[str] = []
-    diagnostics: list[str] = []
-    stats = DatasetStats(project=project)
+def fix_commits(store: CorpusStore, skipped: list[str]) -> Iterator[tuple[str, str]]:
+    """(issue id, fix commit) for every Bug issue with a resolvable fix commit,
+    in issue-id order; every other issue appends its reason to `skipped`."""
     for issue_id in sorted(store.issues):
-        issue = store.issues[issue_id]
-        if issue.issue_type is not IssueType.BUG:
+        if store.issues[issue_id].issue_type is not IssueType.BUG:
             skipped.append(f"{issue_id}: not a Bug issue")
             continue
         try:
@@ -183,7 +190,35 @@ def build_labeled_dataset(store: CorpusStore, source: SmellSource,
         except (UnlinkedIssueError, DanglingLinkError) as exc:
             skipped.append(f"{issue_id}: {exc}")
             continue
-        text = _sample_text(issue)
+        yield issue_id, commit
+
+
+def scan_fix_commits(store: CorpusStore, source: SmellSource,
+                     diagnostics: list[str]) -> list[dict]:
+    """One `vectors_record` per fix commit; a commit that cannot be scanned
+    becomes a diagnostic, so `label` later skips its issue."""
+    records: list[dict] = []
+    seen: set[str] = set()
+    for issue_id, commit in fix_commits(store, []):
+        if commit in seen:
+            continue
+        seen.add(commit)
+        try:
+            records.append(vectors_record(commit, source.file_vectors(commit, diagnostics)))
+        except CorpusError as exc:
+            diagnostics.append(f"{issue_id}: {exc}")
+    return records
+
+
+def build_labeled_dataset(store: CorpusStore, source: SmellSource,
+                          project: str = "project") -> LabeledDataset:
+    """One sample per Bug issue with a resolvable fix commit and nonempty text."""
+    samples: list[LabeledSample] = []
+    skipped: list[str] = []
+    diagnostics: list[str] = []
+    stats = DatasetStats(project=project)
+    for issue_id, commit in fix_commits(store, skipped):
+        text = _sample_text(store.issues[issue_id])
         if not text:
             skipped.append(f"{issue_id}: empty report text")
             continue

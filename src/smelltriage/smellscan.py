@@ -232,8 +232,11 @@ def _match_brace(text: str, open_pos: int) -> int:
     return -1
 
 
-_PACKAGE_RE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
-_IMPORT_RE = re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE)
+# `[^\S\n]*` rather than `\s*` after `^`: the same matches, but a run of blank
+# lines is not rescanned from each of its line starts
+_PACKAGE_RE = re.compile(r"^[^\S\n]*package\s+([\w.]+)\s*;", re.MULTILINE)
+_IMPORT_RE = re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;",
+                        re.MULTILINE)
 _CLASS_RE = re.compile(r"\b(class|interface|enum)\s+(\w+)")
 _MODIFIER_WORDS = frozenset(
     "public private protected static final abstract strictfp sealed".split()

@@ -1,8 +1,10 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from conftest import SMELL_FIXTURE_DIR, _git
 from smelltriage import cli, datafiles
 from smelltriage.cli import EXIT_DIAGNOSTICS, EXIT_FATAL, EXIT_OK
 
@@ -42,15 +44,17 @@ def test_build_dataset_missing_input_is_fatal(bug_repo, tmp_path):
 def test_scan_smells_emits_commit_and_parent_rows(bug_repo, tmp_path):
     rc = cli.main(_base_args(bug_repo, tmp_path) + ["scan-smells"])
     assert rc == EXIT_OK
-    _, rows = datafiles.read_jsonl(tmp_path / "smell_vectors.jsonl")
-    fix = bug_repo["hashes"][1]
-    kitchen = [r for r in rows if r["File_path"] == "Kitchen.java"]
-    assert len(kitchen) == 1  # created at the fix commit, absent at the parent
-    assert kitchen[0]["Commit_Hash"] == fix
-    assert kitchen[0]["GodClass"] == 1
-    assert kitchen[0]["Parent_Hash"] == bug_repo["hashes"][0]
-    service = [r for r in rows if r["File_path"] == "Service.java"]
-    assert all(r["GodClass"] == 0 for r in service)
+    _, records = datafiles.read_jsonl(tmp_path / "smell_vectors.jsonl")
+    hashes = bug_repo["hashes"]
+    # one record per fix commit of a Bug issue, in issue-id order
+    assert [r["Commit_Hash"] for r in records] == [hashes[1], hashes[2], hashes[4]]
+    kitchen, service = records[0]["Files"]
+    assert kitchen["File_path"] == "Kitchen.java"
+    assert kitchen["GodClass"] == 1
+    assert kitchen["Previous"] is None  # created at the fix commit
+    assert service["File_path"] == "Service.java"
+    assert service["GodClass"] == 0
+    assert service["Previous"]["GodClass"] == 0
 
 
 def test_label_from_precomputed_vectors(bug_repo, tmp_path):
@@ -66,6 +70,134 @@ def test_label_from_precomputed_vectors(bug_repo, tmp_path):
 
 def test_label_requires_vectors_path(bug_repo, tmp_path):
     assert cli.main(_base_args(bug_repo, tmp_path) + ["label"]) == EXIT_FATAL
+
+
+def test_label_rejects_old_format_vectors_in_one_line(bug_repo, tmp_path, caplog):
+    old = tmp_path / "smell_vectors.jsonl"
+    datafiles.write_jsonl(old, [{"Commit_Hash": bug_repo["hashes"][1],
+                                 "File_path": "Kitchen.java", "GodClass": 1,
+                                 "Parent_Hash": bug_repo["hashes"][0]}])
+    rc = cli.main(_base_args(bug_repo, tmp_path) + [
+        "--paths.smell_vectors", str(old), "label"])
+    assert rc == EXIT_FATAL
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == ["smell vectors record 1: missing or malformed field 'Files'; "
+                      "rewrite the file with scan-smells"]
+
+
+def _record_args(root, issues, commits, links, repo):
+    args = []
+    for name, records in [("issues", issues), ("commits", commits),
+                          ("changes", []), ("links", links)]:
+        path = root / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        args += [f"--paths.{name}", str(path)]
+    return args + ["--paths.repo", str(repo)]
+
+
+def _issue(issue_id, kind="Bug"):
+    return {"Issue_id": issue_id, "Issue_type": kind, "Create_date": "2020-01-01T00:00:00Z",
+            "Summary_raw": f"report {issue_id} fails", "Description_raw": "wrong total"}
+
+
+@pytest.fixture(scope="module")
+def consecutive_fixes(tmp_path_factory):
+    """Two consecutive fixes that touch different files: FIX-1 edits the
+    clean Service.java, FIX-2 edits Kitchen.java, a God Class since the
+    baseline. Neither adds a smell, so both label 0."""
+    root = tmp_path_factory.mktemp("consecutive")
+    repo = root / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q", "-b", "main")
+    kitchen = (SMELL_FIXTURE_DIR / "Kitchen.java").read_text(encoding="utf-8")
+    steps = [("baseline", {"Kitchen.java": kitchen, "Service.java": "class Service {}\n"}),
+             ("fix 1", {"Service.java": "class Service { int total; }\n"}),
+             ("fix 2", {"Kitchen.java": kitchen + "// touched\n"})]
+    commits = []
+    for day, (message, files) in enumerate(steps, start=1):
+        for name, text in files.items():
+            (repo / name).write_text(text, encoding="utf-8")
+        date = f"2020-01-0{day}T12:00:00Z"
+        _git(repo, "add", "."), _git(repo, "commit", "-q", "-m", message, date=date)
+        commits.append({"Commit_Hash": _git(repo, "rev-parse", "HEAD"), "Committed_Date": date})
+    return {"root": root, "repo": repo, "commits": commits,
+            "issues": [_issue("FIX-1"), _issue("FIX-2")],
+            "links": [{"Issue_id": "FIX-1", "Commit_Hash": commits[1]["Commit_Hash"]},
+                      {"Issue_id": "FIX-2", "Commit_Hash": commits[2]["Commit_Hash"]}]}
+
+
+def _both_paths(args, out):
+    """Exit codes of build-dataset, scan-smells and label, in that order."""
+    vectors = str(out / "scan" / "smell_vectors.jsonl")
+    return (cli.main(args + ["--out", str(out / "build"), "build-dataset"]),
+            cli.main(args + ["--out", str(out / "scan"), "scan-smells"]),
+            cli.main(args + ["--out", str(out / "label"), "--paths.smell_vectors", vectors,
+                             "label"]))
+
+
+def test_two_step_labels_consecutive_fixes_like_build_dataset(consecutive_fixes, tmp_path):
+    f = consecutive_fixes
+    args = _record_args(tmp_path, f["issues"], f["commits"], f["links"], f["repo"])
+    assert _both_paths(args, tmp_path) == (EXIT_OK, EXIT_OK, EXIT_OK)
+    for name in ("dataset.jsonl", "statistics.jsonl"):
+        assert (tmp_path / "label" / name).read_bytes() == \
+            (tmp_path / "build" / name).read_bytes()
+    _, records = datafiles.read_jsonl(tmp_path / "label" / "dataset.jsonl")
+    assert {r["issue_id"]: r["label"] for r in records} == {"FIX-1": 0, "FIX-2": 0}
+
+
+def test_bug_linked_to_absent_commit_is_skipped_on_both_paths(consecutive_fixes, tmp_path):
+    f = consecutive_fixes
+    absent = {"Commit_Hash": "e" * 40, "Committed_Date": "2020-01-09T00:00:00Z"}
+    args = _record_args(tmp_path, f["issues"] + [_issue("FIX-3")], f["commits"] + [absent],
+                        f["links"] + [{"Issue_id": "FIX-3", "Commit_Hash": "e" * 40}],
+                        f["repo"])
+    assert _both_paths(args, tmp_path) == (EXIT_DIAGNOSTICS,) * 3
+    for step in ("build", "label"):
+        _, records = datafiles.read_jsonl(tmp_path / step / "dataset.jsonl")
+        assert [r["issue_id"] for r in records] == ["FIX-1", "FIX-2"]
+        _, skipped = datafiles.read_jsonl(tmp_path / step / "skipped.jsonl")
+        assert [r["reason"].split(":")[0] for r in skipped] == ["FIX-3"]
+
+
+def test_scan_smells_ignores_non_bug_link_to_absent_commit(consecutive_fixes, tmp_path):
+    f = consecutive_fixes
+    args = _record_args(tmp_path, f["issues"] + [_issue("FEAT-1", "New Feature")],
+                        f["commits"],
+                        f["links"] + [{"Issue_id": "FEAT-1", "Commit_Hash": "f" * 40}],
+                        f["repo"])
+    assert cli.main(args + ["--out", str(tmp_path), "scan-smells"]) == EXIT_OK
+
+
+_PMD_XML = """<?xml version="1.0"?>
+<pmd xmlns="http://pmd.sourceforge.net/report/2.0.0">
+  <file name="src/A.java"><violation rule="GodClass">god</violation></file>
+  <file name="src/B.java"><violation rule="SomeOtherRule">other</violation></file>
+</pmd>
+"""
+
+
+def test_scan_smells_from_pmd_report(tmp_path):
+    report = tmp_path / "pmd.xml"
+    report.write_text(_PMD_XML, encoding="utf-8")
+    rc = cli.main(["--paths.pmd_report", str(report), "--out", str(tmp_path), "scan-smells"])
+    assert rc == EXIT_DIAGNOSTICS  # SomeOtherRule matches none of the 16 rules
+    _, records = datafiles.read_jsonl(tmp_path / "smell_vectors.jsonl")
+    assert len(records) == 1 and records[0]["Commit_Hash"] == ""
+    files = records[0]["Files"]
+    assert [(f["File_path"], f["GodClass"], f["Previous"]) for f in files] == [
+        ("src/A.java", 1, None), ("src/B.java", 0, None)]
+
+
+def test_usage_error_exits_fatal_in_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--nope", "1", "train"])
+    assert exc.value.code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == EXIT_OK
 
 
 def _tiny_dataset(path, n=30, seed=0):

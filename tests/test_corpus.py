@@ -102,9 +102,13 @@ def _store_with_links():
     return store
 
 
+def _links(*links):
+    return {(l.issue_id, l.commit_hash): l for l in links}
+
+
 def test_resolve_fix_commit_latest_wins():
     store = _store_with_links()
-    store.links = [ChangeLink("B-1", HASH_A), ChangeLink("B-1", HASH_B)]
+    store.links = _links(ChangeLink("B-1", HASH_A), ChangeLink("B-1", HASH_B))
     assert store.resolve_fix_commit("B-1") == HASH_B
 
 
@@ -112,42 +116,35 @@ def test_resolve_fix_commit_unlinked_and_dangling():
     store = _store_with_links()
     with pytest.raises(UnlinkedIssueError):
         store.resolve_fix_commit("B-1")
-    store.links = [ChangeLink("B-1", "c" * 40)]
+    store.links = _links(ChangeLink("B-1", "c" * 40))
     with pytest.raises(DanglingLinkError):
         store.resolve_fix_commit("B-1")
 
 
-def test_check_integrity_reports_dangling_links():
-    store = _store_with_links()
-    store.links = [ChangeLink("B-9", HASH_A), ChangeLink("B-1", "d" * 40)]
-    problems = store.check_integrity()
-    assert len(problems) == 2
-
-
-def test_export_roundtrip(tmp_path):
-    store = _store_with_links()
-    store.links = [ChangeLink("B-1", HASH_A)]
-    store.changes[(HASH_A, "A.java")] = FileChange(HASH_A, "A.java", 3, 1)
-    paths = store.export_records(tmp_path)
-    reloaded = CorpusStore()
-    for kind, p in paths.items():
-        result = reloaded.ingest_records(p, kind)
-        assert result.diagnostics == []
-    assert reloaded.issues.keys() == store.issues.keys()
-    assert reloaded.commits.keys() == store.commits.keys()
-    assert reloaded.changes.keys() == store.changes.keys()
-    assert len(reloaded.links) == 1
+def test_ingest_keys_links_by_issue_and_commit(tmp_path):
+    p = tmp_path / "links.jsonl"
+    _write_lines(p, [{"Issue_id": "B-1", "Commit_Hash": HASH_A},
+                     {"Issue_id": "B-1", "Commit_Hash": HASH_B},
+                     {"Issue_id": "B-2", "Commit_Hash": HASH_A},
+                     {"Issue_id": "B-1", "Commit_Hash": HASH_A}])
+    store = CorpusStore()
+    result = store.ingest_records(p, RecordKind.LINKS)
+    assert result.accepted == 3
+    assert result.diagnostics == ["links.jsonl:4: duplicate key, first occurrence wins"]
+    assert list(store.links) == [("B-1", HASH_A), ("B-1", HASH_B), ("B-2", HASH_A)]
+    assert len(store.links) == 3
 
 
 # -- git extraction against the scripted fixture repository ------------------
 
-def test_parent_of_and_root(bug_repo):
+def test_changed_files_read_the_first_parent(bug_repo):
     store = CorpusStore(repo_path=bug_repo["repo"])
     hashes = bug_repo["hashes"]
-    assert store.parent_of(hashes[0]) is None
-    assert store.parent_of(hashes[1]) == hashes[0]
     diagnostics: list[str] = []
-    store.changed_files_with_contents(hashes[1], diagnostics)
+    files = store.changed_files_with_contents(hashes[1], diagnostics)
+    service = [f for f in files if f.file_path == "Service.java"][0]
+    assert service.content_at_parent == _git(bug_repo["repo"], "show",
+                                             f"{hashes[0]}:Service.java") + "\n"
     assert not any(d.startswith("merge commit") for d in diagnostics)
 
 
@@ -163,22 +160,20 @@ def test_merge_commit_diffs_against_first_parent_with_diagnostic(tmp_path):
     _git(repo, "checkout", "-q", "main")
     (repo / "A.java").write_text("class A { int x; }\n", encoding="utf-8")
     _git(repo, "add", "."), _git(repo, "commit", "-q", "-m", "main")
-    first_parent = _git(repo, "rev-parse", "HEAD")
     _git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side")
     merge = _git(repo, "rev-parse", "HEAD")
 
     store = CorpusStore(repo_path=repo)
-    assert store.parent_of(merge) == first_parent
     diagnostics: list[str] = []
     files = store.changed_files_with_contents(merge, diagnostics)
     assert diagnostics == [f"merge commit {merge}: first-parent diff only"]
     assert [(f.file_path, f.content_at_parent) for f in files] == [("B.java", None)]
 
 
-def test_parent_of_unknown_hash(bug_repo):
+def test_changed_files_unknown_hash(bug_repo):
     store = CorpusStore(repo_path=bug_repo["repo"])
     with pytest.raises(CorpusError, match="unknown commit"):
-        store.parent_of("e" * 40)
+        store.changed_files_with_contents("e" * 40)
 
 
 def test_changed_files_filters_extensions_and_sorts(bug_repo):
@@ -201,4 +196,4 @@ def test_changed_files_at_root_commit(bug_repo):
 
 def test_git_requires_repo_path():
     with pytest.raises(CorpusError, match="repo_path"):
-        CorpusStore().parent_of(HASH_A)
+        CorpusStore().changed_files_with_contents(HASH_A)

@@ -1,11 +1,12 @@
-import numpy as np
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from smelltriage.corpus import CorpusStore, RecordKind
+from smelltriage.corpus import CorpusError, CorpusStore, RecordKind
 from smelltriage.labeler import (
     GitScanSource, LabeledSample, VectorTableSource, build_labeled_dataset,
-    label_commit, smell_delta,
+    fix_commits, label_commit, smell_delta, vectors_record,
 )
 from smelltriage.smellscan import SmellVector
 
@@ -79,11 +80,10 @@ def test_labeled_sample_record_roundtrip():
     assert LabeledSample.from_record(s.to_record()) == s
 
 
-def test_vector_table_source_uses_parent_hash():
+def test_vector_table_source_returns_recorded_previous():
     cur = _vec([1] + [0] * 15)
     prev = _vec([0] * 16)
-    rows = {("a" * 40, "A.java"): cur, ("b" * 40, "A.java"): prev}
-    source = VectorTableSource(rows=rows, parents={"a" * 40: "b" * 40})
+    source = VectorTableSource({"a" * 40: [("A.java", cur, prev)]})
     diags = []
     out = source.file_vectors("a" * 40, diags)
     assert out == [("A.java", cur, prev)]
@@ -92,9 +92,44 @@ def test_vector_table_source_uses_parent_hash():
 
 def test_vector_table_source_without_parent_treats_prev_as_none():
     cur = _vec([0] * 16)
-    source = VectorTableSource(rows={("a" * 40, "A.java"): cur})
-    out = source.file_vectors("a" * 40, [])
-    assert out == [("A.java", cur, None)]
+    record = vectors_record("a" * 40, [("A.java", cur, None)])
+    assert record["Files"][0]["Previous"] is None
+    source = VectorTableSource.from_records([record])
+    assert source.file_vectors("a" * 40, []) == [("A.java", cur, None)]
+
+
+@given(st.lists(
+    st.tuples(
+        st.lists(st.booleans(), min_size=16, max_size=16),
+        st.one_of(st.none(), st.lists(st.booleans(), min_size=16, max_size=16)),
+        st.integers(0, 500),
+    ),
+    max_size=4,
+))
+def test_vectors_record_roundtrip(raw):
+    vectors = [(f"F{i}.java", SmellVector(tuple(c), raw_npath_max=n),
+                _vec(p) if p is not None else None)
+               for i, (c, p, n) in enumerate(raw)]
+    record = json.loads(json.dumps(vectors_record("c" * 40, vectors)))
+    assert VectorTableSource.from_records([record]).file_vectors("c" * 40, []) == vectors
+
+
+def test_vector_table_source_unknown_commit_raises():
+    source = VectorTableSource({"a" * 40: []})
+    assert source.file_vectors("a" * 40, []) == []
+    with pytest.raises(CorpusError, match="no smell vectors for commit " + "b" * 40):
+        source.file_vectors("b" * 40, [])
+
+
+@pytest.mark.parametrize("record, field", [
+    ({"Commit_Hash": "a" * 40, "File_path": "A.java", "GodClass": 1,
+      "Parent_Hash": "b" * 40}, "'Files'"),
+    ({"Commit_Hash": "a" * 40, "Files": [{"File_path": "A.java", "GodClass": 1}]},
+     "'Previous'"),
+])
+def test_from_records_rejects_a_record_without_files_or_previous(record, field):
+    with pytest.raises(CorpusError, match=f"record 1: missing or malformed field {field}"):
+        VectorTableSource.from_records([record])
 
 
 # -- end-to-end against the scripted repository ------------------------------
@@ -124,3 +159,12 @@ def test_build_labeled_dataset_samples_carry_report_text(bug_repo):
     assert "overflow" in by_id["BUG-1"].text
     assert by_id["BUG-1"].total_added_smells >= 1
     assert by_id["BUG-2"].total_added_smells == 0
+
+
+def test_fix_commits_yields_in_issue_order_and_records_skips(bug_repo):
+    store = _load_store(bug_repo)
+    skipped: list[str] = []
+    hashes = bug_repo["hashes"]
+    assert list(fix_commits(store, skipped)) == [
+        ("BUG-1", hashes[1]), ("BUG-2", hashes[2]), ("BUG-3", hashes[4])]
+    assert skipped == ["FEAT-1: not a Bug issue"]

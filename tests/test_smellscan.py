@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from smelltriage import smellscan
 from smelltriage.smellscan import (
     RULE_NAMES, RuleThresholds, SmellRule, SmellVector,
     evaluate_rules, ingest_pmd_report, npath_of_block,
@@ -136,6 +138,32 @@ def test_fixture_metrics_match_hand_counts(entry):
 def test_all_sixteen_rules_covered_by_fixtures():
     rules = {e["rule"] for e in _manifest() if e["rule"]}
     assert rules == set(RULE_NAMES)
+
+
+# -- line-anchored import/package patterns ---------------------------------
+
+# the line-anchored patterns before blank runs stopped being rescanned; kept
+# as the oracle for the current ones
+_OLD_PACKAGE_RE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
+_OLD_IMPORT_RE = re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;",
+                            re.MULTILINE)
+
+# lines of leading whitespace (newlines and non-ASCII spaces included), a
+# keyword, spacing, a name and maybe the semicolon
+_HEAD_LINE = st.tuples(
+    st.text(" \t\n\r\x0b\x0c\x85\u2028", max_size=4),
+    st.sampled_from(["import", "import static", "package", "x"]),
+    st.text(" \t\n", max_size=2),
+    st.sampled_from(["a", "b.c", "d.*", ""]),
+    st.sampled_from([";", " ;", ""]),
+).map("".join)
+
+
+@given(st.lists(_HEAD_LINE, max_size=8).map("\n".join))
+def test_line_anchored_patterns_match_the_old_ones(text):
+    assert smellscan._IMPORT_RE.findall(text) == _OLD_IMPORT_RE.findall(text)
+    old, new = _OLD_PACKAGE_RE.search(text), smellscan._PACKAGE_RE.search(text)
+    assert (old and old.group(1)) == (new and new.group(1))
 
 
 # -- thresholds are strict ---------------------------------------------------
