@@ -257,8 +257,7 @@ def cmd_predict(cfg: config.RunConfig, summary: str, description: str) -> int:
     except nnet.ModelFormatError as exc:
         log.error("%s", exc)
         return EXIT_FATAL
-    tokens = textprep.preprocess(summary, cfg.textprep.remove_stopwords) + \
-        textprep.preprocess(description, cfg.textprep.remove_stopwords)
+    tokens = textprep.preprocess(summary) + textprep.preprocess(description)
     doc = textprep.TokenDocument("<cli>", tokens)
     seq = textprep.doc2indices(doc, dictionary, model.cfg.seq_len)
     label, prob = nnet.predict(model, np.asarray(seq))
@@ -293,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, args.summary, args.description)
     except (config.ConfigError, corpus.CorpusError, balance.BalanceError,
-            evaluation.EvalError, smellscan.PmdReportError, ValueError) as exc:
+            evaluation.EvalError, smellscan.PmdReportError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_FATAL
     return EXIT_FATAL

@@ -36,7 +36,6 @@ class PathsConfig:
 class TextPrepConfig:
     seq_len: int = 200
     max_vocab: int | None = None
-    remove_stopwords: bool = False
 
 
 @dataclass

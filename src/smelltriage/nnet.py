@@ -6,8 +6,9 @@ differences."""
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 FORMAT_VERSION = 1
 _MAGIC = b"STMODEL1\n"
+_FLOAT_DTYPES = ("float16", "float32", "float64")  # tensor dtype names save_model writes
 _LOSS_EPS = 1e-7
 
 
@@ -45,6 +47,8 @@ class ModelConfig:
     def stage_lengths(self) -> tuple[int, int, int, int, int]:
         """(conv1_out, pool1_out, conv2_out, pool2_out, flatten) lengths.
         Raises ConfigError naming the first stage that fails to compose."""
+        if self.pool_size < 1:
+            raise ConfigError(f"pool: size {self.pool_size} must be at least 1")
         t1 = self.seq_len - self.conv1_width + 1
         if t1 < 1:
             raise ConfigError(f"conv1: width {self.conv1_width} exceeds input length {self.seq_len}")
@@ -61,6 +65,21 @@ class ModelConfig:
 
 
 PARAM_NAMES = ("emb", "w1", "b1", "w2", "b2", "wd", "bd")
+
+
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter under cfg. Raises ConfigError when the
+    stages do not compose."""
+    flat = cfg.stage_lengths()[-1]
+    return {
+        "emb": (cfg.vocab_size, cfg.embed_dim),
+        "w1": (cfg.conv1_filters, cfg.conv1_width, cfg.embed_dim),
+        "b1": (cfg.conv1_filters,),
+        "w2": (cfg.conv2_filters, cfg.conv2_width, cfg.conv1_filters),
+        "b2": (cfg.conv2_filters,),
+        "wd": (flat,),
+        "bd": (),
+    }
 
 
 @dataclass
@@ -91,22 +110,22 @@ class TrainHistory:
 def init_model(cfg: ModelConfig, seed: int, dict_hash: str = "") -> Model:
     """Embedding rows ~ U(-0.05, 0.05) with row 0 zeroed; conv/dense weights
     scaled-normal with variance 2/fan_in; biases zero. Deterministic per seed."""
-    _, _, _, _, flat = cfg.stage_lengths()
+    shape = _param_shapes(cfg)
     rng = np.random.default_rng(seed)
     dt = np.dtype(cfg.dtype)
-    emb = rng.uniform(-0.05, 0.05, size=(cfg.vocab_size, cfg.embed_dim))
+    emb = rng.uniform(-0.05, 0.05, size=shape["emb"])
     emb[0] = 0.0
     fan1 = cfg.conv1_width * cfg.embed_dim
-    w1 = rng.normal(0.0, np.sqrt(2.0 / fan1), size=(cfg.conv1_filters, cfg.conv1_width, cfg.embed_dim))
+    w1 = rng.normal(0.0, np.sqrt(2.0 / fan1), size=shape["w1"])
     fan2 = cfg.conv2_width * cfg.conv1_filters
-    w2 = rng.normal(0.0, np.sqrt(2.0 / fan2), size=(cfg.conv2_filters, cfg.conv2_width, cfg.conv1_filters))
-    wd = rng.normal(0.0, np.sqrt(2.0 / flat), size=(flat,))
+    w2 = rng.normal(0.0, np.sqrt(2.0 / fan2), size=shape["w2"])
+    wd = rng.normal(0.0, np.sqrt(2.0 / shape["wd"][0]), size=shape["wd"])
     return Model(
         cfg=cfg,
         emb=emb.astype(dt),
-        w1=w1.astype(dt), b1=np.zeros(cfg.conv1_filters, dtype=dt),
-        w2=w2.astype(dt), b2=np.zeros(cfg.conv2_filters, dtype=dt),
-        wd=wd.astype(dt), bd=np.zeros((), dtype=dt),
+        w1=w1.astype(dt), b1=np.zeros(shape["b1"], dtype=dt),
+        w2=w2.astype(dt), b2=np.zeros(shape["b2"], dtype=dt),
+        wd=wd.astype(dt), bd=np.zeros(shape["bd"], dtype=dt),
         dict_hash=dict_hash,
     )
 
@@ -339,6 +358,10 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, expected_dict_hash: str | None = None) -> Model:
+    """Read a file written by save_model. Any other content raises
+    ModelFormatError: a truncated or extended file, malformed metadata, or
+    tensors whose names or shapes do not match the stored config. The tensor
+    bytes themselves carry no checksum."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise ModelFormatError(f"{path}: bad magic at offset 0")
@@ -349,24 +372,39 @@ def load_model(path: str | Path, expected_dict_hash: str | None = None) -> Model
     pos += 8
     if len(data) < pos + meta_len:
         raise ModelFormatError(f"{path}: truncated metadata at offset {pos}")
-    meta = json.loads(data[pos: pos + meta_len].decode("utf-8"))
+    try:
+        meta = json.loads(data[pos: pos + meta_len].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ModelFormatError(f"{path}: malformed metadata: {exc}") from exc
     pos += meta_len
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported format version {meta.get('format_version')}"
-        )
-    cfg = ModelConfig(**meta["config"])
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"{path}: unsupported format version {version}")
+    try:
+        cfg = ModelConfig(**meta["config"])
+        for f in fields(ModelConfig):
+            if type(f.default) is int and type(getattr(cfg, f.name)) is not int:
+                raise TypeError(f"config {f.name} is not an integer")
+        shapes = _param_shapes(cfg)
+        specs = [(t["name"], t["dtype"], tuple(t["shape"])) for t in meta["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ModelFormatError(f"{path}: malformed metadata: {exc!r}") from exc
+    if [name for name, _, _ in specs] != list(PARAM_NAMES):
+        raise ModelFormatError(f"{path}: tensors {[name for name, _, _ in specs]}, "
+                               f"expected {list(PARAM_NAMES)}")
     arrays = {}
-    for spec in meta["tensors"]:
-        dt = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dt.itemsize
-        if len(data) < pos + nbytes:
-            raise ModelFormatError(f"{path}: truncated tensor {spec['name']} at offset {pos}")
-        arr = np.frombuffer(data[pos: pos + nbytes], dtype=dt).reshape(shape).copy()
-        arrays[spec["name"]] = arr
-        pos += nbytes
+    for name, dtype, shape in specs:
+        if dtype not in _FLOAT_DTYPES or shape != shapes[name]:
+            raise ModelFormatError(f"{path}: tensor {name} is {dtype} {list(shape)}, but the "
+                                   f"config needs floats of shape {list(shapes[name])}")
+        dt, count = np.dtype(dtype), math.prod(shapes[name])
+        if len(data) < pos + count * dt.itemsize:
+            raise ModelFormatError(f"{path}: truncated tensor {name} at offset {pos}")
+        arrays[name] = np.frombuffer(data, dt, count, pos).reshape(shapes[name]).copy()
+        pos += count * dt.itemsize
+    if pos != len(data):
+        raise ModelFormatError(f"{path}: {len(data) - pos} trailing bytes after the last "
+                               f"tensor at offset {pos}")
     if expected_dict_hash is not None and meta.get("dict_hash") != expected_dict_hash:
         warnings.warn(
             f"dictionary hash mismatch: model carries {meta.get('dict_hash')!r}",

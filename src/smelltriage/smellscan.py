@@ -1,8 +1,9 @@
 """Structural scanner for Java-like source plus the 16 smell-rule predicates.
 
-The scanner is a lexer with balanced-brace matching, not a grammar: it blanks
-comments and string interiors, then discovers classes and methods by keyword
-and brace nesting. Every rule only needs counts, so this is enough.
+The scanner is a lexer, not a grammar: one regex pass blanks comments and
+string interiors, one pass pairs the brackets and finds class declarations,
+and every later step reads offsets into that text. Statement nesting has no
+depth limit. Every rule only needs counts, so this is enough.
 Externally produced PMD XML reports can be ingested as an alternative source.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import enum
 import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 
@@ -69,7 +71,6 @@ class MethodMetrics:
     ncss: int = 0
     decision_points: int = 0
     npath: int = 1
-    switch_statement_count: int = 0
     switch_label_count: int = 0
     statement_count: int = 0
     is_public: bool = False
@@ -102,11 +103,9 @@ class ClassMetrics:
 @dataclass
 class FileMetrics:
     file_path: str
-    package_name: str | None = None
     import_count: int = 0
     imported_packages: set[str] = field(default_factory=set)
     classes: list[ClassMetrics] = field(default_factory=list)
-    diagnostics: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -145,252 +144,228 @@ class SmellVector:
 # Comment / string stripping
 # ---------------------------------------------------------------------------
 
+# a comment, or a string or char literal that ends at its closing quote, at the
+# end of its line or at the end of the text; a backslash escapes one character
+_LITERAL_RE = re.compile(
+    r"""//[^\n]*|/\*.*?(\*/|\Z)|(["'])(?:\\.?|(?!\2)[^\\\n])*(\2|\n|\Z)""", re.DOTALL)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
 def strip_comments_and_strings(source: str) -> tuple[str, list[str]]:
     """Blank comment and string-literal interiors with spaces.
 
     Byte length, line breaks and column positions are all preserved; string
     and char delimiters are kept so literals remain visible as empty tokens.
     """
-    out = list(source)
     diagnostics: list[str] = []
-    i, n = 0, len(source)
-    line = 1
-    state = "code"
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-        if state == "code":
-            if ch == "/" and i + 1 < n and source[i + 1] == "/":
-                out[i] = out[i + 1] = " "
-                i += 2
-                state = "line_comment"
-                continue
-            if ch == "/" and i + 1 < n and source[i + 1] == "*":
-                out[i] = out[i + 1] = " "
-                i += 2
-                state = "block_comment"
-                continue
-            if ch == '"':
-                state = "string"
-            elif ch == "'":
-                state = "char"
-            i += 1
-        elif state == "line_comment":
-            if ch == "\n":
-                state = "code"
-            else:
-                out[i] = " "
-            i += 1
-        elif state == "block_comment":
-            if ch == "*" and i + 1 < n and source[i + 1] == "/":
-                out[i] = out[i + 1] = " "
-                i += 2
-                state = "code"
-                continue
-            if ch != "\n":
-                out[i] = " "
-            i += 1
-        else:  # string or char literal
-            quote = '"' if state == "string" else "'"
-            if ch == "\\" and i + 1 < n:
-                out[i] = " "
-                if source[i + 1] != "\n":
-                    out[i + 1] = " "
-                i += 2
-                continue
-            if ch == quote:
-                state = "code"
-            elif ch == "\n":
-                diagnostics.append(f"line {line - 1}: unterminated {state} literal")
-                state = "code"
-            else:
-                out[i] = " "
-            i += 1
-    if state == "block_comment":
-        diagnostics.append("unterminated block comment at end of file")
-    elif state in ("string", "char"):
-        diagnostics.append(f"unterminated {state} literal at end of file")
-    return "".join(out), diagnostics
+    counted = [0, 1]  # the line number at offset counted[0]
+
+    def blank(m: re.Match) -> str:
+        text, quote, end = m.group(), m.group(2), m.group(3)
+        if quote is None:  # a comment
+            if m.group(1) == "":
+                diagnostics.append("unterminated block comment at end of file")
+            return _NOT_NEWLINE_RE.sub(" ", text)
+        kind = "string" if quote == '"' else "char"
+        if end == "\n":
+            counted[1] += source.count("\n", counted[0], m.start())
+            counted[0] = m.start()
+            diagnostics.append(f"line {counted[1]}: unterminated {kind} literal")
+        elif not end:
+            diagnostics.append(f"unterminated {kind} literal at end of file")
+        return quote + _NOT_NEWLINE_RE.sub(" ", text[1:len(text) - len(end)]) + end
+
+    return _LITERAL_RE.sub(blank, source), diagnostics
 
 
 # ---------------------------------------------------------------------------
-# Brace utilities
+# Structure: one lexer pass, then NPath and metrics by offsets into its text
 # ---------------------------------------------------------------------------
-
-def _match_brace(text: str, open_pos: int) -> int:
-    """Index of the brace matching text[open_pos] == '{', or -1 if unbalanced."""
-    depth = 0
-    for i in range(open_pos, len(text)):
-        c = text[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
 
 # `[^\S\n]*` rather than `\s*` after `^`: the same matches, but a run of blank
 # lines is not rescanned from each of its line starts
-_PACKAGE_RE = re.compile(r"^[^\S\n]*package\s+([\w.]+)\s*;", re.MULTILINE)
 _IMPORT_RE = re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;",
                         re.MULTILINE)
-_CLASS_RE = re.compile(r"\b(class|interface|enum)\s+(\w+)")
-_MODIFIER_WORDS = frozenset(
-    "public private protected static final abstract strictfp sealed".split()
-)
+# a class keyword after '.' (`Foo.class`) is a literal, not a declaration
+_LEX_RE = re.compile(r"[(){};]|(\.\s*)?\b(?:class|interface|enum)\s+(\w+)")
 _CONTROL_KEYWORDS = frozenset(
     "if else for while do switch case default try catch finally return "
     "throw new synchronized".split()
 )
 
 
-# ---------------------------------------------------------------------------
-# NPath composition
-# ---------------------------------------------------------------------------
+def _lex(text: str) -> tuple[dict[int, int], list[list]]:
+    """The bracket table of cleaned source, mapping each matched '{' and '(' to
+    its partner (braces and parentheses pair independently), and its class
+    declarations as [name, header start, brace, declarations directly inside]:
+    a header starts after the last ';', '{' or '}' before its keyword, and the
+    brace is the first '{' after the name."""
+    pairs, braces, parens, decls, waiting, open_classes = {}, [], [], [], [], []
+    boundary = 0
+    for m in _LEX_RE.finditer(text):
+        c, pos = m.group(), m.start()
+        if m.lastindex:
+            if m.group(1) is None:
+                waiting.append([m.group(2), boundary, -1, []])
+        elif c == "(":
+            parens.append(pos)
+        elif c == ")":
+            if parens:
+                pairs[parens.pop()] = pos
+        else:
+            boundary = pos + 1
+            if c == "{":
+                braces.append(pos)
+                for d in waiting:
+                    d[2] = pos
+                    if open_classes:
+                        open_classes[-1][3].append(d)
+                decls += waiting
+                open_classes += waiting
+                waiting = []
+            elif c == "}" and braces:
+                pairs[braces[-1]] = pos
+                while open_classes and open_classes[-1][2] == braces[-1]:
+                    open_classes.pop()
+                braces.pop()
+    return pairs, decls
+
+
+def _close(pairs: dict[int, int], pos: int, end: int) -> int:
+    """The partner of the bracket at pos, or end when it has none before end."""
+    return min(pairs.get(pos, end), end)
+
 
 _NPATH_KEYWORD_RE = re.compile(r"\b(if|for|while|do|switch)\b")
-
-
-def _skip_parens(text: str, pos: int) -> int:
-    """Advance past a balanced (...) group starting at the next '('."""
-    i = text.find("(", pos)
-    if i < 0:
-        return pos
-    depth = 0
-    for j in range(i, len(text)):
-        if text[j] == "(":
-            depth += 1
-        elif text[j] == ")":
-            depth -= 1
-            if depth == 0:
-                return j + 1
-    return len(text)
-
-
-def _parse_branch(text: str, pos: int) -> tuple[int, int]:
-    """Parse one statement or block starting at pos; return (npath, next_pos)."""
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos >= len(text):
-        return 1, pos
-    if text[pos] == "{":
-        end = _match_brace(text, pos)
-        if end < 0:
-            return npath_of_block(text[pos + 1:]), len(text)
-        return npath_of_block(text[pos + 1: end]), end + 1
-    m = _NPATH_KEYWORD_RE.match(text, pos)
-    if m:
-        return _parse_construct(text, m)
-    # single statement up to ';'
-    semi = text.find(";", pos)
-    if semi < 0:
-        return 1, len(text)
-    return 1, semi + 1
-
-
-def _parse_construct(text: str, m: re.Match) -> tuple[int, int]:
-    kw = m.group(1)
-    pos = m.end()
-    if kw == "if":
-        pos = _skip_parens(text, pos)
-        then_paths, pos = _parse_branch(text, pos)
-        save = pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if text.startswith("else", pos) and (
-            pos + 4 >= len(text) or not (text[pos + 4].isalnum() or text[pos + 4] == "_")
-        ):
-            else_paths, pos = _parse_branch(text, pos + 4)
-            return then_paths + else_paths, pos
-        return then_paths + 1, save
-    if kw in ("for", "while"):
-        pos = _skip_parens(text, pos)
-        body_paths, pos = _parse_branch(text, pos)
-        return body_paths + 1, pos
-    if kw == "do":
-        body_paths, pos = _parse_branch(text, pos)
-        pos = _skip_parens(text, pos)  # trailing while (...)
-        semi = text.find(";", pos)
-        return body_paths + 1, (semi + 1 if semi >= 0 else len(text))
-    # switch
-    pos = _skip_parens(text, pos)
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos >= len(text) or text[pos] != "{":
-        return 1, pos
-    end = _match_brace(text, pos)
-    if end < 0:
-        end = len(text)
-    body = text[pos + 1: end]
-    paths = _switch_paths(body)
-    return paths, end + 1
-
-
 _CASE_LABEL_RE = re.compile(r"\b(case\b[^:{};]*|default\s*):")
+_SWITCH_BODY_RE = re.compile(r"\{|" + _CASE_LABEL_RE.pattern)
+_BLANKS_RE = re.compile(r"\s*")
+_ELSE_RE = re.compile(r"\s*else\b")
+_SEQ, _IF, _LOOP, _DO, _SWITCH = range(5)  # npath_of_block frame kinds
 
 
-def _switch_paths(body: str) -> int:
-    """Sum of case-group path counts, plus one when no default group exists."""
-    labels = []
-    depth = 0
-    for m in _CASE_LABEL_RE.finditer(body):
-        depth = body.count("{", 0, m.start()) - body.count("}", 0, m.start())
-        if depth == 0:
-            labels.append((m.start(), m.end(), m.group(1).startswith("default")))
-    if not labels:
-        return 1
-    has_default = any(d for _, _, d in labels)
-    total = 0
-    # consecutive labels share one group; a group's text runs to the next label
-    group_starts: list[int] = []
-    prev_end = None
-    for start, end, _ in labels:
-        between = body[prev_end:start] if prev_end is not None else ""
-        if prev_end is None or between.strip():
-            group_starts.append(start)
-        prev_end = end
-    for gi, gstart in enumerate(group_starts):
-        gend = group_starts[gi + 1] if gi + 1 < len(group_starts) else len(body)
-        # drop the label text itself
-        colon = body.find(":", gstart)
-        group_text = body[colon + 1: gend] if colon >= 0 else body[gstart:gend]
-        total += npath_of_block(group_text)
-    if not has_default:
-        total += 1
-    return total
+def _after_parens(text: str, pairs: dict[int, int], pos: int, end: int) -> int:
+    """Past the (...) group that starts at the next '(' before end."""
+    i = text.find("(", pos, end)
+    return pos if i < 0 else min(_close(pairs, i, end) + 1, end)
 
 
-def npath_of_block(text: str) -> int:
-    """Acyclic path count of a statement sequence (sequential composition
-    multiplies; straight-line code contributes 1)."""
-    paths = 1
-    pos = 0
-    while True:
-        m = _NPATH_KEYWORD_RE.search(text, pos)
-        if not m:
-            break
-        # skip keyword occurrences nested inside braces already consumed is
-        # handled by advancing pos past each construct; keywords inside parens
-        # (e.g. a for header) are consumed by _skip_parens of the construct
-        sub, nxt = _parse_construct(text, m)
-        paths *= max(sub, 1)
-        pos = max(nxt, m.end())
-    return max(paths, 1)
+def _case_groups(text: str, pairs: dict[int, int], start: int, end: int):
+    """The case groups of the switch body text[start:end] as [start, end] spans,
+    last first, and whether a `default` label is among them. Labels in nested
+    blocks are not the switch's own. Labels with only blanks between them share
+    a group, which runs from the end of its first label to the next group."""
+    groups, has_default = [], False
+    pos = prev = start
+    while m := _SWITCH_BODY_RE.search(text, pos, end):
+        if m.lastindex is None:  # '{': the labels inside are not the switch's
+            pos = _close(pairs, m.start(), end) + 1
+            if pos > end:
+                break
+            continue
+        has_default = has_default or m.group(1).startswith("default")
+        if not groups or _BLANKS_RE.match(text, prev, m.start()).end() < m.start():
+            if groups:
+                groups[-1][1] = m.start()
+            groups.append([m.end(), end])
+        pos = prev = m.end()
+    return groups[::-1], has_default
+
+
+def npath_of_block(text: str, start: int = 0, end: int | None = None,
+                   pairs: dict[int, int] | None = None) -> int:
+    """Acyclic path count of the statement sequence text[start:end] (Nejmeh
+    1988): sequential composition multiplies, an `if` adds its branches with a
+    missing `else` counting 1, a loop adds 1 to its body, and a `switch` sums
+    its case groups plus 1 when it has no `default`. Straight-line code is 1.
+
+    `pairs` is the bracket table of `text`, built here when not given. Open
+    constructs are frames on an explicit stack, so nesting depth is not bounded
+    by Python's recursion limit. Every search in a frame stops at its end:
+      [_SEQ, end, product, end of its current keyword, position after it]
+      [_IF | _LOOP | _DO, end, paths of the `then` branch once an `else` follows]
+      [_SWITCH, end, sum of its case groups, groups left, position after it]
+    """
+    end = len(text) if end is None else end
+    pairs = _lex(text)[0] if pairs is None else pairs
+    stack: list[list] = [[_SEQ, end, 1, start, end]]
+    pos, value = start, None
+    no_else = -1  # nested ifs that end together look for `else` there once
+    while stack:
+        frame = stack[-1]
+        kind, e = frame[0], frame[1]
+        if value is not None:  # the current part of the top frame ended at pos
+            if kind == _SEQ:
+                frame[2] *= value
+                pos, value = max(pos, frame[3]), None
+            elif kind == _SWITCH:
+                frame[2] += value
+                if frame[3]:
+                    gs, ge = frame[3].pop()
+                    stack.append([_SEQ, ge, 1, gs, ge])
+                    pos, value = gs, None
+                else:
+                    stack.pop()
+                    pos, value = frame[4], frame[2]
+            elif kind == _IF and frame[2] is None and pos != no_else and (
+                    m := _ELSE_RE.match(text, pos, e)):
+                frame[2], pos, value = value, m.end(), None
+            else:  # the construct is complete
+                no_else = pos if kind == _IF and frame[2] is None else no_else
+                stack.pop()
+                value += 1 if frame[2] is None else frame[2]
+                if kind == _DO:  # past the trailing `while (...);`
+                    semi = text.find(";", _after_parens(text, pairs, pos, e), e)
+                    pos = semi + 1 if semi >= 0 else e
+            continue
+        if kind == _SEQ:  # the next construct of the sequence
+            m = _NPATH_KEYWORD_RE.search(text, pos, e)
+            if m is None:
+                stack.pop()
+                pos, value = frame[4], frame[2]
+                continue
+            frame[3] = m.end()
+        else:  # a branch of a construct: a block, a construct or one statement
+            pos = _BLANKS_RE.match(text, pos, e).end()
+            m = _NPATH_KEYWORD_RE.match(text, pos, e)
+            if pos < e and text[pos] == "{":
+                close = _close(pairs, pos, e)
+                stack.append([_SEQ, close, 1, pos, close + 1])
+                pos += 1
+                continue
+            if m is None:
+                semi = text.find(";", pos, e)
+                pos, value = (semi + 1 if semi >= 0 else e), 1
+                continue
+        kw, pos = m.group(1), m.end()
+        if kw != "do":
+            pos = _after_parens(text, pairs, pos, e)
+        if kw != "switch":
+            stack.append([{"if": _IF, "do": _DO}.get(kw, _LOOP), e, None])
+            continue
+        pos = _BLANKS_RE.match(text, pos, e).end()
+        if pos >= e or text[pos] != "{":
+            value = 1
+            continue
+        close = _close(pairs, pos, e)
+        groups, has_default = _case_groups(text, pairs, pos + 1, close)
+        stack.append([_SWITCH, e, 0 if has_default else 1, groups, close + 1])
+        value = 0  # starts the first group
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Metrics scanning
 # ---------------------------------------------------------------------------
 
+_MEMBER_END_RE = re.compile(r"[;{]")
 _DECISION_KEYWORD_RE = re.compile(r"\b(?:if|while|for|case|catch)\b")
 _NCSS_HEADER_RE = re.compile(r"\b(?:if|else|for|while|do|switch|try|catch|finally)\b")
-_GETTER_RE = re.compile(r"^\s*return\s+(?:this\s*\.\s*)?[\w$]+\s*;\s*$")
-_SETTER_RE = re.compile(r"^\s*(?:this\s*\.\s*)?[\w$]+\s*=\s*[\w$]+\s*;\s*$")
+_GETTER_RE = re.compile(r"\s*return\s+(?:this\s*\.\s*)?[\w$]+\s*;\s*")
+_SETTER_RE = re.compile(r"\s*(?:this\s*\.\s*)?[\w$]+\s*=\s*[\w$]+\s*;\s*")
 _TYPE_TOKEN_RE = re.compile(r"\b[A-Z][A-Za-z0-9_]*\b")
 _SWITCH_RE = re.compile(r"\bswitch\b")
+_PUBLIC_RE = re.compile(r"\bpublic\b")
 
 
 def _package_of(import_path: str) -> str:
@@ -398,192 +373,143 @@ def _package_of(import_path: str) -> str:
     return ".".join(parts[:-1]) if len(parts) > 1 else import_path
 
 
-def _count_lines(text: str) -> int:
-    return text.count("\n") + 1
-
-
-def _split_top_level(text: str, sep: str = ",") -> list[str]:
-    parts, depth, cur = [], 0, []
-    for c in text:
-        if c in "(<[":
-            depth += 1
-        elif c in ")>]":
-            depth -= 1
-        if c == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur))
+def _split_top_level(text: str) -> list[str]:
+    """The non-blank parts of text between commas outside (), <> and []."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(text):
+        depth += (c in "(<[") - (c in ")>]")
+        if c == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
     return [p.strip() for p in parts if p.strip()]
 
 
 def _method_name(header: str) -> str | None:
-    """Identifier immediately before the first top-level '(' of a member header,
-    or None when the header cannot be a method/constructor signature."""
+    """Identifier immediately before the first '(' of a member header, or None
+    when the header cannot be a method/constructor signature. A '=' before the
+    '(' makes a field initializer, e.g. an anonymous class assignment."""
     paren = header.find("(")
-    if paren < 0:
+    m = re.search(r"([\w$]+)\s*$", header[:paren]) if paren >= 0 else None
+    if m is None or "=" in header[:paren] or m.group(1) in _CONTROL_KEYWORDS:
         return None
-    if "=" in header[:paren]:
-        return None  # field initializer, e.g. anonymous class assignment
-    m = re.search(r"([\w$]+)\s*$", header[:paren])
-    if not m:
-        return None
-    name = m.group(1)
-    if name in _CONTROL_KEYWORDS:
-        return None
-    return name
+    return m.group(1)
 
 
-def _scan_method(header: str, body: str, class_name: str) -> MethodMetrics:
-    name = _method_name(header) or "<anonymous>"
-    paren = header.find("(")
-    close = header.rfind(")")
-    params_text = header[paren + 1: close] if close > paren else ""
-    params = _split_top_level(params_text)
-    mm = MethodMetrics(name=name)
-    mm.param_count = len(params)
-    mm.is_public = bool(re.search(r"\bpublic\b", header[:paren]))
-    mm.line_count = _count_lines(header.strip() + body)
-    mm.statement_count = body.count(";")
-    mm.decision_points = (
-        len(_DECISION_KEYWORD_RE.findall(body))
-        + body.count("&&")
-        + body.count("||")
-        + body.count("?")
-    )
-    mm.ncss = 1 + body.count(";") + len(_NCSS_HEADER_RE.findall(body))
-    mm.npath = npath_of_block(body)
-    mm.is_accessor = bool(_GETTER_RE.match(body.strip()) or _SETTER_RE.match(body.strip()))
-    for sm in _SWITCH_RE.finditer(body):
-        brace = body.find("{", sm.end())
-        if brace < 0:
-            continue
-        end = _match_brace(body, brace)
-        if end < 0:
-            end = len(body)
-        block = body[brace + 1: end]
-        mm.switch_statement_count += block.count(";")
-        mm.switch_label_count += len(_CASE_LABEL_RE.findall(block))
-    return mm
-
-
-def _scan_class_body(name: str, header: str, body: str, diagnostics: list[str]) -> ClassMetrics:
-    cm = ClassMetrics(name=name)
-    cm.is_abstract = bool(re.search(r"\babstract\b", header))
-    cm.line_count = _count_lines(header.strip() + "{" + body + "}")
-    type_tokens = set(_TYPE_TOKEN_RE.findall(body)) - {name}
-    cm.unique_coupled_types = len(type_tokens)
-
-    field_declarators = 0
-    pos = 0
-    n = len(body)
-    seg_start = 0
-    while pos < n:
-        c = body[pos]
-        if c == ";":
-            segment = body[seg_start:pos].strip()
-            if segment:
-                mname = _method_name(segment)
-                if mname is not None and ")" in segment:
-                    # abstract/native method declaration
-                    mm = _scan_method(segment, "", name)
-                    cm.methods.append(mm)
-                else:
-                    count = max(len(_split_top_level(segment)), 1)
-                    is_constant = bool(re.search(r"\bstatic\b", segment)) and bool(
-                        re.search(r"\bfinal\b", segment)
-                    )
-                    if not is_constant:
-                        field_declarators += count
-                    if re.search(r"\bpublic\b", segment):
-                        cm.public_member_count += count
-            pos += 1
-            seg_start = pos
-        elif c == "{":
-            end = _match_brace(body, pos)
-            if end < 0:
-                diagnostics.append(f"unbalanced braces in class {name}")
+def _switch_label_count(text: str, pairs: dict[int, int], start: int, end: int) -> int:
+    """Case labels in each switch block of text[start:end], once per switch."""
+    labels = [m.start() for m in _CASE_LABEL_RE.finditer(text, start, end)]
+    count, brace = 0, -1
+    for sm in _SWITCH_RE.finditer(text, start, end):
+        if brace < sm.end():  # the first '{' after this keyword
+            brace = text.find("{", sm.end(), end)
+            if brace < 0:
                 break
-            header_text = body[seg_start:pos].strip()
-            inner = body[pos + 1: end]
-            if _CLASS_RE.search(header_text):
-                pass  # nested class, scanned separately
-            elif _method_name(header_text) is not None:
-                mm = _scan_method(header_text, inner, name)
-                cm.methods.append(mm)
-                if mm.is_public:
-                    cm.public_member_count += 1
-            elif "=" in header_text:
-                # field initialized with an anonymous class body
-                field_declarators += 1
-                if re.search(r"\bpublic\b", header_text):
-                    cm.public_member_count += 1
-            pos = end + 1
-            # swallow an optional trailing ';' (anonymous class assignment)
-            while pos < n and body[pos] in " \t\r\n":
-                pos += 1
-            if pos < n and body[pos] == ";":
-                pos += 1
-            seg_start = pos
-        else:
-            pos += 1
+        count += bisect_left(labels, _close(pairs, brace, end)) - bisect_left(labels, brace + 1)
+    return count
 
+
+def _scan_method(header: str, text: str, pairs: dict[int, int],
+                 start: int, end: int) -> MethodMetrics:
+    """Counts for the method with stripped `header` and body text[start:end]
+    (empty for an abstract declaration)."""
+    paren, close = header.find("("), header.rfind(")")
+    statements = text.count(";", start, end)
+    return MethodMetrics(
+        name=_method_name(header) or "<anonymous>",
+        param_count=len(_split_top_level(header[paren + 1: close] if close > paren else "")),
+        line_count=header.count("\n") + text.count("\n", start, end) + 1,
+        ncss=1 + statements + len(_NCSS_HEADER_RE.findall(text, start, end)),
+        decision_points=len(_DECISION_KEYWORD_RE.findall(text, start, end))
+        + text.count("&&", start, end) + text.count("||", start, end)
+        + text.count("?", start, end),
+        npath=npath_of_block(text, start, end, pairs),
+        switch_label_count=_switch_label_count(text, pairs, start, end),
+        statement_count=statements,
+        is_public=bool(_PUBLIC_RE.search(header, 0, paren)),
+        is_accessor=bool(_GETTER_RE.fullmatch(text, start, end)
+                         or _SETTER_RE.fullmatch(text, start, end)),
+    )
+
+
+def _blank_holes(text: str, pairs: dict[int, int], start: int, end: int, holes):
+    """(text, pairs, start, end) for text[start:end] with the `holes` inside it
+    blanked: a copy with its own bracket table, or the text itself if none."""
+    inner = holes[bisect_left(holes, (start,)): bisect_left(holes, (end,))]
+    if not inner:
+        return text, pairs, start, end
+    parts, pos = [], start
+    for hs, he in inner:
+        hs, he = max(hs, pos), min(he, end)
+        parts += [text[pos:hs], _NOT_NEWLINE_RE.sub(" ", text[hs:he])]
+        pos = max(he, pos)
+    blanked = "".join(parts) + text[pos:end]
+    return blanked, _lex(blanked)[0], 0, len(blanked)
+
+
+def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
+                start: int, end: int, holes: list[tuple[int, int]]) -> ClassMetrics:
+    """Counts for the class with body text[start:end]. `holes` are the spans of
+    the classes declared in it, which count for themselves only."""
+    pieces = zip([start] + [he for _, he in holes], [hs for hs, _ in holes] + [end])
+    types = {t for ps, pe in pieces for t in _TYPE_TOKEN_RE.findall(text, ps, pe)}
+    cm = ClassMetrics(name=name, is_abstract=bool(re.search(r"\babstract\b", header)),
+                      line_count=header.strip().count("\n") + text.count("\n", start, end) + 1,
+                      unique_coupled_types=len(types - {name}))
+    bounds = holes + [(end, end + 1)]
+    fields = hole = 0
+    pos = seg = start
+    while pos < end:
+        while bounds[hole][1] <= pos:
+            hole += 1
+        m = _MEMBER_END_RE.search(text, pos, bounds[hole][0])
+        if m is None:  # a nested class
+            pos = seg = bounds[hole][1]
+            continue
+        p = m.start()
+        segment = text[seg:p].strip()
+        if text[p] == ";":
+            if segment and _method_name(segment) is not None and ")" in segment:
+                cm.methods.append(_scan_method(segment, text, pairs, p, p))  # abstract
+            elif segment:
+                count = max(len(_split_top_level(segment)), 1)
+                if not (re.search(r"\bstatic\b", segment) and re.search(r"\bfinal\b", segment)):
+                    fields += count
+                if _PUBLIC_RE.search(segment):
+                    cm.public_member_count += count
+            pos = seg = p + 1
+            continue
+        close = _close(pairs, p, end)
+        if close == end:
+            break  # unbalanced braces: the rest of the class is not scanned
+        if _method_name(segment) is not None:
+            body = _blank_holes(text, pairs, p + 1, close, holes)
+            cm.methods.append(_scan_method(segment, *body))
+            cm.public_member_count += cm.methods[-1].is_public
+        elif "=" in segment:  # field initialized with an anonymous class body
+            fields += 1
+            cm.public_member_count += bool(_PUBLIC_RE.search(segment))
+        pos = seg = close + 1
     cm.method_count = len(cm.methods)
-    cm.field_count = field_declarators
-    cm.ncss = 1 + field_declarators + sum(m.ncss for m in cm.methods)
+    cm.field_count = fields
+    cm.ncss = 1 + fields + sum(m.ncss for m in cm.methods)
     return cm
 
 
-def _mask_region(text: str, start: int, end: int) -> str:
-    region = text[start:end]
-    masked = "".join("\n" if c == "\n" else " " for c in region)
-    return text[:start] + masked + text[end:]
-
-
 def scan_metrics(cleaned_source: str, file_path: str = "<memory>") -> FileMetrics:
-    """Discover classes/methods in comment-stripped source and compute counts."""
-    fm = FileMetrics(file_path=file_path)
-    m = _PACKAGE_RE.search(cleaned_source)
-    if m:
-        fm.package_name = m.group(1)
-    imports = _IMPORT_RE.findall(cleaned_source)
-    fm.import_count = len(imports)
-    fm.imported_packages = {_package_of(p) for p in imports}
-
-    # locate every class declaration and its body span
-    decls = []
-    for cm in _CLASS_RE.finditer(cleaned_source):
-        before = cleaned_source[: cm.start()].rstrip()
-        if before.endswith("."):
-            continue  # Foo.class literal or qualified name
-        brace = cleaned_source.find("{", cm.end())
-        if brace < 0:
-            fm.diagnostics.append(f"class {cm.group(2)} without body")
-            continue
-        end = _match_brace(cleaned_source, brace)
-        if end < 0:
-            fm.diagnostics.append(f"unbalanced braces after class {cm.group(2)}")
-            end = len(cleaned_source)
-        # header: modifiers between the previous member boundary and the keyword
-        hdr_start = max(
-            cleaned_source.rfind(";", 0, cm.start()),
-            cleaned_source.rfind("{", 0, cm.start()),
-            cleaned_source.rfind("}", 0, cm.start()),
-        )
-        header = cleaned_source[hdr_start + 1: brace]
-        decls.append((cm.group(2), header, brace, end))
-
-    for name, header, brace, end in decls:
-        body = cleaned_source[brace + 1: end]
-        # mask nested class declarations so their members are not double counted
-        offset = brace + 1
-        for oname, oheader, obrace, oend in decls:
-            if obrace > brace and oend <= end:
-                decl_start = max(obrace - offset - len(oheader), 0)
-                end_in_body = min(oend + 1 - offset, len(body))
-                body = _mask_region(body, decl_start, end_in_body)
-        fm.classes.append(_scan_class_body(name, header, body, fm.diagnostics))
+    """Discover classes/methods in comment-stripped source and compute counts:
+    one lexer pass, then one walk over each class body that jumps over blocks
+    and over the classes declared inside it."""
+    text, n = cleaned_source, len(cleaned_source)
+    imports = _IMPORT_RE.findall(text)
+    fm = FileMetrics(file_path, len(imports), {_package_of(p) for p in imports})
+    pairs, decls = _lex(text)
+    for name, start, brace, nested in decls:
+        end = pairs.get(brace, n)
+        # a nested class spans its header and body
+        holes = [(d[1], min(pairs.get(d[2], n) + 1, end)) for d in nested]
+        fm.classes.append(_scan_class(text, pairs, name, text[start:brace],
+                                      brace + 1, end, holes))
     return fm
 
 
@@ -653,10 +579,8 @@ def evaluate_rules(metrics: FileMetrics, thresholds: RuleThresholds | None = Non
 def scan_source(source: str, file_path: str = "<memory>",
                 thresholds: RuleThresholds | None = None) -> SmellVector:
     """strip -> scan -> evaluate, in one call."""
-    cleaned, diags = strip_comments_and_strings(source)
-    metrics = scan_metrics(cleaned, file_path)
-    metrics.diagnostics.extend(diags)
-    return evaluate_rules(metrics, thresholds)
+    cleaned, _ = strip_comments_and_strings(source)
+    return evaluate_rules(scan_metrics(cleaned, file_path), thresholds)
 
 
 # ---------------------------------------------------------------------------

@@ -15,24 +15,15 @@ OOV_INDEX = 1
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
-# small english stopword list; removal is off by default
-STOPWORDS = frozenset(
-    "a an and are as at be by for from has have in is it of on or that the "
-    "this to was were will with".split()
-)
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric character."""
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
 
 
-def preprocess(text: str, remove_stopwords: bool = False) -> list[str]:
+def preprocess(text: str) -> list[str]:
     """Tokenize and stem raw text into the token stream fed to the dictionary."""
-    tokens = tokenize(text)
-    if remove_stopwords:
-        tokens = [t for t in tokens if t not in STOPWORDS]
-    return [stem(t) for t in tokens]
+    return [stem(t) for t in tokenize(text)]
 
 
 @dataclass

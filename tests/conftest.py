@@ -4,6 +4,12 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Example run times follow the machine's load, so a per-example deadline would
+# fail tests for the load, not for the code.
+settings.register_profile("smelltriage", deadline=None)
+settings.load_profile("smelltriage")
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 SMELL_FIXTURE_DIR = FIXTURE_DIR / "smells"

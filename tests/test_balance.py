@@ -119,7 +119,7 @@ def test_k_nearest_excludes_self():
     assert 1 not in k_nearest_minority(X, 1, 2)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=9, max_value=30),
        st.integers(0, 1000))
 def test_smote_counts_property(minor, major, seed):
@@ -142,7 +142,7 @@ def _tied_matrices(draw):
     return np.array(rows, dtype=np.int64)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_tied_matrices())
 def test_k_nearest_matches_all_pairs_oracle(X):
     table = _all_pairs_table(X)

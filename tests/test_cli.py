@@ -189,6 +189,18 @@ def test_scan_smells_from_pmd_report(tmp_path):
         ("src/A.java", 1, None), ("src/B.java", 0, None)]
 
 
+@pytest.mark.parametrize("command", ["scan-smells", "label"])
+def test_missing_input_file_is_a_one_line_error(command, bug_repo, tmp_path, caplog):
+    missing = tmp_path / "absent"
+    if command == "scan-smells":
+        args = ["--paths.pmd_report", str(missing), "--out", str(tmp_path)]
+    else:
+        args = _base_args(bug_repo, tmp_path) + ["--paths.smell_vectors", str(missing)]
+    assert cli.main(args + [command]) == EXIT_FATAL
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and str(missing) in errors[0]
+
+
 def test_usage_error_exits_fatal_in_one_line(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--nope", "1", "train"])
@@ -318,9 +330,10 @@ def test_unknown_config_key_is_fatal(tmp_path):
     assert cli.main(["--config", str(cfg_file), "train"]) == EXIT_FATAL
 
 
-def test_removed_balance_rounding_key_is_a_one_line_error(tmp_path, capsys):
+@pytest.mark.parametrize("dotted", ["balance.rounding", "textprep.remove_stopwords"])
+def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
+    section, key = dotted.split(".")
     cfg_file = tmp_path / "run.json"
-    cfg_file.write_text(json.dumps({"balance": {"rounding": False}}))
+    cfg_file.write_text(json.dumps({section: {key: False}}))
     assert cli.main(["--config", str(cfg_file), "train"]) == EXIT_FATAL
-    assert capsys.readouterr().err.splitlines() == [
-        "error: unknown config key balance.rounding"]
+    assert capsys.readouterr().err.splitlines() == [f"error: unknown config key {dotted}"]

@@ -49,7 +49,7 @@ def test_stratified_folds_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.integers(0, 10_000),
        st.sampled_from([2, 3, 5, 10]),
        st.integers(10, 60), st.integers(10, 60))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -68,6 +69,8 @@ def test_stage_lengths_names_failing_stage():
     with pytest.raises(ConfigError, match="pool2"):
         ModelConfig(vocab_size=10, seq_len=8, conv1_width=2, conv2_width=2,
                     pool_size=3).stage_lengths()
+    with pytest.raises(ConfigError, match="pool"):
+        ModelConfig(vocab_size=10, pool_size=0).stage_lengths()
 
 
 @given(st.integers(10, 60), st.integers(1, 6), st.integers(1, 6), st.integers(1, 4))
@@ -273,6 +276,73 @@ def test_load_rejects_truncated_file(tmp_path):
     p.write_bytes(p.read_bytes()[:-100])
     with pytest.raises(ModelFormatError, match="truncated"):
         load_model(p)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    cfg = ModelConfig(vocab_size=5, seq_len=10, embed_dim=2, conv1_filters=2,
+                      conv1_width=2, conv2_filters=2, conv2_width=2, pool_size=2)
+    model = init_model(cfg, 0, dict_hash="abc")
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    save_model(model, path)
+    return model, path.read_bytes(), path.with_name("mutated.bin")
+
+
+@settings(max_examples=400)
+@given(kind=st.sampled_from(["truncate", "flip", "append"]), at=st.integers(min_value=0),
+       xor=st.integers(1, 255), extra=st.binary(min_size=1, max_size=8))
+def test_load_rejects_or_reproduces_a_mutated_file(saved_model, kind, at, xor, extra):
+    model, data, path = saved_model
+    i = at % len(data)
+    if kind == "truncate":
+        mutated = data[:i]
+    elif kind == "append":
+        mutated = data + extra
+    else:
+        mutated = data[:i] + bytes([data[i] ^ xor]) + data[i + 1:]
+    path.unlink(missing_ok=True)  # truncating a file in place is slow on some file systems
+    path.write_bytes(mutated)
+    try:
+        loaded = load_model(path)
+    except ModelFormatError:
+        return
+    assert kind == "flip"
+    payload = len(data) - sum(getattr(model, n).nbytes for n in nnet.PARAM_NAMES)
+    for name in nnet.PARAM_NAMES:
+        a, b = getattr(model, name), getattr(loaded, name)
+        assert a.shape == b.shape and a.dtype == b.dtype
+    if i < payload:
+        for name in nnet.PARAM_NAMES:
+            np.testing.assert_array_equal(getattr(model, name), getattr(loaded, name))
+    else:  # the tensor bytes carry no checksum: the flipped byte loads as written
+        assert b"".join(getattr(loaded, n).tobytes() for n in nnet.PARAM_NAMES) == \
+            mutated[payload:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["tensors"][5].update(name="wx"),
+    lambda meta: meta["config"].update(embed_dims=4),
+    lambda meta: meta["tensors"][0].update(shape=[5, 3]),
+    lambda meta: meta["config"].update(embed_dim=3),
+])
+def test_load_rejects_metadata_that_does_not_describe_the_tensors(saved_model, edit):
+    _, data, path = saved_model
+    meta_len = int.from_bytes(data[len(nnet._MAGIC):len(nnet._MAGIC) + 8], "little")
+    start = len(nnet._MAGIC) + 8
+    meta = json.loads(data[start:start + meta_len])
+    edit(meta)
+    raw = json.dumps(meta).encode()
+    path.write_bytes(nnet._MAGIC + len(raw).to_bytes(8, "little") + raw + data[start + meta_len:])
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_load_rejects_malformed_metadata_bytes(saved_model):
+    _, data, path = saved_model
+    for raw in (b"\xff\xfe", b"{not json", b"[1, 2]"):
+        path.write_bytes(nnet._MAGIC + len(raw).to_bytes(8, "little") + raw)
+        with pytest.raises(ModelFormatError):
+            load_model(path)
 
 
 def test_load_warns_on_dictionary_hash_mismatch(tmp_path):

@@ -1,10 +1,11 @@
 import json
 import re
+from dataclasses import asdict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from smelltriage import smellscan
+import smellscan_oracle as oracle
 from smelltriage.smellscan import (
     RULE_NAMES, RuleThresholds, SmellRule, SmellVector,
     evaluate_rules, ingest_pmd_report, npath_of_block,
@@ -57,6 +58,17 @@ def test_strip_preserves_length_and_newlines(src):
     assert cleaned.count("\n") == src.count("\n")
 
 
+@settings(max_examples=500)
+@given(st.text(alphabet="/*\"'\\\nab {}\r", max_size=60))
+def test_strip_matches_the_old_stripper(src):
+    cleaned, diags = strip_comments_and_strings(src)
+    old_cleaned, old_diags = oracle.strip_comments_and_strings(src)
+    assert cleaned == old_cleaned
+    # the old stripper did not count a backslash-escaped newline as a line
+    if "\\\n" not in src:
+        assert diags == old_diags
+
+
 # -- NPath composition -------------------------------------------------------
 
 NPATH_CASES = [
@@ -90,6 +102,15 @@ def test_npath_six_sequential_ifs():
 def test_npath_sequential_ifs_is_power_of_two(n):
     body = " ".join("if (a) { x = 1; }" for _ in range(n))
     assert npath_of_block(body) == 2 ** n
+
+
+def test_npath_deep_nesting_has_no_depth_limit():
+    depth = 5000
+    assert npath_of_block("if (a) { " * depth + "x = 1;" + " }" * depth) == depth + 1
+    chain = "if (a) { x = 0; }" + "".join(f" else if (a) {{ x = {i}; }}" for i in range(depth - 1))
+    assert npath_of_block(chain) == depth + 1
+    method = f"class A {{ void m() {{ {chain} }} }}"
+    assert scan_source(method).raw_npath_max == depth + 1
 
 
 # -- golden fixtures ---------------------------------------------------------
@@ -140,11 +161,150 @@ def test_all_sixteen_rules_covered_by_fixtures():
     assert rules == set(RULE_NAMES)
 
 
-# -- line-anchored import/package patterns ---------------------------------
+# -- differential test against the old scanner ----------------------------
 
-# the line-anchored patterns before blank runs stopped being rescanned; kept
-# as the oracle for the current ones
-_OLD_PACKAGE_RE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
+# Java-like sources: every construct the scanner counts, plus comments and
+# literals whose text looks like code
+_NAMES = st.sampled_from(["a", "b", "count", "total", "Item", "x$1"])
+_TYPES = st.sampled_from(["int", "String", "List<Item>", "Map<String, List<Integer>>",
+                          "int[]", "T", "Object"])
+_COND = st.sampled_from([
+    "a", "a && b", "a || b && !c", "x > 0", 's.equals("} else {")', "(a ? b : c)",
+    "check(a, b) || ok", "x != 'x'", "list.isEmpty()",
+])
+_NOISE = st.sampled_from([
+    "", "// if (x) { while (y) {\n", "/* } else { case 1: */ ", '"{ switch (s) }"',
+    "/** {@code class Foo { } } */\n", "'{'", '"class Bar {"',
+])
+_SIMPLE = st.sampled_from([
+    "x = y + 1;", "call(a, b);", "return x;", "break;", "i++;", "x = a ? b : c;",
+    "continue;", 'throw new IllegalStateException("no");', "ok = a && b || c;",
+    's = "if (a) { b; }";', "Item.KIND.run(x);", "list.forEach(v -> { if (v) { use(v); } });",
+])
+
+
+def _statements(inner):
+    block = st.lists(inner, min_size=1, max_size=4).map(lambda ss: "{ " + " ".join(ss) + " }")
+    branch = st.one_of(block, inner)
+    label = st.sampled_from(["case 1:", "case A:", "case B: case C:", "case 'x':", "default:"])
+    group = st.tuples(label, st.lists(inner, max_size=2)).map(lambda g: " ".join([g[0], *g[1]]))
+    return st.one_of(
+        st.tuples(_NOISE, inner).map("".join),
+        st.builds("if ({}) {}".format, _COND, branch),
+        st.builds("if ({}) {} else {}".format, _COND, branch, branch),
+        st.builds("if ({}) {} else if ({}) {} else {}".format, _COND, block, _COND, block, block),
+        st.builds("for (int i = 0; i < n; i++) {}".format, branch),
+        st.builds("for (Item it : items) {}".format, branch),
+        st.builds("while ({}) {}".format, _COND, branch),
+        st.builds("do {} while ({});".format, block, _COND),
+        st.builds("switch (k) {{{}}}".format,
+                  st.lists(group, min_size=1, max_size=4).map(" ".join)),
+        st.builds("try {} catch (IOException e) {} finally {}".format, block, block, block),
+        st.builds("Runnable r = new Runnable() {{ public void run() {} }};".format, block),
+        st.builds("class Local {{ int f; void m() {} }}".format, block),
+        block,
+    )
+
+
+_STATEMENTS = st.recursive(_SIMPLE, _statements, max_leaves=40)
+_METHOD_BODY = st.lists(_STATEMENTS, max_size=5).map(" ".join)
+_PARAMS = st.lists(st.tuples(_TYPES, _NAMES).map(" ".join), max_size=12).map(", ".join)
+_MODIFIERS = st.sampled_from(["", "public ", "private ", "protected ", "static ",
+                              "public static ", "@Override\n    public ", "final "])
+
+
+def _members(inner):
+    return st.one_of(
+        st.builds("{}int {}, {} = 2;".format, _MODIFIERS, _NAMES, _NAMES),
+        st.just("public static final int LIMIT = 10;"),
+        st.just('static final String NAME = "x;y";'),
+        st.builds("public Object {} = new Object() {{ int hidden; }};".format, _NAMES),
+        st.builds("Comparator<Item> {} = new Comparator<Item>() {{ "
+                  "public int compare(Item p, Item q) {{ {} }} }};".format, _NAMES, _METHOD_BODY),
+        st.builds("{}{} {}({}) {{ {} }}".format, _MODIFIERS,
+                  st.sampled_from(["void", "int", "<T> T", "List<String>"]),
+                  _NAMES, _PARAMS, _METHOD_BODY),
+        st.builds("public int get{}() {{ return {}; }}".format, _NAMES, _NAMES),
+        st.builds("void set{}(int v) {{ this.{} = v; }}".format, _NAMES, _NAMES),
+        st.builds("abstract {} {}({});".format, _TYPES, _NAMES, _PARAMS),
+        st.builds("Item({}) {{ {} }}".format, _PARAMS, _METHOD_BODY),
+        st.builds("static {{ {} }}".format, _METHOD_BODY),
+        st.tuples(_NOISE, inner).map("".join),
+        st.builds("{}{} {}{} {{ {} }}".format, _MODIFIERS,
+                  st.sampled_from(["class", "abstract class", "interface", "enum"]), _NAMES,
+                  st.sampled_from(["", "<T extends Comparable<T>>",
+                                   " extends Base implements Runnable"]),
+                  st.lists(inner, min_size=1, max_size=4).map("\n    ".join)),
+        st.builds("enum Kind {{ A, B {{ void m() {{ {} }} }}, C; }}".format, _METHOD_BODY),
+    )
+
+
+_FIELD = st.builds("{}{} {};".format, st.sampled_from(["", "public ", "static "]), _TYPES, _NAMES)
+_MEMBERS = st.recursive(_FIELD, _members, max_leaves=12)
+_JAVA_SOURCES = st.builds(
+    "{}{}{}{}{} {}{} {{\n    {}\n}}\n{}".format,
+    st.sampled_from(["", "package org.demo.core;\n", "  package a.b ;\n"]),
+    st.lists(st.sampled_from(["import java.util.List;", "import static org.x.Y.z;",
+                              "import java.io.*;", "import a.b.C;", "  import p.Q ;"]),
+             max_size=5).map(lambda xs: "".join(x + "\n" for x in xs)),
+    _NOISE,
+    st.sampled_from(["", '@SuppressWarnings("all")\n']),
+    st.sampled_from(["public ", "", "public abstract ", "final "]),
+    st.sampled_from(["class", "abstract class", "interface", "enum"]),
+    st.sampled_from([" Item", " Item<T>", " Big extends Base"]),
+    st.lists(_MEMBERS, min_size=1, max_size=8).map("\n    ".join),
+    st.sampled_from(["", "class Second { int y; }\n", "interface Api { void go(); }\n"]),
+)
+
+
+def _metrics_record(fm) -> dict:
+    """Every metric of a scan, without the outputs the old scanner had and
+    nothing read."""
+    rec = asdict(fm)
+    for key in ("package_name", "diagnostics"):
+        rec.pop(key, None)
+    for c in rec["classes"]:
+        for m in c["methods"]:
+            m.pop("switch_statement_count", None)
+    return rec
+
+
+def _assert_scans_like_the_old_scanner(src):
+    cleaned, _ = oracle.strip_comments_and_strings(src)
+    try:
+        expected = oracle.scan_metrics(cleaned)
+    except RecursionError:
+        return
+    got = scan_metrics(strip_comments_and_strings(src)[0])
+    assert _metrics_record(got) == _metrics_record(expected)
+    assert evaluate_rules(got) == oracle.evaluate_rules(expected)
+
+
+@settings(max_examples=300)
+@given(_JAVA_SOURCES, st.integers(min_value=0))
+def test_scan_matches_the_old_scanner(src, cut):
+    _assert_scans_like_the_old_scanner(src)
+    # a truncated file leaves comments, strings and braces open
+    _assert_scans_like_the_old_scanner(src[: cut % (len(src) + 1)])
+
+
+@settings(max_examples=300)
+@given(_METHOD_BODY)
+def test_npath_matches_the_old_npath(body):
+    cleaned, _ = strip_comments_and_strings(body)
+    assert npath_of_block(cleaned) == oracle.npath_of_block(cleaned)
+
+
+@pytest.mark.parametrize("entry", _manifest(), ids=lambda e: e["file"])
+def test_fixture_scans_like_the_old_scanner(entry):
+    src = (SMELL_FIXTURE_DIR / entry["file"]).read_text(encoding="utf-8")
+    _assert_scans_like_the_old_scanner(src)
+
+
+# -- line-anchored import pattern ------------------------------------------
+
+# the line-anchored import pattern before blank runs stopped being rescanned;
+# kept as the oracle for the current one
 _OLD_IMPORT_RE = re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;",
                             re.MULTILINE)
 
@@ -161,9 +321,10 @@ _HEAD_LINE = st.tuples(
 
 @given(st.lists(_HEAD_LINE, max_size=8).map("\n".join))
 def test_line_anchored_patterns_match_the_old_ones(text):
-    assert smellscan._IMPORT_RE.findall(text) == _OLD_IMPORT_RE.findall(text)
-    old, new = _OLD_PACKAGE_RE.search(text), smellscan._PACKAGE_RE.search(text)
-    assert (old and old.group(1)) == (new and new.group(1))
+    old = _OLD_IMPORT_RE.findall(text)
+    fm = scan_metrics(text)
+    assert fm.import_count == len(old)
+    assert fm.imported_packages == {oracle._package_of(p) for p in old}
 
 
 # -- thresholds are strict ---------------------------------------------------

@@ -24,12 +24,6 @@ def test_preprocess_stems():
     assert preprocess("ordering caused samples") == ["order", "caus", "sampl"]
 
 
-def test_preprocess_stopword_removal_is_optional():
-    text = "the connection is closed"
-    assert "the" in preprocess(text)
-    assert "the" not in preprocess(text, remove_stopwords=True)
-
-
 def _docs(*token_lists):
     return [TokenDocument(f"I-{i}", list(t)) for i, t in enumerate(token_lists)]
 
