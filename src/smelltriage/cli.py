@@ -165,6 +165,13 @@ def cmd_label(cfg: config.RunConfig) -> int:
     return cmd_build_dataset(cfg)
 
 
+def _exit_code(diagnostics: list[str]) -> int:
+    """Log each diagnostic of a run that completed; exit 2 if there were any."""
+    for d in diagnostics:
+        log.warning("%s", d)
+    return EXIT_DIAGNOSTICS if diagnostics else EXIT_OK
+
+
 def _load_dataset(cfg: config.RunConfig) -> list[labeler.LabeledSample]:
     if not cfg.paths.dataset:
         raise config.ConfigError("missing input: paths.dataset")
@@ -174,20 +181,13 @@ def _load_dataset(cfg: config.RunConfig) -> list[labeler.LabeledSample]:
     return [labeler.LabeledSample.from_record(r) for r in records]
 
 
-def _prepare_indices(samples, cfg: config.RunConfig,
-                     dictionary: textprep.Dictionary | None = None):
-    docs = [textprep.TokenDocument(s.issue_id, textprep.tokenize(s.text)) for s in samples]
-    if dictionary is None:
-        dictionary = textprep.build_vocabulary(docs, cfg.textprep.max_vocab)
-    X = np.array([textprep.doc2indices(d, dictionary, cfg.textprep.seq_len) for d in docs],
-                 dtype=np.int64)
+def _training_inputs(cfg: config.RunConfig, samples: list[labeler.LabeledSample]):
+    """Index rows, labels, the dictionary built from the sample texts and the
+    model config sized to that dictionary."""
+    X, dictionary = textprep.featurize([s.text for s in samples], cfg.model.seq_len,
+                                       max_vocab=cfg.textprep.max_vocab)
     y = np.array([s.label for s in samples], dtype=int)
-    return X, y, dictionary
-
-
-def _model_config(cfg: config.RunConfig, vocab_size: int) -> nnet.ModelConfig:
-    return dataclasses.replace(cfg.model, vocab_size=vocab_size,
-                               seq_len=cfg.textprep.seq_len)
+    return X, y, dictionary, dataclasses.replace(cfg.model, vocab_size=dictionary.vocab_size)
 
 
 def cmd_train(cfg: config.RunConfig) -> int:
@@ -196,12 +196,12 @@ def cmd_train(cfg: config.RunConfig) -> int:
     if len(labels) < 2:
         log.error("dataset has a single class %s; training refused", labels)
         return EXIT_FATAL
-    X, y, dictionary = _prepare_indices(samples, cfg)
-    model_cfg = _model_config(cfg, dictionary.vocab_size)
+    X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
+    diagnostics: list[str] = []
     if cfg.balance.enabled:
         res = balance.smote(X, y, k=cfg.balance.k, seed=cfg.seed,
                             max_index=model_cfg.vocab_size - 1)
-        X, y = res.X, res.y
+        X, y, diagnostics = res.X, res.y, res.diagnostics
     model = nnet.init_model(model_cfg, seed=cfg.seed, dict_hash=dictionary.content_hash())
     model, history = nnet.train(model, X, y, seed=cfg.seed)
     out_dir = Path(cfg.paths.out_dir)
@@ -215,13 +215,12 @@ def cmd_train(cfg: config.RunConfig) -> int:
     if history.epochs:
         log.info("final training accuracy %.1f%%, loss %.4f",
                  history.epochs[-1]["accuracy"], history.epochs[-1]["loss"])
-    return EXIT_OK
+    return _exit_code(diagnostics)
 
 
 def cmd_evaluate(cfg: config.RunConfig) -> int:
     samples = _load_dataset(cfg)
-    X, y, dictionary = _prepare_indices(samples, cfg)
-    model_cfg = _model_config(cfg, dictionary.vocab_size)
+    X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
     if cfg.eval.folds < 2:
         log.error("eval.folds must be >= 2, got %d", cfg.eval.folds)
         return EXIT_FATAL
@@ -229,6 +228,7 @@ def cmd_evaluate(cfg: config.RunConfig) -> int:
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     class1, total = int(np.sum(y == 1)), len(y)
+    diagnostics: list[str] = []
     for scope in scopes:
         bal = dataclasses.replace(cfg.balance, scope=scope)
         report = evaluation.run_kfold_experiment(
@@ -241,7 +241,8 @@ def cmd_evaluate(cfg: config.RunConfig) -> int:
                               [r.to_record() for r in report.folds + [report.mean]],
                               seed=cfg.seed, kind="evaluation-report")
         log.info("scope=%s mean accuracy %.1f%%", scope, report.mean.accuracy)
-    return EXIT_OK
+        diagnostics.extend(f"scope={scope}: {d}" for d in report.diagnostics)
+    return _exit_code(diagnostics)
 
 
 def cmd_predict(cfg: config.RunConfig, summary: str, description: str) -> int:
@@ -257,10 +258,9 @@ def cmd_predict(cfg: config.RunConfig, summary: str, description: str) -> int:
     except nnet.ModelFormatError as exc:
         log.error("%s", exc)
         return EXIT_FATAL
-    tokens = textprep.preprocess(summary) + textprep.preprocess(description)
-    doc = textprep.TokenDocument("<cli>", tokens)
-    seq = textprep.doc2indices(doc, dictionary, model.cfg.seq_len)
-    label, prob = nnet.predict(model, np.asarray(seq))
+    X, _ = textprep.featurize([textprep.report_text(summary, description)],
+                              model.cfg.seq_len, dictionary)
+    label, prob = nnet.predict(model, X[0])
     verdict = "refer to designer" if label == 1 else "assign to programmer"
     print(f"label={label} probability={prob:.6f}")
     print(verdict)

@@ -17,6 +17,10 @@ class ConfigError(ValueError):
     pass
 
 
+# fields that are not settings: the model's vocabulary size is its dictionary's
+_DERIVED = frozenset({"model.vocab_size"})
+
+
 @dataclass
 class PathsConfig:
     issues: str | None = None
@@ -34,7 +38,6 @@ class PathsConfig:
 
 @dataclass
 class TextPrepConfig:
-    seq_len: int = 200
     max_vocab: int | None = None
 
 
@@ -64,7 +67,7 @@ def _build(cls, data: dict, prefix: str):
     known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
+        if key not in known or f"{prefix}{key}" in _DERIVED:
             raise ConfigError(f"unknown config key {prefix}{key}")
         sub = _resolve(cls, key)
         if sub is not None:
@@ -108,23 +111,19 @@ def flat_keys(cls=RunConfig, prefix: str = "") -> list[tuple[str, type]]:
         sub = _resolve(cls, f.name)
         if sub is not None:
             out.extend(flat_keys(sub, f"{prefix}{f.name}."))
-        else:
+        elif f"{prefix}{f.name}" not in _DERIVED:
             out.append((f"{prefix}{f.name}", f.type))
     return out
 
 
 def apply_override(cfg: RunConfig, dotted: str, raw: str) -> None:
-    parts = dotted.split(".")
-    obj = cfg
-    for p in parts[:-1]:
-        if not hasattr(obj, p):
-            raise ConfigError(f"unknown config key {dotted}")
-        obj = getattr(obj, p)
-    leaf = parts[-1]
-    if not hasattr(obj, leaf):
+    if dotted not in {key for key, _ in flat_keys()}:
         raise ConfigError(f"unknown config key {dotted}")
-    current = getattr(obj, leaf)
-    setattr(obj, leaf, _coerce(raw, current, dotted))
+    *sections, leaf = dotted.split(".")
+    obj = cfg
+    for section in sections:
+        obj = getattr(obj, section)
+    setattr(obj, leaf, _coerce(raw, getattr(obj, leaf), dotted))
 
 
 def _coerce(raw: str, current, dotted: str):

@@ -1,4 +1,4 @@
-"""Ingest/persist the four relational record kinds and pull changed-file
+"""Ingest the four relational record kinds and pull changed-file
 contents out of a local git working copy.
 
 Record files are UTF-8 JSON lines, one object per line, with the field names
@@ -55,10 +55,6 @@ def parse_utc(raw: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def format_utc(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 @dataclass
 class IssueRecord:
     issue_id: str
@@ -67,8 +63,6 @@ class IssueRecord:
     fixed_date: datetime | None = None
     summary_raw: str = ""
     description_raw: str = ""
-    summary_stemmed: str | None = None
-    description_stemmed: str | None = None
 
     def validate(self) -> None:
         if not self.issue_id:
@@ -77,19 +71,6 @@ class IssueRecord:
             raise ValueError("Fixed_date precedes Create_date")
         if not self.summary_raw and not self.description_raw:
             raise ValueError("both Summary_raw and Description_raw empty")
-
-    def to_record(self) -> dict:
-        rec = {
-            "Issue_id": self.issue_id,
-            "Issue_type": self.issue_type.value,
-            "Create_date": format_utc(self.create_date),
-            "Fixed_date": format_utc(self.fixed_date) if self.fixed_date else None,
-            "Summary_raw": self.summary_raw,
-            "Description_raw": self.description_raw,
-            "Summary_stemmed": self.summary_stemmed,
-            "Description_stemmed": self.description_stemmed,
-        }
-        return rec
 
     @classmethod
     def from_record(cls, rec: dict) -> "IssueRecord":
@@ -100,8 +81,6 @@ class IssueRecord:
             fixed_date=parse_utc(rec["Fixed_date"]) if rec.get("Fixed_date") else None,
             summary_raw=str(rec.get("Summary_raw", "") or ""),
             description_raw=str(rec.get("Description_raw", "") or ""),
-            summary_stemmed=rec.get("Summary_stemmed"),
-            description_stemmed=rec.get("Description_stemmed"),
         )
         obj.validate()
         return obj

@@ -167,17 +167,6 @@ class LabeledDataset:
     diagnostics: list[str]
 
 
-def _sample_text(issue) -> str:
-    if issue.summary_stemmed or issue.description_stemmed:
-        parts = [issue.summary_stemmed or "", issue.description_stemmed or ""]
-    else:
-        parts = [
-            " ".join(textprep.preprocess(issue.summary_raw)),
-            " ".join(textprep.preprocess(issue.description_raw)),
-        ]
-    return " ".join(p for p in parts if p).strip()
-
-
 def fix_commits(store: CorpusStore, skipped: list[str]) -> Iterator[tuple[str, str]]:
     """(issue id, fix commit) for every Bug issue with a resolvable fix commit,
     in issue-id order; every other issue appends its reason to `skipped`."""
@@ -218,7 +207,8 @@ def build_labeled_dataset(store: CorpusStore, source: SmellSource,
     diagnostics: list[str] = []
     stats = DatasetStats(project=project)
     for issue_id, commit in fix_commits(store, skipped):
-        text = _sample_text(store.issues[issue_id])
+        issue = store.issues[issue_id]
+        text = textprep.report_text(issue.summary_raw, issue.description_raw)
         if not text:
             skipped.append(f"{issue_id}: empty report text")
             continue

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -360,8 +359,9 @@ def save_model(model: Model, path: str | Path) -> None:
 def load_model(path: str | Path, expected_dict_hash: str | None = None) -> Model:
     """Read a file written by save_model. Any other content raises
     ModelFormatError: a truncated or extended file, malformed metadata, or
-    tensors whose names or shapes do not match the stored config. The tensor
-    bytes themselves carry no checksum."""
+    tensors whose names or shapes do not match the stored config, or a model
+    trained with a dictionary other than the one `expected_dict_hash` names.
+    The tensor bytes themselves carry no checksum."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise ModelFormatError(f"{path}: bad magic at offset 0")
@@ -406,9 +406,7 @@ def load_model(path: str | Path, expected_dict_hash: str | None = None) -> Model
         raise ModelFormatError(f"{path}: {len(data) - pos} trailing bytes after the last "
                                f"tensor at offset {pos}")
     if expected_dict_hash is not None and meta.get("dict_hash") != expected_dict_hash:
-        warnings.warn(
-            f"dictionary hash mismatch: model carries {meta.get('dict_hash')!r}",
-            stacklevel=2,
-        )
+        raise ModelFormatError(f"{path}: trained with dictionary {meta.get('dict_hash')!r}, "
+                               f"not the given one {expected_dict_hash!r}")
     return Model(cfg=cfg, dict_hash=meta.get("dict_hash", ""),
                  **{name: arrays[name] for name in PARAM_NAMES})

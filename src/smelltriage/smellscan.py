@@ -237,7 +237,8 @@ def _close(pairs: dict[int, int], pos: int, end: int) -> int:
 
 
 _NPATH_KEYWORD_RE = re.compile(r"\b(if|for|while|do|switch)\b")
-_CASE_LABEL_RE = re.compile(r"\b(case\b[^:{};]*|default\s*):")
+# a label ends at its ':' or, in the arrow form, at its '->'
+_CASE_LABEL_RE = re.compile(r"\b(case\b[^:{};]*?|default\s*)(?::|->)")
 _SWITCH_BODY_RE = re.compile(r"\{|" + _CASE_LABEL_RE.pattern)
 _BLANKS_RE = re.compile(r"\s*")
 _ELSE_RE = re.compile(r"\s*else\b")
@@ -358,7 +359,9 @@ def npath_of_block(text: str, start: int = 0, end: int | None = None,
 # Metrics scanning
 # ---------------------------------------------------------------------------
 
-_MEMBER_END_RE = re.compile(r"[;{]")
+_MEMBER_END_RE = re.compile(r"[;{(]")
+# an annotation with arguments, which may hold one level of parentheses
+_ANNOTATION_ARGS_RE = re.compile(r"@\s*[\w$.]+\s*\((?:[^()]|\([^()]*\))*\)")
 _DECISION_KEYWORD_RE = re.compile(r"\b(?:if|while|for|case|catch)\b")
 _NCSS_HEADER_RE = re.compile(r"\b(?:if|else|for|while|do|switch|try|catch|finally)\b")
 _GETTER_RE = re.compile(r"\s*return\s+(?:this\s*\.\s*)?[\w$]+\s*;\s*")
@@ -467,7 +470,12 @@ def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
             pos = seg = bounds[hole][1]
             continue
         p = m.start()
-        segment = text[seg:p].strip()
+        if text[p] == "(":  # annotation arguments and initializers may hold ';' and '{'
+            pos = min(pairs.get(p, p) + 1, end)
+            continue
+        # annotations are blanked, so the first '(' opens the parameter list
+        segment = _ANNOTATION_ARGS_RE.sub(lambda a: _NOT_NEWLINE_RE.sub(" ", a.group()),
+                                          text[seg:p].strip())
         if text[p] == ";":
             if segment and _method_name(segment) is not None and ")" in segment:
                 cm.methods.append(_scan_method(segment, text, pairs, p, p))  # abstract

@@ -1,4 +1,5 @@
-"""Raw report text -> stemmed tokens -> fixed-length unique-word index sequences."""
+"""Raw report text -> stemmed tokens -> fixed-length unique-word index sequences:
+the one path from a bug report to model input, for training and prediction alike."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .stemmer import stem
 
@@ -24,6 +27,11 @@ def tokenize(text: str) -> list[str]:
 def preprocess(text: str) -> list[str]:
     """Tokenize and stem raw text into the token stream fed to the dictionary."""
     return [stem(t) for t in tokenize(text)]
+
+
+def report_text(summary: str, description: str) -> str:
+    """The stems of a report's summary and description, joined by single spaces."""
+    return " ".join(preprocess(summary) + preprocess(description))
 
 
 @dataclass
@@ -92,3 +100,15 @@ def doc2indices(doc: TokenDocument, dictionary: Dictionary, length: int) -> list
     indices = indices[:length]
     indices.extend([PAD_INDEX] * (length - len(indices)))
     return indices
+
+
+def featurize(texts: list[str], seq_len: int, dictionary: Dictionary | None = None,
+              max_vocab: int | None = None) -> tuple[np.ndarray, Dictionary]:
+    """An int64 (len(texts), seq_len) array of index rows, one per text, and
+    the dictionary that mapped them: `dictionary`, or else the vocabulary built
+    from `texts` with at most `max_vocab` indices."""
+    docs = [TokenDocument("", tokenize(t)) for t in texts]
+    if dictionary is None:
+        dictionary = build_vocabulary(docs, max_vocab)
+    X = np.array([doc2indices(d, dictionary, seq_len) for d in docs], dtype=np.int64)
+    return X.reshape(len(docs), seq_len), dictionary

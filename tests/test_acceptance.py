@@ -203,11 +203,8 @@ def _synthetic_run(seed: int) -> evaluation.ExperimentReport:
     gen = synthetic.SyntheticConfig()
     samples = synthetic.generate_reports(gen, seed=42)
     labels = np.array([s.label for s in samples])
-    docs = [textprep.TokenDocument(s.issue_id, textprep.tokenize(s.text))
-            for s in samples]
-    dictionary = textprep.build_vocabulary(docs)
+    X, dictionary = textprep.featurize([s.text for s in samples], nnet.ModelConfig.seq_len)
     cfg = nnet.ModelConfig(vocab_size=dictionary.vocab_size)
-    X = np.array([textprep.doc2indices(d, dictionary, cfg.seq_len) for d in docs])
     assert cfg.embed_dim == 128 and cfg.seq_len == 200 and cfg.epochs == 20
     assert evaluation.BalanceConfig().scope == "train"
     return evaluation.run_kfold_experiment(X, labels, cfg, k=5, seed=seed,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import SMELL_FIXTURE_DIR, _git
-from smelltriage import cli, datafiles
+from smelltriage import cli, datafiles, nnet, textprep
 from smelltriage.cli import EXIT_DIAGNOSTICS, EXIT_FATAL, EXIT_OK
 
 
@@ -228,7 +228,7 @@ def _tiny_dataset(path, n=30, seed=0):
 
 
 _TINY_MODEL_FLAGS = [
-    "--textprep.seq_len", "12", "--model.embed_dim", "4",
+    "--model.seq_len", "12", "--model.embed_dim", "4",
     "--model.conv1_filters", "2", "--model.conv1_width", "3",
     "--model.conv2_filters", "2", "--model.conv2_width", "2",
     "--model.pool_size", "2", "--model.epochs", "2", "--model.batch_size", "8",
@@ -263,6 +263,96 @@ def test_predict_output_format(tmp_path, capsys):
     assert out.startswith("label=")
     assert "probability=" in out
     assert ("refer to designer" in out) or ("assign to programmer" in out)
+
+
+def test_model_seq_len_sets_the_input_length(tmp_path):
+    ds = _tiny_dataset(tmp_path / "dataset.jsonl")
+    assert cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path)]
+                    + _TINY_MODEL_FLAGS + ["train"]) == EXIT_OK
+    model = nnet.load_model(tmp_path / "model.bin")
+    assert model.cfg.seq_len == 12
+    assert model.cfg.vocab_size == textprep.Dictionary.load(tmp_path / "dictionary.tsv").vocab_size
+
+
+def _predict(model_dir, summary, description, capsys):
+    """Exit code and printed probability of one predict call."""
+    capsys.readouterr()
+    rc = cli.main(["--paths.model", str(model_dir / "model.bin"),
+                   "--paths.dictionary", str(model_dir / "dictionary.tsv"),
+                   "predict", "--summary", summary, "--description", description])
+    out = capsys.readouterr().out
+    return rc, float(out.split("probability=")[1].split()[0]) if rc == EXIT_OK else None
+
+
+def test_predict_scores_a_report_as_its_training_row(bug_repo, tmp_path, capsys):
+    """Tracker-stemmed fields differ from the built-in stems; the dataset and
+    predict both use the built-in ones, so predict scores each report exactly
+    as the model scores its training row."""
+    p = bug_repo["record_paths"]
+    _, issues = datafiles.read_jsonl(p["issues"])
+    for n, issue in enumerate(issues):
+        issue["Summary_stemmed"] = f"trackerstem{n} summari"
+        issue["Description_stemmed"] = f"trackerstem{n} descript"
+    datafiles.write_jsonl(tmp_path / "issues.jsonl", issues)
+    args = _base_args(bug_repo, tmp_path)
+    args[args.index("--paths.issues") + 1] = str(tmp_path / "issues.jsonl")
+    assert cli.main(args + ["build-dataset"]) == EXIT_DIAGNOSTICS  # FEAT-1 is skipped
+    assert cli.main(["--paths.dataset", str(tmp_path / "dataset.jsonl"), "--out", str(tmp_path),
+                     "--balance.enabled", "false"] + _TINY_MODEL_FLAGS + ["train"]) == EXIT_OK
+    _, samples = datafiles.read_jsonl(tmp_path / "dataset.jsonl")
+    dictionary = textprep.Dictionary.load(tmp_path / "dictionary.tsv")
+    model = nnet.load_model(tmp_path / "model.bin")
+    X, _ = textprep.featurize([s["text"] for s in samples], model.cfg.seq_len, dictionary)
+    _, expected = nnet.predict_batch(model, X)
+    by_id = {issue["Issue_id"]: issue for issue in issues}
+    for sample, prob in zip(samples, expected):
+        issue = by_id[sample["issue_id"]]
+        assert "trackerstem" not in sample["text"]
+        rc, got = _predict(tmp_path, issue["Summary_raw"], issue["Description_raw"], capsys)
+        assert rc == EXIT_OK and abs(got - float(prob)) <= 1e-6
+
+
+def test_predict_refuses_a_dictionary_the_model_was_not_trained_with(tmp_path, capsys, caplog):
+    ds = _tiny_dataset(tmp_path / "dataset.jsonl")
+    assert cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path)]
+                    + _TINY_MODEL_FLAGS + ["train"]) == EXIT_OK
+    trained = textprep.Dictionary.load(tmp_path / "dictionary.tsv").word_to_index
+    a, b = sorted(trained)[:2]
+    swapped = dict(trained, **{a: trained[b], b: trained[a]})
+    textprep.Dictionary(swapped).save(tmp_path / "dictionary.tsv")
+    rc, _ = _predict(tmp_path, "crash in parser", "", capsys)
+    assert rc == EXIT_FATAL
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "trained with dictionary" in errors[0]
+
+
+def _imbalanced_dataset(path):
+    """12 reports, 3 of them positive: SMOTE's k=5 must shrink to 2."""
+    records = [{"issue_id": f"T-{i}", "commit_hash": "", "label": int(i < 3),
+                "text": f"w{i} w{i + 1} {'designflaw' if i < 3 else 'crash'}"}
+               for i in range(12)]
+    datafiles.write_jsonl(path, records)
+    return path
+
+
+def test_train_exits_with_diagnostics_when_smote_shrinks_k(tmp_path, caplog):
+    ds = _imbalanced_dataset(tmp_path / "dataset.jsonl")
+    rc = cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path)]
+                  + _TINY_MODEL_FLAGS + ["train"])
+    assert rc == EXIT_DIAGNOSTICS
+    assert (tmp_path / "model.bin").exists()
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["k shrunk from 5 to 2: minority count 3"]
+
+
+def test_evaluate_exits_with_diagnostics_when_smote_shrinks_k(tmp_path, caplog):
+    ds = _imbalanced_dataset(tmp_path / "dataset.jsonl")
+    rc = cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path), "--eval.folds", "3",
+                   "--balance.scope", "all"] + _TINY_MODEL_FLAGS + ["evaluate"])
+    assert rc == EXIT_DIAGNOSTICS
+    assert (tmp_path / "report.jsonl").exists()
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["scope=all: k shrunk from 5 to 2: minority count 3"]
 
 
 def test_train_refuses_single_class_dataset(tmp_path):
@@ -330,7 +420,8 @@ def test_unknown_config_key_is_fatal(tmp_path):
     assert cli.main(["--config", str(cfg_file), "train"]) == EXIT_FATAL
 
 
-@pytest.mark.parametrize("dotted", ["balance.rounding", "textprep.remove_stopwords"])
+@pytest.mark.parametrize("dotted", ["balance.rounding", "textprep.remove_stopwords",
+                                    "textprep.seq_len", "model.vocab_size"])
 def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
     section, key = dotted.split(".")
     cfg_file = tmp_path / "run.json"

@@ -9,7 +9,7 @@ from smelltriage.config import (
 
 def test_defaults():
     cfg = load_config(None)
-    assert cfg.textprep.seq_len == 200
+    assert cfg.model.seq_len == 200
     assert cfg.model.embed_dim == 128
     assert cfg.eval.folds == 5
     assert cfg.balance.scope == "train"
@@ -20,12 +20,12 @@ def test_load_from_file(tmp_path):
     p = tmp_path / "run.json"
     p.write_text(json.dumps({
         "project": "infinispan",
-        "textprep": {"seq_len": 100},
+        "model": {"seq_len": 100},
         "smell": {"import_threshold": 25},
     }))
     cfg = load_config(p)
     assert cfg.project == "infinispan"
-    assert cfg.textprep.seq_len == 100
+    assert cfg.model.seq_len == 100
     assert cfg.smell.import_threshold == 25
     assert cfg.model.epochs == 20  # untouched defaults survive
 
@@ -35,6 +35,18 @@ def test_unknown_key_rejected(tmp_path):
     p.write_text(json.dumps({"textprep": {"seqlen": 100}}))
     with pytest.raises(ConfigError, match="unknown config key textprep.seqlen"):
         load_config(p)
+
+
+@pytest.mark.parametrize("section,key", [("textprep", "seq_len"), ("model", "vocab_size")])
+def test_input_length_and_vocabulary_size_are_not_settings(section, key, tmp_path):
+    """model.seq_len is the one input length; the vocabulary size is the dictionary's."""
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({section: {key: 100}}))
+    with pytest.raises(ConfigError, match=f"unknown config key {section}.{key}"):
+        load_config(p)
+    with pytest.raises(ConfigError, match=f"unknown config key {section}.{key}"):
+        apply_override(RunConfig(), f"{section}.{key}", "100")
+    assert f"{section}.{key}" not in {k for k, _ in flat_keys()}
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -77,6 +89,7 @@ def test_flat_keys_cover_nested_tree():
     assert "smell.cyclo_npath_threshold" in keys
     assert "paths.issues" in keys
     assert "project" in keys
+    assert len(keys) == 48
 
 
 def test_extensions_tuple_splits_and_strips():

@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -6,7 +7,7 @@ from conftest import _git
 from smelltriage.corpus import (
     ChangeLink, CommitRecord, CorpusError, CorpusStore, DanglingLinkError,
     FileChange, IngestResult, IssueRecord, IssueType, RecordKind,
-    UnlinkedIssueError, format_utc, parse_utc,
+    UnlinkedIssueError, parse_utc,
 )
 
 
@@ -22,20 +23,25 @@ def test_issue_type_parse_variants():
     assert IssueType.parse("Improvement") is IssueType.OTHER
 
 
-def test_parse_format_utc_roundtrip():
-    raw = "2010-07-29T21:02:29Z"
-    assert format_utc(parse_utc(raw)) == raw
+def test_parse_utc_reads_zulu_offset_and_naive_times_as_utc():
+    expected = datetime(2010, 7, 29, 21, 2, 29, tzinfo=timezone.utc)
+    for raw in ("2010-07-29T21:02:29Z", "2010-07-29T23:02:29+02:00", "2010-07-29T21:02:29"):
+        got = parse_utc(raw)
+        assert got == expected and got.utcoffset() == timedelta(0)
 
 
-def test_issue_record_roundtrip():
-    rec = {
+def test_issue_record_from_record_ignores_tracker_stems():
+    obj = IssueRecord.from_record({
         "Issue_id": "HDFS-1073", "Issue_type": "Bug",
         "Create_date": "2010-07-29T21:02:29Z", "Fixed_date": "2010-08-01T10:00:00Z",
         "Summary_raw": "dfs ordering broken", "Description_raw": "samples caused errors",
-        "Summary_stemmed": None, "Description_stemmed": None,
-    }
-    obj = IssueRecord.from_record(rec)
-    assert obj.to_record() == rec
+        "Summary_stemmed": "df order broke", "Description_stemmed": "sampl caus error",
+    })
+    assert obj == IssueRecord(
+        issue_id="HDFS-1073", issue_type=IssueType.BUG,
+        create_date=parse_utc("2010-07-29T21:02:29Z"),
+        fixed_date=parse_utc("2010-08-01T10:00:00Z"),
+        summary_raw="dfs ordering broken", description_raw="samples caused errors")
 
 
 def test_issue_record_rejects_fixed_before_create():

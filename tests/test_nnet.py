@@ -345,10 +345,11 @@ def test_load_rejects_malformed_metadata_bytes(saved_model):
             load_model(path)
 
 
-def test_load_warns_on_dictionary_hash_mismatch(tmp_path):
+def test_load_refuses_dictionary_hash_mismatch(tmp_path):
     cfg = ModelConfig(vocab_size=5, seq_len=10, embed_dim=2, conv1_filters=2,
                       conv1_width=2, conv2_filters=2, conv2_width=2, pool_size=2)
     p = tmp_path / "model.bin"
     save_model(init_model(cfg, 0, dict_hash="expected"), p)
-    with pytest.warns(UserWarning, match="dictionary hash mismatch"):
+    with pytest.raises(ModelFormatError, match="trained with dictionary 'expected'"):
         load_model(p, expected_dict_hash="different")
+    assert load_model(p, expected_dict_hash="expected").dict_hash == "expected"

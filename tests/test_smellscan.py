@@ -113,6 +113,37 @@ def test_npath_deep_nesting_has_no_depth_limit():
     assert scan_source(method).raw_npath_max == depth + 1
 
 
+def _methods(src):
+    """(name, parameter count, NPath, case labels) of every method in src."""
+    fm = scan_metrics(strip_comments_and_strings(src)[0])
+    return [(m.name, m.param_count, m.npath, m.switch_label_count)
+            for c in fm.classes for m in c.methods]
+
+
+def test_arrow_switch_labels_are_labels():
+    statement = "switch (k) { case 1 -> a(); case 2 -> b(); default -> c(); }"
+    assert _methods(f"class A {{ void m(int k) {{ {statement} }} }}") == [("m", 1, 3, 3)]
+    expression = "return switch (k) { case 1 -> 2; default -> 3; };"
+    assert _methods(f"class A {{ int m(int k) {{ {expression} }} }}") == [("m", 1, 2, 2)]
+    lambdas = "list.forEach(v -> { use(v); }); Runnable r = () -> { go(); };"
+    assert _methods(f"class A {{ void m() {{ {lambdas} }} }}") == [("m", 0, 1, 0)]
+    # a lambda inside an arrow case is not a label; its `if` counts, as in any statement
+    mixed = "switch (k) { case 1 -> run(v -> { if (v) { go(); } }); default -> { if (a) b(); } }"
+    assert _methods(f"class A {{ void m() {{ {mixed} }} }}") == [("m", 0, 4, 2)]
+
+
+def test_annotation_arguments_are_not_members():
+    src = 'class A { @SuppressWarnings({"a", "b"}) void m() { } }'
+    assert _methods(src) == [("m", 0, 1, 0)]
+    src = ('class A {\n  @Named(value = {1, 2}, id = (3))\n  public int get(int a, int b) '
+           '{ return a; }\n  @Foo(x = 1) int f;\n}')
+    fm = scan_metrics(strip_comments_and_strings(src)[0])
+    (cls,) = fm.classes
+    assert [(m.name, m.param_count, m.line_count, m.is_public) for m in cls.methods] == [
+        ("get", 2, 2, True)]
+    assert cls.field_count == 1
+
+
 # -- golden fixtures ---------------------------------------------------------
 
 def _manifest():

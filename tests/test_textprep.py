@@ -1,5 +1,6 @@
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,3 +105,37 @@ def test_vocabulary_indices_are_contiguous_from_two(token_lists):
     d = build_vocabulary(_docs(*token_lists))
     indices = sorted(d.word_to_index.values())
     assert indices == list(range(2, 2 + len(indices)))
+
+
+def test_report_text_joins_the_stems_of_both_fields():
+    assert textprep.report_text("Ordering caused", "large samples") == "order caus larg sampl"
+    assert textprep.report_text("", "DFS-client") == "df client"
+    assert textprep.report_text("", " -- ") == ""
+
+
+def test_featurize_builds_the_vocabulary_or_uses_the_given_one():
+    X, d = textprep.featurize(["b a b", "a c b"], 4)
+    assert d.word_to_index == {"b": 2, "a": 3, "c": 4}
+    assert X.dtype == np.int64 and X.tolist() == [[2, 3, 0, 0], [3, 4, 2, 0]]
+    X, same = textprep.featurize(["c z"], 3, d)
+    assert same is d and X.tolist() == [[4, OOV_INDEX, 0]]
+    assert textprep.featurize(["b a b", "a c b"], 4, max_vocab=3)[1].word_to_index == {"b": 2}
+    assert textprep.featurize([], 5, d)[0].shape == (0, 5)
+
+
+_report_field = st.one_of(st.text(max_size=60),
+                          st.text(alphabet=string.ascii_letters + string.digits + " -_.,'",
+                                   max_size=60))
+
+
+@given(_report_field, _report_field, st.lists(words, max_size=10),
+       st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=40))
+def test_featurize_of_report_text_is_the_old_predict_path(summary, description, extra,
+                                                          max_vocab, length):
+    """One report through report_text and featurize gives the row that
+    preprocessing each field and indexing the joined stems gives."""
+    dictionary = build_vocabulary([TokenDocument("", preprocess(summary) + extra)], max_vocab)
+    X, _ = textprep.featurize([textprep.report_text(summary, description)], length, dictionary)
+    old = doc2indices(TokenDocument("", preprocess(summary) + preprocess(description)),
+                      dictionary, length)
+    assert X[0].tolist() == old
