@@ -134,7 +134,8 @@ def cmd_build_dataset(cfg: config.RunConfig) -> int:
     log.info("dataset: %d samples, %d class-1 (%.1f%%), %d skipped",
              dataset.stats.total, dataset.stats.class1,
              dataset.stats.class1_percent, len(dataset.skipped))
-    return EXIT_DIAGNOSTICS if (diagnostics or dataset.skipped) else EXIT_OK
+    code = _exit_code(diagnostics)
+    return EXIT_DIAGNOSTICS if dataset.skipped else code  # the skips are in skipped.jsonl
 
 
 def cmd_scan_smells(cfg: config.RunConfig) -> int:
@@ -155,7 +156,7 @@ def cmd_scan_smells(cfg: config.RunConfig) -> int:
         records = labeler.scan_fix_commits(store, source, diagnostics)
     datafiles.write_jsonl(Path(cfg.paths.out_dir) / "smell_vectors.jsonl", records,
                           seed=cfg.seed, kind="smell-vectors")
-    return EXIT_DIAGNOSTICS if diagnostics else EXIT_OK
+    return _exit_code(diagnostics)
 
 
 def cmd_label(cfg: config.RunConfig) -> int:

@@ -148,10 +148,28 @@ def _pool(act: np.ndarray, pool: int, out_len: int):
     return pooled, idx
 
 
+def _real_prefix(model: Model, X: np.ndarray, t1: int) -> int:
+    """The number of conv1 windows that can see a real token. Inputs are
+    right-padded with index 0, so while embedding row 0 is zero every window
+    from the last non-zero column on holds only zeros and gives exactly b1.
+    All t1 windows when row 0 is not zero; at least one."""
+    if model.emb[0].any():
+        return t1
+    cols = np.flatnonzero(X.any(axis=0))
+    return max(1, min(t1, int(cols[-1]) + 1 if cols.size else 0))
+
+
+def _pooled_prefix(T: int, pool: int, p1: int) -> int:
+    """The number of pool1 windows that hold one of the first T conv1 outputs."""
+    return min(p1, -(-T // pool))
+
+
 def forward_batch(model: Model, X: np.ndarray, training: bool = False,
                   rng: np.random.Generator | None = None,
                   dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """Probabilities for a batch of index sequences, plus cached activations."""
+    """Probabilities for a batch of index sequences, plus cached activations.
+    The embedding, conv1 and pool1 run over the batch's real prefix only (see
+    _real_prefix); the conv1 outputs past it are b1."""
     cfg = model.cfg
     t1, p1, t2, p2, flat = cfg.stage_lengths()
     X = np.asarray(X)
@@ -159,19 +177,30 @@ def forward_batch(model: Model, X: np.ndarray, training: bool = False,
         X = X[None, :]
     if X.shape[1] != cfg.seq_len:
         raise ValueError(f"sequence length {X.shape[1]} != configured {cfg.seq_len}")
-    bad = np.argwhere(X >= cfg.vocab_size)
+    bad = np.argwhere((X < 0) | (X >= cfg.vocab_size))
     if bad.size:
         r, c = bad[0]
-        raise ValueError(f"index {X[r, c]} >= vocab size {cfg.vocab_size} at position {c}")
+        raise ValueError(f"index {X[r, c]} not in [0, vocab size {cfg.vocab_size}) "
+                         f"at position {c}")
     b = X.shape[0]
 
-    E = model.emb[X]                                            # (B, L, q)
-    win1 = sliding_window_view(E, cfg.conv1_width, axis=1)      # (B, t1, q, width)
-    win1 = np.ascontiguousarray(win1.transpose(0, 1, 3, 2)).reshape(b, t1, -1)
+    T = _real_prefix(model, X, t1)
+    E = model.emb[X[:, : T + cfg.conv1_width - 1]]              # (B, T + width - 1, q)
+    win1 = sliding_window_view(E, cfg.conv1_width, axis=1)      # (B, T, q, width)
+    win1 = np.ascontiguousarray(win1.transpose(0, 1, 3, 2)).reshape(b, T, -1)
     w1f = model.w1.reshape(cfg.conv1_filters, -1)
-    Z1 = win1 @ w1f.T + model.b1
-    A1 = np.maximum(Z1, 0.0)
-    P1, idx1 = _pool(A1, cfg.pool_size, p1)
+    Z1 = np.empty((b, t1, cfg.conv1_filters), dtype=np.result_type(win1, w1f, model.b1))
+    np.matmul(win1, w1f.T, out=Z1[:, :T])
+    Z1[:, :T] += model.b1
+    Z1[:, T:] = model.b1
+    n1 = _pooled_prefix(T, cfg.pool_size, p1)
+    P1, idx1 = _pool(np.maximum(Z1[:, : n1 * cfg.pool_size], 0.0), cfg.pool_size, n1)
+    if n1 < p1:
+        # a pool1 window wholly past the prefix pools the constant relu(b1)
+        # and, on that tie, picks its first offset
+        tail = (b, p1 - n1, cfg.conv1_filters)
+        P1 = np.concatenate([P1, np.broadcast_to(np.maximum(model.b1, 0.0), tail)], axis=1)
+        idx1 = np.concatenate([idx1, np.zeros(tail, dtype=idx1.dtype)], axis=1)
 
     win2 = sliding_window_view(P1, cfg.conv2_width, axis=1)
     win2 = np.ascontiguousarray(win2.transpose(0, 1, 3, 2)).reshape(b, t2, -1)
@@ -246,18 +275,27 @@ def backward_batch(model: Model, cache: dict, y: np.ndarray) -> dict[str, np.nda
     for j in range(cfg.conv2_width):
         dP1[:, j: j + t2] += dwin2[:, :, j, :]
 
-    dA1 = _unpool(dP1, cache["idx1"], cfg.pool_size, t1)
-    dZ1 = dA1 * (cache["Z1"] > 0)
+    # past the real prefix the conv1 windows hold only padding: their inputs
+    # are zero, so they add nothing to dw1 or to the embedding gradient, and
+    # each pool1 window there routes its gradient to its first position,
+    # where Z1 is b1
+    T = cache["win1"].shape[1]
+    n1 = _pooled_prefix(T, cfg.pool_size, p1)
+    head = max(T, n1 * cfg.pool_size)
+    dA1 = _unpool(dP1[:, :n1], cache["idx1"][:, :n1], cfg.pool_size, head)
+    dZ1 = dA1 * (cache["Z1"][:, :head] > 0)
+    db1 = dZ1.sum(axis=(0, 1)) + dP1[:, n1:].sum(axis=(0, 1)) * (model.b1 > 0)
+    dZ1 = np.ascontiguousarray(dZ1[:, :T])
     w1f = model.w1.reshape(cfg.conv1_filters, -1)
-    dw1 = (dZ1.reshape(b * t1, -1).T @ cache["win1"].reshape(b * t1, -1)).reshape(model.w1.shape)
-    db1 = dZ1.sum(axis=(0, 1))
-    dwin1 = (dZ1 @ w1f).reshape(b, t1, cfg.conv1_width, cfg.embed_dim)
-    dE = np.zeros((b, cfg.seq_len, cfg.embed_dim), dtype=dZ1.dtype)
+    dw1 = (dZ1.reshape(b * T, -1).T @ cache["win1"].reshape(b * T, -1)).reshape(model.w1.shape)
+    dwin1 = (dZ1 @ w1f).reshape(b, T, cfg.conv1_width, cfg.embed_dim)
+    dE = np.zeros((b, T + cfg.conv1_width - 1, cfg.embed_dim), dtype=dZ1.dtype)
     for j in range(cfg.conv1_width):
-        dE[:, j: j + t1] += dwin1[:, :, j, :]
+        dE[:, j: j + T] += dwin1[:, :, j, :]
+    X = X[:, : T + cfg.conv1_width - 1]
+    real = X != 0  # row 0 stays frozen
     demb = np.zeros_like(model.emb)
-    np.add.at(demb, X, dE)
-    demb[0] = 0.0
+    np.add.at(demb, X[real], dE[real])
 
     return {"emb": demb, "w1": dw1, "b1": db1, "w2": dw2, "b2": db2,
             "wd": dwd, "bd": np.asarray(dbd, dtype=model.bd.dtype)}

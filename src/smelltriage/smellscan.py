@@ -369,6 +369,7 @@ _SETTER_RE = re.compile(r"\s*(?:this\s*\.\s*)?[\w$]+\s*=\s*[\w$]+\s*;\s*")
 _TYPE_TOKEN_RE = re.compile(r"\b[A-Z][A-Za-z0-9_]*\b")
 _SWITCH_RE = re.compile(r"\bswitch\b")
 _PUBLIC_RE = re.compile(r"\bpublic\b")
+_ENUM_RE = re.compile(r"\benum\b")
 
 
 def _package_of(import_path: str) -> str:
@@ -450,10 +451,23 @@ def _blank_holes(text: str, pairs: dict[int, int], start: int, end: int, holes):
     return blanked, _lex(blanked)[0], 0, len(blanked)
 
 
+def _enum_constants_end(text: str, pairs: dict[int, int], start: int, end: int) -> int:
+    """Past the constant list that opens the enum body text[start:end]: its
+    first ';' outside brackets, or end when there is none. Constants may have
+    arguments and bodies, which hold ';' and '{' of their own."""
+    pos = start
+    while (m := _MEMBER_END_RE.search(text, pos, end)) is not None:
+        if m.group() == ";":
+            return m.end()
+        pos = _close(pairs, m.start(), end) + 1
+    return end
+
+
 def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
                 start: int, end: int, holes: list[tuple[int, int]]) -> ClassMetrics:
     """Counts for the class with body text[start:end]. `holes` are the spans of
-    the classes declared in it, which count for themselves only."""
+    the classes declared in it, which count for themselves only. An enum's
+    constants are neither fields nor methods."""
     pieces = zip([start] + [he for _, he in holes], [hs for hs, _ in holes] + [end])
     types = {t for ps, pe in pieces for t in _TYPE_TOKEN_RE.findall(text, ps, pe)}
     cm = ClassMetrics(name=name, is_abstract=bool(re.search(r"\babstract\b", header)),
@@ -461,7 +475,7 @@ def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
                       unique_coupled_types=len(types - {name}))
     bounds = holes + [(end, end + 1)]
     fields = hole = 0
-    pos = seg = start
+    pos = seg = _enum_constants_end(text, pairs, start, end) if _ENUM_RE.search(header) else start
     while pos < end:
         while bounds[hole][1] <= pos:
             hole += 1

@@ -177,16 +177,29 @@ _PMD_XML = """<?xml version="1.0"?>
 """
 
 
-def test_scan_smells_from_pmd_report(tmp_path):
+def test_scan_smells_from_pmd_report(tmp_path, caplog):
     report = tmp_path / "pmd.xml"
     report.write_text(_PMD_XML, encoding="utf-8")
     rc = cli.main(["--paths.pmd_report", str(report), "--out", str(tmp_path), "scan-smells"])
     assert rc == EXIT_DIAGNOSTICS  # SomeOtherRule matches none of the 16 rules
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["unmatched PMD rule SomeOtherRule: 1 violation(s)"]
     _, records = datafiles.read_jsonl(tmp_path / "smell_vectors.jsonl")
     assert len(records) == 1 and records[0]["Commit_Hash"] == ""
     files = records[0]["Files"]
     assert [(f["File_path"], f["GodClass"], f["Previous"]) for f in files] == [
         ("src/A.java", 1, None), ("src/B.java", 0, None)]
+
+
+def test_build_dataset_logs_its_diagnostics(bug_repo, tmp_path, caplog):
+    issues = tmp_path / "issues.jsonl"
+    lines = bug_repo["record_paths"]["issues"].read_text(encoding="utf-8").splitlines()
+    issues.write_text("\n".join(lines + [lines[0]]) + "\n", encoding="utf-8")
+    args = _base_args(bug_repo, tmp_path)
+    args[args.index("--paths.issues") + 1] = str(issues)
+    assert cli.main(args + ["build-dataset"]) == EXIT_DIAGNOSTICS
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [f"issues.jsonl:{len(lines) + 1}: duplicate key, first occurrence wins"]
 
 
 @pytest.mark.parametrize("command", ["scan-smells", "label"])

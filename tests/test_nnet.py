@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nnet_oracle as oracle
 from smelltriage import nnet
 from smelltriage.nnet import (
     ConfigError, Model, ModelConfig, ModelFormatError, init_model,
@@ -95,6 +96,13 @@ def test_forward_rejects_out_of_vocab_index():
         nnet.forward_batch(model, [1, 2, 9, 0, 0, 0, 0, 0])
 
 
+def test_forward_rejects_negative_index():
+    # a negative index would silently read an embedding row from the end
+    model = _hand_model()
+    with pytest.raises(ValueError, match="vocab size 4.* at position 2"):
+        nnet.forward_batch(model, [1, 2, -1, 0, 0, 0, 0, 0])
+
+
 def test_forward_rejects_wrong_length():
     with pytest.raises(ValueError, match="length"):
         nnet.forward_batch(_hand_model(), [1, 2, 3])
@@ -154,6 +162,125 @@ def test_gradients_match_finite_differences():
         err = max_gradient_relative_error(model, X, y)
         assert err < 1e-4, f"config seed {seed}: relative error {err}"
         checked += 1
+
+
+# -- differential tests against the dense passes in nnet_oracle ---------------
+
+_ROW_KINDS = ("pad", "full", "prefix", "interior_zeros")
+
+
+@st.composite
+def _padded_batches(draw):
+    """A float64 model whose stages compose, a batch of rows of mixed kinds,
+    labels and an optional dropout mask. Rows are right-padded with 0 like
+    featurize's; interior zeros are what SMOTE's rounding can produce."""
+    w1, w2, pool = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    t2 = draw(st.integers(1, 2)) * pool + draw(st.integers(0, pool - 1))
+    t1 = (t2 + w2 - 1) * pool + draw(st.integers(0, pool - 1))
+    cfg = ModelConfig(vocab_size=draw(st.integers(2, 12)), seq_len=t1 + w1 - 1,
+                      embed_dim=draw(st.integers(1, 6)), conv1_filters=draw(st.integers(1, 4)),
+                      conv1_width=w1, conv2_filters=draw(st.integers(1, 3)), conv2_width=w2,
+                      pool_size=pool, dropout_rate=0.5, dtype="float64")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = init_model(cfg, seed=int(rng.integers(1 << 30)))
+    if draw(st.booleans()):  # off the zero-bias ties
+        model.b1 += rng.normal(0.0, 0.1, size=model.b1.shape)
+        model.b2 += rng.normal(0.0, 0.1, size=model.b2.shape)
+    if draw(st.booleans()):  # a hand-built model whose padding row is not zero
+        model.emb[0] = rng.uniform(-0.05, 0.05, size=cfg.embed_dim)
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=5))
+    X = np.zeros((len(kinds), cfg.seq_len), dtype=np.int64)
+    for row, kind in zip(X, kinds):
+        n = {"pad": 0, "full": cfg.seq_len}.get(kind)
+        n = draw(st.integers(1, cfg.seq_len)) if n is None else n
+        low = 0 if kind == "interior_zeros" else 1
+        row[:n] = rng.integers(low, cfg.vocab_size, size=n)
+    y = rng.integers(0, 2, size=len(kinds))
+    mask = None
+    if draw(st.booleans()):
+        flat = cfg.stage_lengths()[-1]
+        mask = (rng.random((len(kinds), flat)) < 0.5).astype(np.float64) / 0.5
+    return model, X, y, mask
+
+
+def _assert_matches_dense_passes(model, X, y, mask):
+    prob, cache = nnet.forward_batch(model, X, dropout_mask=mask)
+    grads = nnet.backward_batch(model, cache, y)
+    prob_o, cache_o = oracle.forward_batch(model, X, dropout_mask=mask)
+    grads_o = oracle.backward_batch(model, cache_o, y)
+    np.testing.assert_allclose(prob, prob_o, rtol=1e-9, atol=0)
+    for key in ("Z1", "Z2"):
+        assert cache[key].shape == cache_o[key].shape
+        np.testing.assert_allclose(cache[key], cache_o[key], rtol=1e-9, atol=1e-15)
+    for key in ("idx1", "idx2"):
+        np.testing.assert_array_equal(cache[key], cache_o[key])
+    for name in nnet.PARAM_NAMES:
+        got, want = grads[name], grads_o[name]
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        # entries that cancel to near zero keep the absolute error of the
+        # largest ones, which a different summation order leaves
+        scale = float(np.max(np.abs(want), initial=0.0))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * scale, err_msg=name)
+
+
+@settings(max_examples=300)
+@given(_padded_batches())
+def test_prefix_bound_matches_the_dense_passes(case):
+    _assert_matches_dense_passes(*case)
+
+
+def _prefix_case(emb0=0.0):
+    """seq_len 14, conv1 width 3, so 12 conv1 windows."""
+    cfg = ModelConfig(vocab_size=9, seq_len=14, embed_dim=3, conv1_filters=3, conv1_width=3,
+                      conv2_filters=2, conv2_width=2, pool_size=2, dtype="float64")
+    rng = np.random.default_rng(5)
+    model = init_model(cfg, seed=5)
+    model.b1 += rng.normal(0.0, 0.1, size=model.b1.shape)
+    model.b2 += rng.normal(0.0, 0.1, size=model.b2.shape)
+    model.emb[0] = emb0
+    return model, rng
+
+
+@pytest.mark.parametrize("last, expected_windows", [
+    (None, 1),   # an all-padding batch still runs one window
+    (0, 1),      # a token in the first column only
+    (5, 6),
+    (10, 11),    # one window short of all
+    (11, 12),    # the last window's first column: every window
+    (13, 12),    # a token in the final column
+])
+def test_prefix_bound_at_either_end(last, expected_windows):
+    model, rng = _prefix_case()
+    X = np.zeros((3, 14), dtype=np.int64)
+    if last is not None:
+        X[1, : last + 1] = rng.integers(1, 9, size=last + 1)
+    _, cache = nnet.forward_batch(model, X)
+    assert cache["win1"].shape[1] == expected_windows
+    _assert_matches_dense_passes(model, X, np.array([0, 1, 1]), None)
+
+
+def test_nonzero_padding_row_runs_every_window():
+    model, rng = _prefix_case(emb0=0.01)
+    X = np.zeros((2, 14), dtype=np.int64)
+    X[0, :3] = [4, 0, 7]
+    _, cache = nnet.forward_batch(model, X)
+    assert cache["win1"].shape[1] == 12
+    _assert_matches_dense_passes(model, X, np.array([1, 0]), None)
+
+
+def test_float32_model_stays_float32():
+    cfg = ModelConfig(vocab_size=20, seq_len=30, embed_dim=4, conv1_filters=3, conv1_width=3,
+                      conv2_filters=2, conv2_width=2, pool_size=2, dropout_rate=0.5)
+    model = init_model(cfg, seed=1)
+    X = np.zeros((4, 30), dtype=np.int64)
+    X[:, :12] = np.random.default_rng(1).integers(0, 20, size=(4, 12))
+    prob, cache = nnet.forward_batch(model, X, training=True, rng=np.random.default_rng(2))
+    grads = nnet.backward_batch(model, cache, np.array([0, 1, 0, 1]))
+    arrays = {**{k: v for k, v in cache.items() if k not in ("X", "idx1", "idx2")},
+              **{f"d{k}": v for k, v in grads.items()}}
+    assert cache["win1"].shape[1] < 28  # the prefix bound is on
+    promoted = {k: str(v.dtype) for k, v in arrays.items() if v.dtype != np.float32}
+    assert promoted == {}
 
 
 def test_train_is_deterministic_per_seed():

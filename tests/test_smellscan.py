@@ -144,6 +144,27 @@ def test_annotation_arguments_are_not_members():
     assert cls.field_count == 1
 
 
+def _members_of(src):
+    return [(c.name, [m.name for m in c.methods], c.field_count)
+            for c in scan_metrics(strip_comments_and_strings(src)[0]).classes]
+
+
+def test_enum_constants_are_not_members():
+    src = ("enum Kind { A(1), B(2); private final int v; "
+           "Kind(int v) { this.v = v; } int v() { return v; } }")
+    assert _members_of(src) == [("Kind", ["Kind", "v"], 1)]
+    # constant arguments and bodies hold ';', '{' and methods of their own
+    src = ('enum Op { PLUS("+") { int apply(int a, int b) { return a + b; } }, '
+           'NEG(f(1, 2)), ZERO { }; abstract int apply(int a, int b); }')
+    assert _members_of(src) == [("Op", ["apply"], 0)]
+    # without a ';' the body is all constants; with an empty list, all members
+    assert _members_of("enum Color { RED, GREEN, BLUE }") == [("Color", [], 0)]
+    assert _members_of("enum Color { RED, GREEN; }") == [("Color", [], 0)]
+    assert _members_of("enum E { ; int x; void m() { } }") == [("E", ["m"], 1)]
+    src = "class A { enum K { X(1); K(int v) { } } int f; void m() { } }"
+    assert _members_of(src) == [("A", ["m"], 1), ("K", ["K"], 0)]
+
+
 # -- golden fixtures ---------------------------------------------------------
 
 def _manifest():
@@ -244,6 +265,16 @@ _MODIFIERS = st.sampled_from(["", "public ", "private ", "protected ", "static "
                               "public static ", "@Override\n    public ", "final "])
 
 
+_KINDS = st.sampled_from(["class", "abstract class", "interface", "enum"])
+
+
+def _type_body(kind, members):
+    """An enum body opens with its constant list. The old scanner reads enum
+    constants as fields and methods, so the generated enums leave the list
+    empty; test_enum_constants_are_not_members covers constants."""
+    return f"; {members}" if kind == "enum" else members
+
+
 def _members(inner):
     return st.one_of(
         st.builds("{}int {}, {} = 2;".format, _MODIFIERS, _NAMES, _NAMES),
@@ -261,19 +292,21 @@ def _members(inner):
         st.builds("Item({}) {{ {} }}".format, _PARAMS, _METHOD_BODY),
         st.builds("static {{ {} }}".format, _METHOD_BODY),
         st.tuples(_NOISE, inner).map("".join),
-        st.builds("{}{} {}{} {{ {} }}".format, _MODIFIERS,
-                  st.sampled_from(["class", "abstract class", "interface", "enum"]), _NAMES,
+        st.builds(lambda modifiers, kind, name, params, members:
+                  f"{modifiers}{kind} {name}{params} {{ {_type_body(kind, members)} }}",
+                  _MODIFIERS, _KINDS, _NAMES,
                   st.sampled_from(["", "<T extends Comparable<T>>",
                                    " extends Base implements Runnable"]),
                   st.lists(inner, min_size=1, max_size=4).map("\n    ".join)),
-        st.builds("enum Kind {{ A, B {{ void m() {{ {} }} }}, C; }}".format, _METHOD_BODY),
     )
 
 
 _FIELD = st.builds("{}{} {};".format, st.sampled_from(["", "public ", "static "]), _TYPES, _NAMES)
 _MEMBERS = st.recursive(_FIELD, _members, max_leaves=12)
 _JAVA_SOURCES = st.builds(
-    "{}{}{}{}{} {}{} {{\n    {}\n}}\n{}".format,
+    lambda package, imports, noise, annotation, modifiers, kind, name, members, trailer:
+    f"{package}{imports}{noise}{annotation}{modifiers} {kind}{name} {{\n"
+    f"    {_type_body(kind, members)}\n}}\n{trailer}",
     st.sampled_from(["", "package org.demo.core;\n", "  package a.b ;\n"]),
     st.lists(st.sampled_from(["import java.util.List;", "import static org.x.Y.z;",
                               "import java.io.*;", "import a.b.C;", "  import p.Q ;"]),
@@ -281,7 +314,7 @@ _JAVA_SOURCES = st.builds(
     _NOISE,
     st.sampled_from(["", '@SuppressWarnings("all")\n']),
     st.sampled_from(["public ", "", "public abstract ", "final "]),
-    st.sampled_from(["class", "abstract class", "interface", "enum"]),
+    _KINDS,
     st.sampled_from([" Item", " Item<T>", " Big extends Base"]),
     st.lists(_MEMBERS, min_size=1, max_size=8).map("\n    ".join),
     st.sampled_from(["", "class Second { int y; }\n", "interface Api { void go(); }\n"]),
