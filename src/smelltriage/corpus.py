@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-import shutil
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -18,10 +17,15 @@ from operator import attrgetter
 from pathlib import Path
 
 _HASH_RE = re.compile(r"^[0-9a-f]{40}$")
+_NULL_SHA = "0" * 40
 
 
 class CorpusError(Exception):
     pass
+
+
+class GitCommandError(CorpusError):
+    """A git process exited non-zero."""
 
 
 class UnlinkedIssueError(CorpusError):
@@ -251,59 +255,88 @@ class CorpusStore:
 
     # -- git extraction -----------------------------------------------------
 
-    def _git(self, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+    def _git(self, *args: str, input: bytes | None = None) -> bytes:
+        """The stdout of one git process run in the repository."""
         if self.repo_path is None:
             raise CorpusError("repo_path not configured")
-        if shutil.which("git") is None:
+        try:
+            proc = subprocess.run(["git", "-C", str(self.repo_path), *args],
+                                  input=input, capture_output=True)
+        except FileNotFoundError:
             raise CorpusError(
                 "git executable not found; install git or provide pre-scanned smell vectors"
-            )
-        proc = subprocess.run(
-            ["git", "-C", str(self.repo_path), *args],
-            capture_output=True, text=True,
-        )
-        if check and proc.returncode != 0:
-            raise CorpusError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
-        return proc
-
-    def _parents(self, commit_hash: str) -> list[str]:
-        """Parent hashes, first parent first; empty for a root commit."""
-        proc = self._git("rev-list", "--parents", "-n", "1", commit_hash, check=False)
+            ) from None
         if proc.returncode != 0:
-            raise CorpusError(f"unknown commit hash {commit_hash}")
-        return proc.stdout.split()[1:]
-
-    def _show_file(self, commit_hash: str, path: str) -> str | None:
-        proc = self._git("show", f"{commit_hash}:{path}", check=False)
-        if proc.returncode != 0:
-            return None
+            stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+            raise GitCommandError(f"git {' '.join(args)} failed: {stderr}")
         return proc.stdout
+
+    def _read_blobs(self, shas: list[str]) -> dict[str, bytes | None]:
+        """Blob contents by SHA from one `git cat-file --batch`; None for an
+        object that is missing or not a blob (a gitlink, say)."""
+        out = self._git("cat-file", "--batch", input="".join(f"{s}\n" for s in shas).encode())
+        blobs: dict[str, bytes | None] = {}
+        pos = 0
+        for sha in shas:
+            eol = out.index(b"\n", pos)
+            header = out[pos:eol].split()  # <sha> <type> <size>, or <sha> missing
+            pos = eol + 1
+            if len(header) != 3:
+                blobs[sha] = None
+                continue
+            size = int(header[2])
+            blobs[sha] = out[pos:pos + size] if header[1] == b"blob" else None
+            pos += size + 1
+        return blobs
 
     def changed_files_with_contents(self, commit_hash: str,
                                     diagnostics: list[str] | None = None) -> list[ChangedFile]:
         """Changed source files of a commit with contents at the commit and
-        its first parent; renames surface as delete+create (no rename detection)."""
-        parents = self._parents(commit_hash)
+        its first parent; renames surface as delete+create (no rename detection).
+
+        Two git processes per commit, however many files it changes:
+        `diff-tree` for the parents and the raw diff, then `cat-file --batch`
+        for the changed blobs. Contents are read as UTF-8 with undecodable
+        bytes replaced, and CRLF or CR line ends become LF.
+        """
+        try:
+            out = self._git("diff-tree", "-r", "-z", "--raw", "--no-abbrev", "--no-renames",
+                            "--root", "--diff-merges=first-parent", "--format=%P", commit_hash)
+        except GitCommandError:
+            raise CorpusError(f"unknown commit hash {commit_hash}") from None
+        # <parents>\0, then one (":<modes> <old sha> <new sha> <status>", <path>) pair per file
+        fields = out.split(b"\0")
+        parents = fields[0].decode().split()
         parent = parents[0] if parents else None
         if diagnostics is not None and len(parents) > 1:
             diagnostics.append(f"merge commit {commit_hash}: first-parent diff only")
-        if parent is not None:
-            proc = self._git("diff", "--numstat", "--no-renames", parent, commit_hash)
-        else:
-            proc = self._git("diff-tree", "--root", "--numstat", "--no-renames",
-                             "--no-commit-id", "-r", commit_hash)
+        changed = []
+        for meta, raw_path in zip(fields[1::2], fields[2::2]):
+            path = raw_path.decode("utf-8", errors="replace")
+            if path.endswith(self.source_extensions):
+                _, _, old, new, _ = meta.split()
+                changed.append((path, new.decode(), old.decode()))
+        shas = list(dict.fromkeys(
+            sha for _, new, old in changed for sha in (new, old) if sha != _NULL_SHA))
+        blobs = self._read_blobs(shas) if shas else {}
+
+        def content(rev: str, path: str, sha: str) -> str | None:
+            data = blobs.get(sha)
+            if data is None:
+                return None
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                text = data.decode("utf-8", errors="replace")
+                if diagnostics is not None:
+                    diagnostics.append(f"{rev}:{path}: not valid UTF-8, undecodable bytes replaced")
+            return text.replace("\r\n", "\n").replace("\r", "\n")
+
         entries: list[ChangedFile] = []
-        for line in proc.stdout.splitlines():
-            parts = line.split("\t")
-            if len(parts) != 3:
-                continue
-            path = parts[2]
-            if not path.endswith(self.source_extensions):
-                continue
-            cur = self._show_file(commit_hash, path)
-            prev = self._show_file(parent, path) if parent else None
+        for path, new, old in sorted(changed):
+            cur = content(commit_hash, path, new)
+            prev = content(parent, path, old)
             if cur is None and diagnostics is not None:
                 diagnostics.append(f"{commit_hash}:{path}: no content at commit (deleted?)")
             entries.append(ChangedFile(path, cur, prev))
-        entries.sort(key=lambda e: e.file_path)
         return entries

@@ -3,6 +3,7 @@ smell to any changed source file (additions-only delta), else 0."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator, Protocol
 
@@ -85,20 +86,34 @@ class SmellSource(Protocol):
 
 @dataclass
 class GitScanSource:
-    """Scan changed file contents straight out of the repository."""
+    """Scan changed file contents straight out of the repository.
+
+    Each (path, content) pair is scanned once per source: a file's content at
+    one fix is often its parent content at the next. The memo keys on a digest
+    of the content, so it does not hold every scanned file in memory; build
+    one source per pass so no result outlives it.
+    """
 
     store: CorpusStore
     thresholds: RuleThresholds = field(default_factory=RuleThresholds)
+    _scans: dict[tuple[str, bytes], SmellVector] = field(
+        default_factory=dict, init=False, repr=False)
+
+    def _scan(self, content: str, file_path: str) -> SmellVector:
+        key = (file_path, hashlib.blake2b(content.encode("utf-8"), digest_size=16).digest())
+        if key not in self._scans:
+            self._scans[key] = scan_source(content, file_path, self.thresholds)
+        return self._scans[key]
 
     def file_vectors(self, commit_hash, diagnostics):
         out = []
         for cf in self.store.changed_files_with_contents(commit_hash, diagnostics):
             if cf.content_at_commit is None:
                 continue  # deleted file: nothing can have been added to it
-            cur = scan_source(cf.content_at_commit, cf.file_path, self.thresholds)
+            cur = self._scan(cf.content_at_commit, cf.file_path)
             prev = None
             if cf.content_at_parent is not None:
-                prev = scan_source(cf.content_at_parent, cf.file_path, self.thresholds)
+                prev = self._scan(cf.content_at_parent, cf.file_path)
             out.append((cf.file_path, cur, prev))
         return out
 

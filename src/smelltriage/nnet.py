@@ -363,7 +363,12 @@ def predict(model: Model, seq) -> tuple[int, float]:
 
 
 def predict_batch(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    prob, _ = forward_batch(model, X, training=False)
+    """Labels and probabilities, from forward passes over cfg.batch_size rows
+    at a time, so memory is bounded by one chunk and not by len(X)."""
+    X = np.atleast_2d(X)
+    step = model.cfg.batch_size
+    prob = np.concatenate([forward_batch(model, X[i: i + step], training=False)[0]
+                           for i in range(0, len(X), step)])
     return (prob >= 0.5).astype(int), prob
 
 

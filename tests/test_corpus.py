@@ -1,11 +1,14 @@
 import json
+import os
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from conftest import _git
+from corpus_oracle import OracleStore
 from smelltriage.corpus import (
-    ChangeLink, CommitRecord, CorpusError, CorpusStore, DanglingLinkError,
+    ChangedFile, ChangeLink, CommitRecord, CorpusError, CorpusStore, DanglingLinkError,
     FileChange, IngestResult, IssueRecord, IssueType, RecordKind,
     UnlinkedIssueError, parse_utc,
 )
@@ -203,3 +206,143 @@ def test_changed_files_at_root_commit(bug_repo):
 def test_git_requires_repo_path():
     with pytest.raises(CorpusError, match="repo_path"):
         CorpusStore().changed_files_with_contents(HASH_A)
+
+
+def test_git_not_on_path_raises(bug_repo, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    store = CorpusStore(repo_path=bug_repo["repo"])
+    with pytest.raises(CorpusError, match="git executable not found"):
+        store.changed_files_with_contents(bug_repo["hashes"][1])
+
+
+def _commit(repo, message: str) -> str:
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "--allow-empty", "-m", message)
+    return _git(repo, "rev-parse", "HEAD")
+
+
+def test_two_git_processes_per_commit_whatever_it_changes(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q", "-b", "main")
+    for i in range(6):
+        (repo / f"F{i}.java").write_text(f"class F{i} {{}}\n", encoding="utf-8")
+    root = _commit(repo, "six files")
+    for i in range(6):
+        (repo / f"F{i}.java").write_text(f"class F{i} {{ int x; }}\n", encoding="utf-8")
+    six = _commit(repo, "change six files")
+    (repo / "notes.txt").write_text("no source\n", encoding="utf-8")
+    docs = _commit(repo, "docs only")
+
+    calls = []
+    git = CorpusStore._git
+    monkeypatch.setattr(CorpusStore, "_git",
+                        lambda self, *a, **kw: calls.append(a[0]) or git(self, *a, **kw))
+    store = CorpusStore(repo_path=repo)
+    for commit, n_files, procs in [(root, 6, 2), (six, 6, 2), (docs, 0, 1)]:
+        calls.clear()
+        assert len(store.changed_files_with_contents(commit)) == n_files
+        assert len(calls) == procs
+
+
+def test_non_ascii_source_path_is_kept(tmp_path):
+    """`--numstat` C-quotes such a path, which hid it from the extension filter."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q", "-b", "main")
+    (repo / "Café.java").write_text("class Cafe {}\n", encoding="utf-8")
+    _commit(repo, "base")
+    (repo / "Café.java").write_text("class Cafe { int x; }\n", encoding="utf-8")
+    fix = _commit(repo, "fix")
+    diagnostics: list[str] = []
+    files = CorpusStore(repo_path=repo).changed_files_with_contents(fix, diagnostics)
+    assert files == [ChangedFile("Café.java", "class Cafe { int x; }\n", "class Cafe {}\n")]
+    assert diagnostics == []
+
+
+# -- differential tests against the per-file extraction in corpus_oracle -----
+
+_PATHS = ["A.java", "B.java", "core/C.java", "core/util/D.java", "core/util/E.java",
+          "docs/notes.txt", "build.xml", "core/F.java"]
+
+
+def _random_history(repo, seed: int) -> list[str]:
+    """A seeded history whose commits add, modify, delete and rename (delete +
+    create) files, change only a mode, touch subdirectories and non-source
+    files, hold CRLF line ends, and end in a merge; returns every commit, root
+    first."""
+    rng = random.Random(seed)
+    _git(repo, "init", "-q", "-b", "main")
+    live: set[str] = set()
+
+    def write(rel: str, crlf: bool = False) -> None:
+        path = repo / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        body = "".join(f"class K{rng.randrange(10 ** 6)} {{ int f = {rng.randrange(99)}; }}\n"
+                       for _ in range(rng.randint(1, 4)))
+        if crlf or rng.random() < 0.2:
+            body = body.replace("\n", "\r\n")
+        path.write_bytes(body.encode("utf-8"))
+        live.add(rel)
+
+    for i, rel in enumerate(rng.sample(_PATHS, 4)):
+        write(rel, crlf=i == 0)
+    commits = [_commit(repo, "root")]
+    # every kind of change once, then a seeded mix
+    ops = ["add", "modify", "delete", "rename", "chmod", "empty"]
+    ops += [rng.choice(ops[:5]) for _ in range(6)]
+    for op in ops:
+        absent = [p for p in _PATHS if p not in live]
+        present = sorted(live)
+        if op == "add" and absent:
+            write(rng.choice(absent))
+            if present:
+                write(rng.choice(present))
+        elif op == "modify" and present:
+            for rel in rng.sample(present, min(len(present), rng.randint(1, 3))):
+                write(rel)
+        elif op == "delete" and len(present) > 1:
+            rel = rng.choice(present)
+            (repo / rel).unlink()
+            live.discard(rel)
+        elif op == "rename" and present and absent:
+            src, dst = rng.choice(present), rng.choice(absent)
+            (repo / dst).parent.mkdir(parents=True, exist_ok=True)
+            _git(repo, "mv", src, dst)
+            live.discard(src)
+            live.add(dst)
+        elif op == "chmod" and present:
+            path = repo / rng.choice(present)
+            path.chmod(path.stat().st_mode ^ 0o111)
+        commits.append(_commit(repo, op))
+
+    _git(repo, "checkout", "-q", "-b", "side")
+    write("side/Side.java")
+    write("side/notes.txt")
+    commits.append(_commit(repo, "side"))
+    _git(repo, "checkout", "-q", "main")
+    write(rng.choice(sorted(p for p in live if not p.startswith("side/"))))
+    commits.append(_commit(repo, "main"))
+    _git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side")
+    commits.append(_git(repo, "rev-parse", "HEAD"))
+    return commits
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extraction_matches_the_per_file_oracle(tmp_path, seed):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    commits = _random_history(repo, seed)
+    store, oracle = CorpusStore(repo_path=repo), OracleStore(repo_path=repo)
+    seen = set()
+    for commit in commits:
+        got_diags, want_diags = [], []
+        got = store.changed_files_with_contents(commit, got_diags)
+        assert got == oracle.changed_files_with_contents(commit, want_diags), commit
+        assert got_diags == want_diags, commit
+        seen.update(("added" if f.content_at_parent is None else
+                     "deleted" if f.content_at_commit is None else
+                     "same" if f.content_at_commit == f.content_at_parent else "modified")
+                    for f in got)
+        seen.update("merge" for d in got_diags if d.startswith("merge commit"))
+    assert {"added", "deleted", "same", "modified", "merge"} <= seen

@@ -3,7 +3,12 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from smelltriage.corpus import CorpusError, CorpusStore, RecordKind
+from conftest import SMELL_FIXTURE_DIR, _git
+from smelltriage import labeler
+from smelltriage.corpus import (
+    ChangeLink, CommitRecord, CorpusError, CorpusStore, IssueRecord, IssueType, RecordKind,
+    parse_utc,
+)
 from smelltriage.labeler import (
     GitScanSource, LabeledSample, VectorTableSource, build_labeled_dataset,
     fix_commits, label_commit, smell_delta, vectors_record,
@@ -168,3 +173,51 @@ def test_fix_commits_yields_in_issue_order_and_records_skips(bug_repo):
     assert list(fix_commits(store, skipped)) == [
         ("BUG-1", hashes[1]), ("BUG-2", hashes[2]), ("BUG-3", hashes[4])]
     assert skipped == ["FEAT-1: not a Bug issue"]
+
+
+def _history_store(tmp_path, contents: list[bytes]) -> tuple[CorpusStore, list[str]]:
+    """A repository whose commits write `Legacy.java` with each of `contents`
+    in turn; every commit after the first fixes its own bug issue."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q", "-b", "main")
+    store = CorpusStore(repo_path=repo)
+    hashes = []
+    for n, data in enumerate(contents):
+        (repo / "Legacy.java").write_bytes(data)
+        _git(repo, "add", "."), _git(repo, "commit", "-q", "-m", f"commit {n}")
+        hashes.append(_git(repo, "rev-parse", "HEAD"))
+        date = parse_utc(f"2020-01-0{n + 1}T00:00:00Z")
+        store.commits[hashes[-1]] = CommitRecord(hashes[-1], date)
+        if n:
+            store.issues[f"B-{n}"] = IssueRecord(f"B-{n}", IssueType.BUG, date,
+                                                 summary_raw=f"crash number {n}")
+            store.links[(f"B-{n}", hashes[-1])] = ChangeLink(f"B-{n}", hashes[-1])
+    return store, hashes
+
+
+def test_non_utf8_source_is_labeled_with_a_diagnostic(tmp_path):
+    latin1 = "// Autor: José Müller\n".encode("latin-1")
+    kitchen = (SMELL_FIXTURE_DIR / "Kitchen.java").read_bytes()
+    store, (base, fix) = _history_store(tmp_path, [latin1 + b"class Legacy {}\n",
+                                                   latin1 + kitchen])
+    dataset = build_labeled_dataset(store, GitScanSource(store=store))
+    assert [(s.issue_id, s.label) for s in dataset.samples] == [("B-1", 1)]
+    assert dataset.skipped == []
+    assert dataset.diagnostics == [
+        f"{fix}:Legacy.java: not valid UTF-8, undecodable bytes replaced",
+        f"{base}:Legacy.java: not valid UTF-8, undecodable bytes replaced",
+    ]
+
+
+def test_git_scan_source_scans_each_content_once(tmp_path, monkeypatch):
+    kitchen = (SMELL_FIXTURE_DIR / "Kitchen.java").read_bytes()
+    store, _ = _history_store(tmp_path, [b"class Legacy {}\n", kitchen, b"class Legacy {}\n"])
+    scanned = []
+    scan = labeler.scan_source
+    monkeypatch.setattr(labeler, "scan_source",
+                        lambda src, path, th: scanned.append(src) or scan(src, path, th))
+    dataset = build_labeled_dataset(store, GitScanSource(store=store))
+    assert [(s.issue_id, s.label) for s in dataset.samples] == [("B-1", 1), ("B-2", 0)]
+    # B-2's parent content is B-1's content, and its own content is B-1's parent
+    assert len(scanned) == 2

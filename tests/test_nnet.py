@@ -354,6 +354,31 @@ def test_predict_threshold():
     assert label == 1  # 0.5 classifies as positive
 
 
+@pytest.mark.parametrize("rows", [1, 8, 16, 29])
+def test_predict_batch_chunks_match_one_forward_pass(rows, monkeypatch):
+    """predict_batch runs batch_size rows at a time; each chunk has its own
+    real prefix, and the probabilities are bit-identical to one pass."""
+    cfg = ModelConfig(vocab_size=50, seq_len=40, embed_dim=6, conv1_filters=4, conv1_width=3,
+                      conv2_filters=3, conv2_width=2, pool_size=2, batch_size=8)
+    model = init_model(cfg, seed=4)
+    rng = np.random.default_rng(4)
+    model.b1 += rng.normal(0.0, 0.1, size=model.b1.shape).astype(model.b1.dtype)
+    X = np.zeros((rows, cfg.seq_len), dtype=np.int64)
+    for i, row in enumerate(X):  # later chunks hold longer reports
+        n = rng.integers(1, min(cfg.seq_len, 6 + 12 * (i // cfg.batch_size)) + 1)
+        row[:n] = rng.integers(1, cfg.vocab_size, size=n)
+    prob_one, _ = nnet.forward_batch(model, X)
+    chunks = []
+    forward = nnet.forward_batch
+    monkeypatch.setattr(nnet, "forward_batch",
+                        lambda m, xb, **kw: chunks.append(len(xb)) or forward(m, xb, **kw))
+    labels, prob = nnet.predict_batch(model, X)
+    assert chunks == [min(8, rows - i) for i in range(0, rows, 8)]
+    assert prob.dtype == prob_one.dtype
+    np.testing.assert_array_equal(prob, prob_one)
+    np.testing.assert_array_equal(labels, (prob_one >= 0.5).astype(int))
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_dropout_mask_preserves_expectation(seed):
