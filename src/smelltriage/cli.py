@@ -37,12 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "predict that label from new bug-report text.",
     )
     parser.add_argument("--config", help="JSON run-configuration file")
-    parser.add_argument("--seed", type=int, help="top-level random seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--verbose", action="store_true")
-    # every config key is also a flag, one-to-one
+    # `--out` is a second spelling of `--paths.out_dir`; `--verbose` is the `verbose` key's switch
+    parser.add_argument("--out", dest="paths.out_dir", metavar="OUT", help="output directory")
+    parser.add_argument("--verbose", action="store_const", const="true")
     for dotted, _ in config.flat_keys():
-        if dotted in ("seed", "verbose"):
+        if dotted == "verbose":
             continue
         parser.add_argument(f"--{dotted}", dest=dotted, metavar="VALUE")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -58,21 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> config.RunConfig:
-    overrides = {}
-    for dotted, _ in config.flat_keys():
-        if dotted in ("seed", "verbose"):
-            continue
-        val = getattr(args, dotted, None)
-        if val is not None:
-            overrides[dotted] = val
-    cfg = config.load_config(args.config, overrides)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.paths.out_dir = args.out
-    if args.verbose:
-        cfg.verbose = True
-    return cfg
+    overrides = {key: getattr(args, key) for key, _ in config.flat_keys()
+                 if getattr(args, key, None) is not None}
+    return config.load_config(args.config, overrides)
 
 
 def _load_store(cfg: config.RunConfig) -> tuple[corpus.CorpusStore, list[str]]:
@@ -89,7 +76,7 @@ def _load_store(cfg: config.RunConfig) -> tuple[corpus.CorpusStore, list[str]]:
             raise corpus.CorpusError(f"missing input file: {p}")
     store = corpus.CorpusStore(
         repo_path=Path(cfg.paths.repo) if cfg.paths.repo else None,
-        source_extensions=cfg.extensions_tuple(),
+        source_extensions=cfg.source_extensions,
     )
     diagnostics: list[str] = []
     for kind, p in required.items():
@@ -222,9 +209,6 @@ def cmd_train(cfg: config.RunConfig) -> int:
 def cmd_evaluate(cfg: config.RunConfig) -> int:
     samples = _load_dataset(cfg)
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
-    if cfg.eval.folds < 2:
-        log.error("eval.folds must be >= 2, got %d", cfg.eval.folds)
-        return EXIT_FATAL
     scopes = ["train", "all"] if cfg.balance.scope == "both" else [cfg.balance.scope]
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

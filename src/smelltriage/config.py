@@ -1,20 +1,20 @@
 """Run configuration: one JSON file, dataclass-backed, with strict keys
-(unknown keys are errors) and one-to-one command-line overrides."""
+(unknown keys are errors) and one-to-one command-line overrides. A file's
+value and a flag's string go through one coercion, keyed on the key's type."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 from .evaluation import BalanceConfig
-from .nnet import ModelConfig
+from .nnet import ConfigError, ModelConfig
 from .smellscan import RuleThresholds
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # fields that are not settings: the model's vocabulary size is its dictionary's
@@ -55,96 +55,110 @@ class RunConfig:
     balance: BalanceConfig = field(default_factory=BalanceConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     project: str = "project"
-    source_extensions: str = ".java"
+    source_extensions: tuple[str, ...] = (".java",)
     seed: int = 0
     verbose: bool = False
 
-    def extensions_tuple(self) -> tuple[str, ...]:
-        return tuple(e.strip() for e in self.source_extensions.split(",") if e.strip())
+
+def _leaf_types(cls, prefix: str = "") -> dict[str, object]:
+    """Dotted key -> declared type of every setting under `cls`."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            out.update(_leaf_types(hint, f"{prefix}{name}."))
+        elif f"{prefix}{name}" not in _DERIVED:
+            out[f"{prefix}{name}"] = hint
+    return out
 
 
-def _build(cls, data: dict, prefix: str):
-    known = {f.name: f for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in known or f"{prefix}{key}" in _DERIVED:
-            raise ConfigError(f"unknown config key {prefix}{key}")
-        sub = _resolve(cls, key)
-        if sub is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{prefix}{key} must be an object")
-            kwargs[key] = _build(sub, value, f"{prefix}{key}.")
-        else:
-            if key == "allowed_package_prefixes" and isinstance(value, list):
-                value = tuple(value)
-            kwargs[key] = value
-    return cls(**kwargs)
+_TYPES = _leaf_types(RunConfig)
+_SECTIONS = frozenset(key.rsplit(".", 1)[0] for key in _TYPES if "." in key)
 
 
-def _resolve(cls, key):
-    """The dataclass type of a nested config section, else None."""
-    for f in fields(cls):
-        if f.name == key and dataclasses.is_dataclass(f.default_factory):
-            return f.default_factory
-    return None
+def flat_keys() -> list[tuple[str, object]]:
+    """Dotted leaf keys of the config tree and their declared types."""
+    return list(_TYPES.items())
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
-    data: dict = {}
+    """Defaults, then the JSON file at `path`, then `overrides` (key -> flag string)."""
+    cfg = RunConfig()
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ConfigError(f"malformed config {path}: {exc}") from exc
-    cfg = _build(RunConfig, data, "")
+        _load_object(cfg, data, f"config {path}", "")
     for dotted, raw in (overrides or {}).items():
         apply_override(cfg, dotted, raw)
     return cfg
 
 
-def flat_keys(cls=RunConfig, prefix: str = "") -> list[tuple[str, type]]:
-    """Dotted leaf keys of the config tree, for generating CLI flags."""
-    out = []
-    for f in fields(cls):
-        sub = _resolve(cls, f.name)
-        if sub is not None:
-            out.extend(flat_keys(sub, f"{prefix}{f.name}."))
-        elif f"{prefix}{f.name}" not in _DERIVED:
-            out.append((f"{prefix}{f.name}", f.type))
-    return out
+def _load_object(obj, data, name: str, prefix: str) -> None:
+    """Set the settings of `obj` that the JSON object `data` names."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name}: expected an object, got {json.dumps(data)}")
+    for key, value in data.items():
+        dotted = f"{prefix}{key}"
+        if "." in key or (dotted not in _TYPES and dotted not in _SECTIONS):
+            # a JSON key may hold any character: escape it to keep the message one line
+            raise ConfigError(f"unknown config key {json.dumps(dotted, ensure_ascii=False)[1:-1]}")
+        if dotted in _SECTIONS:
+            _load_object(getattr(obj, key), value, dotted, f"{dotted}.")
+        else:
+            setattr(obj, key, _coerce(dotted, _TYPES[dotted], value, flag=False))
 
 
 def apply_override(cfg: RunConfig, dotted: str, raw: str) -> None:
-    if dotted not in {key for key, _ in flat_keys()}:
+    """Set `dotted` from a command-line flag's string."""
+    if dotted not in _TYPES:
         raise ConfigError(f"unknown config key {dotted}")
     *sections, leaf = dotted.split(".")
     obj = cfg
     for section in sections:
         obj = getattr(obj, section)
-    setattr(obj, leaf, _coerce(raw, getattr(obj, leaf), dotted))
+    setattr(obj, leaf, _coerce(dotted, _TYPES[dotted], raw, flag=True))
 
 
-def _coerce(raw: str, current, dotted: str):
-    if isinstance(current, bool):
-        if str(raw).lower() in ("1", "true", "yes", "on"):
-            return True
-        if str(raw).lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{dotted}: expected a boolean, got {raw!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if isinstance(current, tuple):
-        return tuple(s.strip() for s in str(raw).split(",") if s.strip())
-    if current is None:
-        if dotted.startswith("paths."):
-            return raw
-        # untyped optional leaf: keep ints as ints when they parse
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            return raw
-    return raw
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+# scalar type -> (the JSON types that give it, the parser of a flag's string, its name)
+_SCALARS = {bool: ((bool,), lambda s: _BOOL_WORDS[s.lower()], "a boolean"),
+            int: ((int,), int, "an integer"),
+            float: ((int, float), float, "a number"),
+            str: ((str,), str, "a string")}
+
+
+def _coerce(key: str, hint, value, flag: bool):
+    """`value`, a JSON value or a flag's string, as type `hint`. A flag's string
+    is parsed by the type; a JSON value must have it, or be a comma string for
+    a tuple."""
+    optional = typing.get_origin(hint) is types.UnionType  # X | None
+    if value is None and optional:
+        return None
+    base = next(t for t in typing.get_args(hint) if t is not type(None)) if optional else hint
+    origin, choices = typing.get_origin(base), typing.get_args(base)
+    if origin is Literal:
+        expected = "one of " + ", ".join(json.dumps(choice) for choice in choices)
+    elif origin is tuple:
+        expected = "a list of strings or a comma-separated string"
+    else:
+        kinds, parse, expected = _SCALARS[base]
+    try:
+        if origin is Literal:
+            if value in choices:
+                return value
+        elif origin is tuple:
+            parts = value.split(",") if isinstance(value, str) else value
+            if isinstance(parts, list) and all(isinstance(p, str) for p in parts):
+                return tuple(p.strip() for p in parts if p.strip())
+        elif flag:
+            return parse(value)
+        elif type(value) in kinds:
+            return base(value)  # a JSON integer is a valid number
+    except (KeyError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key}: expected {expected}{' or null' if optional else ''}, "
+                      f"got {json.dumps(value)}")

@@ -4,6 +4,7 @@ tabular experiment report."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -131,7 +132,7 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsRow:
 @dataclass
 class BalanceConfig:
     k: int = 5
-    scope: str = "train"  # "train" (leak-free) or "all"
+    scope: Literal["train", "all", "both"] = "train"  # "train" is leak-free
     enabled: bool = True
 
 

@@ -88,21 +88,20 @@ class SmellSource(Protocol):
 class GitScanSource:
     """Scan changed file contents straight out of the repository.
 
-    Each (path, content) pair is scanned once per source: a file's content at
-    one fix is often its parent content at the next. The memo keys on a digest
-    of the content, so it does not hold every scanned file in memory; build
-    one source per pass so no result outlives it.
+    Each content is scanned once per source, whatever its path: a file's
+    content at one fix is often its parent content at the next. The memo keys
+    on a digest of the content, so it does not hold every scanned file in
+    memory; build one source per pass so no result outlives it.
     """
 
     store: CorpusStore
     thresholds: RuleThresholds = field(default_factory=RuleThresholds)
-    _scans: dict[tuple[str, bytes], SmellVector] = field(
-        default_factory=dict, init=False, repr=False)
+    _scans: dict[bytes, SmellVector] = field(default_factory=dict, init=False, repr=False)
 
-    def _scan(self, content: str, file_path: str) -> SmellVector:
-        key = (file_path, hashlib.blake2b(content.encode("utf-8"), digest_size=16).digest())
+    def _scan(self, content: str) -> SmellVector:
+        key = hashlib.blake2b(content.encode("utf-8"), digest_size=16).digest()
         if key not in self._scans:
-            self._scans[key] = scan_source(content, file_path, self.thresholds)
+            self._scans[key] = scan_source(content, thresholds=self.thresholds)
         return self._scans[key]
 
     def file_vectors(self, commit_hash, diagnostics):
@@ -110,10 +109,10 @@ class GitScanSource:
         for cf in self.store.changed_files_with_contents(commit_hash, diagnostics):
             if cf.content_at_commit is None:
                 continue  # deleted file: nothing can have been added to it
-            cur = self._scan(cf.content_at_commit, cf.file_path)
+            cur = self._scan(cf.content_at_commit)
             prev = None
             if cf.content_at_parent is not None:
-                prev = self._scan(cf.content_at_parent, cf.file_path)
+                prev = self._scan(cf.content_at_parent)
             out.append((cf.file_path, cur, prev))
         return out
 

@@ -9,6 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,7 +42,7 @@ class ModelConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 20
-    dtype: str = "float32"  # float64 available for gradient verification
+    dtype: Literal["float32", "float64"] = "float32"  # float64: gradient checks; float16 NaNs
 
     def stage_lengths(self) -> tuple[int, int, int, int, int]:
         """(conv1_out, pool1_out, conv2_out, pool2_out, flatten) lengths.

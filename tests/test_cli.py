@@ -404,6 +404,15 @@ def test_evaluate_writes_reports_for_both_scopes(tmp_path):
         assert len(rows) == 4  # 3 folds + mean
 
 
+def test_evaluate_with_one_fold_is_a_one_line_error(tmp_path, caplog):
+    ds = _tiny_dataset(tmp_path / "dataset.jsonl", n=40)
+    rc = cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path),
+                   "--eval.folds", "1"] + _TINY_MODEL_FLAGS + ["evaluate"])
+    assert rc == EXIT_FATAL
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == ["k must be >= 2, got 1"]
+
+
 def test_evaluate_single_scope_default_filename(tmp_path):
     ds = _tiny_dataset(tmp_path / "dataset.jsonl", n=40)
     rc = cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path),
@@ -441,3 +450,29 @@ def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
     cfg_file.write_text(json.dumps({section: {key: False}}))
     assert cli.main(["--config", str(cfg_file), "train"]) == EXIT_FATAL
     assert capsys.readouterr().err.splitlines() == [f"error: unknown config key {dotted}"]
+
+
+@pytest.mark.parametrize("flags,config_doc,command,message", [
+    (["--model.epochs", "abc"], None, "train", 'model.epochs: expected an integer, got "abc"'),
+    ([], {"model": {"epochs": "2"}}, "train", 'model.epochs: expected an integer, got "2"'),
+    ([], ["model"], "train", 'expected an object, got ["model"]'),
+    (["--textprep.max_vocab", "abc"], None, "train",
+     'textprep.max_vocab: expected an integer or null, got "abc"'),
+    (["--balance.scope", "bogus"], None, "evaluate",
+     'balance.scope: expected one of "train", "all", "both", got "bogus"'),
+    (["--model.dtype", "float16"], None, "train",
+     'model.dtype: expected one of "float32", "float64", got "float16"'),
+], ids=["flag-int", "file-int", "file-list", "flag-optional-int", "flag-scope", "flag-dtype"])
+def test_mistyped_setting_is_a_one_line_error(flags, config_doc, command, message,
+                                              tmp_path, capsys):
+    """Each of these used to end in a traceback, or to run with a value no
+    stage can use (SMOTE skipped for an unknown scope, NaN weights in float16)."""
+    ds = _tiny_dataset(tmp_path / "dataset.jsonl", n=40)
+    args = ["--paths.dataset", str(ds), "--out", str(tmp_path), "--eval.folds", "2"]
+    if config_doc is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config_doc))
+        args += ["--config", str(tmp_path / "run.json")]
+    capsys.readouterr()
+    assert cli.main(args + _TINY_MODEL_FLAGS + flags + [command]) == EXIT_FATAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)

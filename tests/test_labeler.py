@@ -184,7 +184,8 @@ def _history_store(tmp_path, contents: list[bytes]) -> tuple[CorpusStore, list[s
     store = CorpusStore(repo_path=repo)
     hashes = []
     for n, data in enumerate(contents):
-        (repo / "Legacy.java").write_bytes(data)
+        for name, body in (data if isinstance(data, dict) else {"Legacy.java": data}).items():
+            (repo / name).write_bytes(body)
         _git(repo, "add", "."), _git(repo, "commit", "-q", "-m", f"commit {n}")
         hashes.append(_git(repo, "rev-parse", "HEAD"))
         date = parse_utc(f"2020-01-0{n + 1}T00:00:00Z")
@@ -212,12 +213,15 @@ def test_non_utf8_source_is_labeled_with_a_diagnostic(tmp_path):
 
 def test_git_scan_source_scans_each_content_once(tmp_path, monkeypatch):
     kitchen = (SMELL_FIXTURE_DIR / "Kitchen.java").read_bytes()
-    store, _ = _history_store(tmp_path, [b"class Legacy {}\n", kitchen, b"class Legacy {}\n"])
+    store, _ = _history_store(tmp_path, [b"class Legacy {}\n",
+                                         {"Legacy.java": kitchen, "Copy.java": kitchen},
+                                         b"class Legacy {}\n"])
     scanned = []
     scan = labeler.scan_source
-    monkeypatch.setattr(labeler, "scan_source",
-                        lambda src, path, th: scanned.append(src) or scan(src, path, th))
+    monkeypatch.setattr(labeler, "scan_source", lambda src, *, thresholds:
+                        scanned.append(src) or scan(src, thresholds=thresholds))
     dataset = build_labeled_dataset(store, GitScanSource(store=store))
     assert [(s.issue_id, s.label) for s in dataset.samples] == [("B-1", 1), ("B-2", 0)]
-    # B-2's parent content is B-1's content, and its own content is B-1's parent
+    # B-1 adds the same content under two paths; B-2's parent content is
+    # B-1's content, and its own content is B-1's parent
     assert len(scanned) == 2
