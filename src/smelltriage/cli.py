@@ -62,40 +62,34 @@ def _config_from_args(args) -> config.RunConfig:
     return config.load_config(args.config, overrides)
 
 
+def _required(cfg: config.RunConfig, key: str) -> str:
+    """The path setting `paths.<key>`, which the command cannot run without."""
+    value = getattr(cfg.paths, key)
+    if not value:
+        raise config.ConfigError(f"missing input: paths.{key}")
+    return value
+
+
 def _load_store(cfg: config.RunConfig) -> tuple[corpus.CorpusStore, list[str]]:
-    required = {
-        corpus.RecordKind.ISSUES: cfg.paths.issues,
-        corpus.RecordKind.COMMITS: cfg.paths.commits,
-        corpus.RecordKind.CHANGES: cfg.paths.changes,
-        corpus.RecordKind.LINKS: cfg.paths.links,
-    }
-    for kind, p in required.items():
-        if p is None:
-            raise corpus.CorpusError(f"missing corpus path for {kind.value}")
-        if not Path(p).exists():
-            raise corpus.CorpusError(f"missing input file: {p}")
-    store = corpus.CorpusStore(
-        repo_path=Path(cfg.paths.repo) if cfg.paths.repo else None,
-        source_extensions=cfg.source_extensions,
-    )
+    store = corpus.CorpusStore(source_extensions=cfg.source_extensions)
     diagnostics: list[str] = []
-    for kind, p in required.items():
-        result = store.ingest_records(p, kind)
+    for kind in corpus.RecordKind:  # each kind is read from the paths key of its name
+        result = store.ingest_records(_required(cfg, kind.value), kind)
         diagnostics.extend(result.diagnostics)
         log.info("ingested %d %s records", result.accepted, kind.value)
     return store, diagnostics
 
 
-def _smell_source(cfg: config.RunConfig, store: corpus.CorpusStore):
-    if cfg.paths.smell_vectors:
-        _, records = datafiles.read_jsonl(cfg.paths.smell_vectors)
-        return labeler.VectorTableSource.from_records(records)
-    if store.repo_path is None:
-        raise corpus.CorpusError(
-            "missing input: either paths.repo (built-in scanner) or "
-            "paths.smell_vectors (pre-computed vectors) is required"
-        )
+def _git_source(cfg: config.RunConfig, store: corpus.CorpusStore) -> labeler.GitScanSource:
+    """The built-in scanner over the checkout at `paths.repo`."""
+    store.repo_path = Path(_required(cfg, "repo"))
     return labeler.GitScanSource(store=store, thresholds=cfg.smell)
+
+
+def _smell_source(cfg: config.RunConfig, store: corpus.CorpusStore):
+    if path := cfg.paths.smell_vectors:
+        return labeler.VectorTableSource.from_records(datafiles.read_jsonl(path)[1], path)
+    return _git_source(cfg, store)
 
 
 def _write_dataset(cfg: config.RunConfig, dataset: labeler.LabeledDataset) -> Path:
@@ -127,29 +121,22 @@ def cmd_build_dataset(cfg: config.RunConfig) -> int:
 
 def cmd_scan_smells(cfg: config.RunConfig) -> int:
     diagnostics: list[str] = []
-    if cfg.paths.pmd_report:
-        report_text = Path(cfg.paths.pmd_report).read_text(encoding="utf-8")
-        result = smellscan.ingest_pmd_report(report_text, cfg.smell)
+    if path := cfg.paths.pmd_report:
+        result = smellscan.ingest_pmd_report(datafiles.read_text(path), cfg.smell, path)
         diagnostics.extend(result.diagnostics)
         for rule, count in sorted(result.unmatched_rules.items()):
             diagnostics.append(f"unmatched PMD rule {rule}: {count} violation(s)")
         records = [labeler.vectors_record("", [(f, vec, None) for f, vec in result.vectors])]
     else:
         store, diagnostics = _load_store(cfg)
-        if store.repo_path is None:
-            log.error("missing input: paths.repo is required to scan sources")
-            return EXIT_FATAL
-        source = labeler.GitScanSource(store=store, thresholds=cfg.smell)
-        records = labeler.scan_fix_commits(store, source, diagnostics)
+        records = labeler.scan_fix_commits(store, _git_source(cfg, store), diagnostics)
     datafiles.write_jsonl(Path(cfg.paths.out_dir) / "smell_vectors.jsonl", records,
                           seed=cfg.seed, kind="smell-vectors")
     return _exit_code(diagnostics)
 
 
 def cmd_label(cfg: config.RunConfig) -> int:
-    if not cfg.paths.smell_vectors:
-        log.error("missing input: paths.smell_vectors is required for `label`")
-        return EXIT_FATAL
+    _required(cfg, "smell_vectors")
     return cmd_build_dataset(cfg)
 
 
@@ -158,15 +145,6 @@ def _exit_code(diagnostics: list[str]) -> int:
     for d in diagnostics:
         log.warning("%s", d)
     return EXIT_DIAGNOSTICS if diagnostics else EXIT_OK
-
-
-def _load_dataset(cfg: config.RunConfig) -> list[labeler.LabeledSample]:
-    if not cfg.paths.dataset:
-        raise config.ConfigError("missing input: paths.dataset")
-    if not Path(cfg.paths.dataset).exists():
-        raise config.ConfigError(f"missing input file: {cfg.paths.dataset}")
-    _, records = datafiles.read_jsonl(cfg.paths.dataset)
-    return [labeler.LabeledSample.from_record(r) for r in records]
 
 
 def _training_inputs(cfg: config.RunConfig, samples: list[labeler.LabeledSample]):
@@ -179,18 +157,14 @@ def _training_inputs(cfg: config.RunConfig, samples: list[labeler.LabeledSample]
 
 
 def cmd_train(cfg: config.RunConfig) -> int:
-    samples = _load_dataset(cfg)
-    labels = {s.label for s in samples}
-    if len(labels) < 2:
-        log.error("dataset has a single class %s; training refused", labels)
-        return EXIT_FATAL
+    samples = labeler.load_dataset(_required(cfg, "dataset"))
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
+    model = nnet.init_model(model_cfg, seed=cfg.seed, dict_hash=dictionary.content_hash())
     diagnostics: list[str] = []
     if cfg.balance.enabled:
         res = balance.smote(X, y, k=cfg.balance.k, seed=cfg.seed,
                             max_index=model_cfg.vocab_size - 1)
         X, y, diagnostics = res.X, res.y, res.diagnostics
-    model = nnet.init_model(model_cfg, seed=cfg.seed, dict_hash=dictionary.content_hash())
     model, history = nnet.train(model, X, y, seed=cfg.seed)
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -207,7 +181,7 @@ def cmd_train(cfg: config.RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: config.RunConfig) -> int:
-    samples = _load_dataset(cfg)
+    samples = labeler.load_dataset(_required(cfg, "dataset"))
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
     scopes = ["train", "all"] if cfg.balance.scope == "both" else [cfg.balance.scope]
     out_dir = Path(cfg.paths.out_dir)
@@ -231,18 +205,12 @@ def cmd_evaluate(cfg: config.RunConfig) -> int:
 
 
 def cmd_predict(cfg: config.RunConfig, summary: str, description: str) -> int:
-    if not cfg.paths.model or not Path(cfg.paths.model).exists():
-        log.error("model file not found: %s", cfg.paths.model)
-        return EXIT_FATAL
-    if not cfg.paths.dictionary or not Path(cfg.paths.dictionary).exists():
-        log.error("dictionary file not found: %s", cfg.paths.dictionary)
-        return EXIT_FATAL
-    dictionary = textprep.Dictionary.load(cfg.paths.dictionary)
-    try:
-        model = nnet.load_model(cfg.paths.model, expected_dict_hash=dictionary.content_hash())
-    except nnet.ModelFormatError as exc:
-        log.error("%s", exc)
-        return EXIT_FATAL
+    model_path, dict_path = _required(cfg, "model"), _required(cfg, "dictionary")
+    model = nnet.load_model(model_path)
+    dictionary = textprep.Dictionary.load(dict_path)
+    if dictionary.content_hash() != model.dict_hash:  # each file is valid; the pair is not
+        raise config.ConfigError(f"{model_path}: trained with dictionary {model.dict_hash!r}, "
+                                 f"not with {dict_path}")
     X, _ = textprep.featurize([textprep.report_text(summary, description)],
                               model.cfg.seq_len, dictionary)
     label, prob = nnet.predict(model, X[0])
@@ -263,24 +231,14 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if cfg.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    commands = {"build-dataset": cmd_build_dataset, "scan-smells": cmd_scan_smells,
+                "label": cmd_label, "train": cmd_train, "evaluate": cmd_evaluate,
+                "predict": lambda cfg: cmd_predict(cfg, args.summary, args.description)}
     try:
-        if args.command == "build-dataset":
-            return cmd_build_dataset(cfg)
-        if args.command == "scan-smells":
-            return cmd_scan_smells(cfg)
-        if args.command == "label":
-            return cmd_label(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.summary, args.description)
-    except (config.ConfigError, corpus.CorpusError, balance.BalanceError,
-            evaluation.EvalError, smellscan.PmdReportError, ValueError, OSError) as exc:
+        return commands[args.command](cfg)
+    except (ValueError, OSError, corpus.CorpusError) as exc:  # the package's errors are these
         log.error("%s", exc)
         return EXIT_FATAL
-    return EXIT_FATAL
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, nested too deep, or bad UTF-8
             raise ConfigError(f"malformed config {path}: {exc}") from exc
         _load_object(cfg, data, f"config {path}", "")
     for dotted, raw in (overrides or {}).items():

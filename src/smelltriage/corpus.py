@@ -16,6 +16,8 @@ from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 
+from . import datafiles
+
 _HASH_RE = re.compile(r"^[0-9a-f]{40}$")
 _NULL_SHA = "0" * 40
 
@@ -68,7 +70,7 @@ class IssueRecord:
     summary_raw: str = ""
     description_raw: str = ""
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:  # a record is checked wherever it is made
         if not self.issue_id:
             raise ValueError("empty Issue_id")
         if self.fixed_date is not None and self.fixed_date < self.create_date:
@@ -78,7 +80,7 @@ class IssueRecord:
 
     @classmethod
     def from_record(cls, rec: dict) -> "IssueRecord":
-        obj = cls(
+        return cls(
             issue_id=str(rec["Issue_id"]),
             issue_type=IssueType.parse(str(rec.get("Issue_type", "Other"))),
             create_date=parse_utc(rec["Create_date"]),
@@ -86,8 +88,6 @@ class IssueRecord:
             summary_raw=str(rec.get("Summary_raw", "") or ""),
             description_raw=str(rec.get("Description_raw", "") or ""),
         )
-        obj.validate()
-        return obj
 
 
 @dataclass
@@ -95,18 +95,16 @@ class CommitRecord:
     commit_hash: str
     committed_date: datetime
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not _HASH_RE.match(self.commit_hash):
             raise ValueError(f"hash length/format: {self.commit_hash!r} is not 40 lowercase hex")
 
     @classmethod
     def from_record(cls, rec: dict) -> "CommitRecord":
-        obj = cls(
+        return cls(
             commit_hash=str(rec["Commit_Hash"]),
             committed_date=parse_utc(rec["Committed_Date"]),
         )
-        obj.validate()
-        return obj
 
 
 @dataclass
@@ -116,7 +114,7 @@ class FileChange:
     sum_added_lines: int = 0
     sum_removed_lines: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not _HASH_RE.match(self.commit_hash):
             raise ValueError(f"hash length/format: {self.commit_hash!r}")
         if not self.file_path:
@@ -126,14 +124,12 @@ class FileChange:
 
     @classmethod
     def from_record(cls, rec: dict) -> "FileChange":
-        obj = cls(
+        return cls(
             commit_hash=str(rec["Commit_Hash"]),
             file_path=str(rec["File_path"]),
             sum_added_lines=int(rec.get("Sum_added_lines", 0)),
             sum_removed_lines=int(rec.get("Sum_removed_lines", 0)),
         )
-        obj.validate()
-        return obj
 
 
 @dataclass
@@ -141,7 +137,7 @@ class ChangeLink:
     issue_id: str
     commit_hash: str
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.issue_id:
             raise ValueError("empty Issue_id")
         if not _HASH_RE.match(self.commit_hash):
@@ -149,9 +145,7 @@ class ChangeLink:
 
     @classmethod
     def from_record(cls, rec: dict) -> "ChangeLink":
-        obj = cls(issue_id=str(rec["Issue_id"]), commit_hash=str(rec["Commit_Hash"]))
-        obj.validate()
-        return obj
+        return cls(issue_id=str(rec["Issue_id"]), commit_hash=str(rec["Commit_Hash"]))
 
 
 class RecordKind(Enum):
@@ -205,10 +199,7 @@ class CorpusStore:
         """Load one JSON-lines record file; malformed lines and duplicate keys
         are reported per-line and skipped (first occurrence wins)."""
         path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CorpusError(f"unreadable record file {path}: {exc}") from exc
+        text = datafiles.read_text(path)
         result = IngestResult()
         cls = _KIND_CLASSES[kind]
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -219,7 +210,7 @@ class CorpusStore:
                 if isinstance(rec, dict) and "_header" in rec:
                     continue
                 obj = cls.from_record(rec)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (*datafiles.RECORD_ERRORS, RecursionError) as exc:
                 result.diagnostics.append(f"{path.name}:{lineno}: {exc}")
                 continue
             if not self._insert(kind, obj):

@@ -1,9 +1,16 @@
-"""JSON-lines output files with a header line carrying the run seed."""
+"""JSON-lines data files with a header line carrying the run seed, and their readers."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+# what parsing one JSON record raises for a missing, mistyped or out-of-range field
+RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+
+class DataFileError(ValueError):
+    """Content a data file should not hold; the message names the file."""
 
 
 def write_jsonl(path: str | Path, records: list[dict], seed: int | None = None,
@@ -18,16 +25,41 @@ def write_jsonl(path: str | Path, records: list[dict], seed: int | None = None,
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str | Path) -> tuple[dict | None, list[dict]]:
-    """Returns (header or None, records); header lines carry a `_header` key."""
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; other bytes raise DataFileError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFileError(f"{path}: not UTF-8: {exc}") from None
+
+
+def read_jsonl(path: str | Path) -> tuple[dict | None, list]:
+    """Returns (header or None, records); header lines carry a `_header` key.
+    A line that is not JSON raises DataFileError naming the file and line."""
     header = None
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataFileError(f"{path}:{lineno}: {exc}") from None
         if isinstance(rec, dict) and "_header" in rec:
             header = rec["_header"]
         else:
             records.append(rec)
     return header, records
+
+
+def parse_records(records: list, parse, name: str | Path, hint: str = "") -> list:
+    """`parse(record)` of each record read from the file `name`. A record it
+    cannot read raises DataFileError naming the file and the record, then `hint`."""
+    out = []
+    for n, rec in enumerate(records, start=1):
+        try:
+            out.append(parse(rec))
+        except RECORD_ERRORS as exc:
+            raise DataFileError(
+                f"{name} record {n}: missing or malformed field {exc}{hint}") from None
+    return out

@@ -169,6 +169,9 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
     X = np.asarray(X)
     y = np.asarray(y).astype(int)
     balance_cfg = balance_cfg or BalanceConfig()
+    if balance_cfg.enabled and balance_cfg.scope not in ("train", "all"):
+        raise EvalError(f"balance scope {balance_cfg.scope!r}: an experiment balances "
+                        f"either the training folds ('train') or all samples ('all')")
     diagnostics: list[str] = []
     sampling = "none"
     if balance_cfg.enabled:
@@ -186,18 +189,15 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
         train_idx, test_idx = plan.fold_indices(fold)
         X_train, y_train = X[train_idx], y[train_idx]
         X_test, y_test = X[test_idx], y[test_idx]
-        if balance_cfg.enabled and balance_cfg.scope == "train":
-            try:
+        try:
+            if balance_cfg.enabled and balance_cfg.scope == "train":
                 res = balance.smote(X_train, y_train, k=balance_cfg.k, seed=child_seed,
                                     max_index=model_cfg.vocab_size - 1)
                 diagnostics.extend(f"fold {fold}: {d}" for d in res.diagnostics)
                 X_train, y_train = res.X, res.y
-            except balance.BalanceError as exc:
-                raise EvalError(f"fold {fold}: {exc}") from exc
-        try:
             model = nnet.init_model(model_cfg, seed=child_seed)
             model, history = nnet.train(model, X_train, y_train, seed=child_seed)
-        except (nnet.ConfigError, ValueError) as exc:
+        except ValueError as exc:  # BalanceError and ConfigError are ValueErrors
             raise EvalError(f"fold {fold}: {exc}") from exc
         y_pred, _ = nnet.predict_batch(model, X_test)
         row = compute_metrics(ConfusionMatrix.from_predictions(y_test, y_pred))

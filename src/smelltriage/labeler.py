@@ -9,7 +9,7 @@ from typing import Iterator, Protocol
 
 from .corpus import CorpusStore, IssueType, UnlinkedIssueError, DanglingLinkError, CorpusError
 from .smellscan import RuleThresholds, SmellVector, scan_source
-from . import textprep
+from . import datafiles, textprep
 
 
 @dataclass
@@ -47,15 +47,29 @@ class LabeledSample:
 
     @classmethod
     def from_record(cls, rec: dict) -> "LabeledSample":
+        label = int(rec["label"])
+        if label not in (0, 1):
+            raise ValueError(f"label {label} is not 0 or 1")
         return cls(
             issue_id=str(rec["issue_id"]),
             commit_hash=str(rec.get("commit_hash", "")),
             text=str(rec["text"]),
-            label=int(rec["label"]),
+            label=label,
             total_added_smells=int(rec.get("total_added_smells", 0)),
             raw_signed_delta=int(rec.get("raw_signed_delta", 0)),
             synthetic=bool(rec.get("synthetic", False)),
         )
+
+
+def load_dataset(path: str) -> list[LabeledSample]:
+    """The samples of a dataset file to learn from, which has both labels."""
+    samples = datafiles.parse_records(datafiles.read_jsonl(path)[1],
+                                      LabeledSample.from_record, path)
+    labels = sorted({s.label for s in samples})
+    if labels != [0, 1]:
+        raise datafiles.DataFileError(f"{path}: {len(samples)} samples labelled {labels}; "
+                                      f"learning needs both labels 0 and 1")
+    return samples
 
 
 def smell_delta(commit_hash: str, file_path: str,
@@ -134,18 +148,17 @@ class VectorTableSource:
     files: dict[str, list[tuple[str, SmellVector, SmellVector | None]]]
 
     @classmethod
-    def from_records(cls, records: list[dict]) -> "VectorTableSource":
-        """Read back the records written by `vectors_record`."""
+    def from_records(cls, records: list[dict],
+                     name: str = "smell vectors") -> "VectorTableSource":
+        """Read back the records written by `vectors_record`, from the file `name`."""
         files = {}
-        for n, rec in enumerate(records, start=1):
-            try:
-                files[rec["Commit_Hash"]] = [
-                    (f["File_path"], SmellVector.from_record(f),
-                     SmellVector.from_record(f["Previous"]) if f["Previous"] is not None else None)
-                    for f in rec["Files"]]
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise CorpusError(f"smell vectors record {n}: missing or malformed field "
-                                  f"{exc}; rewrite the file with scan-smells") from None
+
+        def add(rec):
+            files[rec["Commit_Hash"]] = [
+                (f["File_path"], SmellVector.from_record(f),
+                 SmellVector.from_record(f["Previous"]) if f["Previous"] is not None else None)
+                for f in rec["Files"]]
+        datafiles.parse_records(records, add, name, "; rewrite the file with scan-smells")
         return cls(files)
 
     def file_vectors(self, commit_hash, diagnostics):

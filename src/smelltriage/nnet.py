@@ -9,14 +9,13 @@ import json
 import math
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
-from typing import Literal
+from typing import Literal, get_args, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 FORMAT_VERSION = 1
 _MAGIC = b"STMODEL1\n"
-_FLOAT_DTYPES = ("float16", "float32", "float64")  # tensor dtype names save_model writes
 _LOSS_EPS = 1e-7
 
 
@@ -65,11 +64,25 @@ class ModelConfig:
 
 
 PARAM_NAMES = ("emb", "w1", "b1", "w2", "b2", "wd", "bd")
+_DTYPES = get_args(get_type_hints(ModelConfig)["dtype"])
+_MIN_INT = {"epochs": 0}  # 0 epochs trains nothing; every other integer is a size >= 1
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of each parameter under cfg. Raises ConfigError when the
-    stages do not compose."""
+    """The shape of each parameter under cfg. Raises ConfigError naming the
+    first setting out of its range, or the first stage that fails to compose."""
+    for f in fields(ModelConfig):
+        value, low = getattr(cfg, f.name), _MIN_INT.get(f.name, 1)
+        if type(f.default) is int and not (type(value) is int and value >= low):
+            raise ConfigError(f"model.{f.name}: expected an integer >= {low}, got {value!r}")
+    if not (type(cfg.dropout_rate) in (int, float) and 0 <= cfg.dropout_rate < 1):
+        raise ConfigError(f"model.dropout_rate: expected a number in [0, 1), "
+                          f"got {cfg.dropout_rate!r}")
+    if not (type(cfg.learning_rate) in (int, float) and 0 < cfg.learning_rate < math.inf):
+        raise ConfigError(f"model.learning_rate: expected a finite number > 0, "
+                          f"got {cfg.learning_rate!r}")
+    if cfg.dtype not in _DTYPES:
+        raise ConfigError(f"model.dtype: expected one of {', '.join(_DTYPES)}, got {cfg.dtype!r}")
     flat = cfg.stage_lengths()[-1]
     return {
         "emb": (cfg.vocab_size, cfg.embed_dim),
@@ -418,7 +431,7 @@ def load_model(path: str | Path, expected_dict_hash: str | None = None) -> Model
         raise ModelFormatError(f"{path}: truncated metadata at offset {pos}")
     try:
         meta = json.loads(data[pos: pos + meta_len].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
         raise ModelFormatError(f"{path}: malformed metadata: {exc}") from exc
     pos += meta_len
     version = meta.get("format_version") if isinstance(meta, dict) else None
@@ -426,9 +439,6 @@ def load_model(path: str | Path, expected_dict_hash: str | None = None) -> Model
         raise ModelFormatError(f"{path}: unsupported format version {version}")
     try:
         cfg = ModelConfig(**meta["config"])
-        for f in fields(ModelConfig):
-            if type(f.default) is int and type(getattr(cfg, f.name)) is not int:
-                raise TypeError(f"config {f.name} is not an integer")
         shapes = _param_shapes(cfg)
         specs = [(t["name"], t["dtype"], tuple(t["shape"])) for t in meta["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
@@ -438,9 +448,9 @@ def load_model(path: str | Path, expected_dict_hash: str | None = None) -> Model
                                f"expected {list(PARAM_NAMES)}")
     arrays = {}
     for name, dtype, shape in specs:
-        if dtype not in _FLOAT_DTYPES or shape != shapes[name]:
+        if dtype != cfg.dtype or shape != shapes[name]:
             raise ModelFormatError(f"{path}: tensor {name} is {dtype} {list(shape)}, but the "
-                                   f"config needs floats of shape {list(shapes[name])}")
+                                   f"config needs {cfg.dtype} {list(shapes[name])}")
         dt, count = np.dtype(dtype), math.prod(shapes[name])
         if len(data) < pos + count * dt.itemsize:
             raise ModelFormatError(f"{path}: truncated tensor {name} at offset {pos}")

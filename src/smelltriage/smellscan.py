@@ -620,9 +620,10 @@ class PmdIngestResult:
     diagnostics: list[str]
 
 
-def ingest_pmd_report(report_xml: str,
-                      thresholds: RuleThresholds | None = None) -> PmdIngestResult:
-    """Read a PMD XML report; violations matching the 16 rule names set flags.
+def ingest_pmd_report(report_xml: str, thresholds: RuleThresholds | None = None,
+                      name: str = "PMD report") -> PmdIngestResult:
+    """Read a PMD XML report, from the file `name`; violations matching the
+    16 rule names set flags.
 
     PMD has already applied its thresholds, so cyclomatic/NPath raw values are
     recorded as threshold+1 sentinels.
@@ -631,7 +632,7 @@ def ingest_pmd_report(report_xml: str,
     try:
         root = ET.fromstring(report_xml)
     except ET.ParseError as exc:
-        raise PmdReportError(f"malformed PMD XML: {exc}") from exc
+        raise PmdReportError(f"{name}: malformed PMD XML: {exc}") from exc
 
     name_set = set(RULE_NAMES)
     unmatched: dict[str, int] = {}

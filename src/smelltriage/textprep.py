@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import datafiles
 from .stemmer import stem
 
 PAD_INDEX = 0
@@ -65,12 +66,18 @@ class Dictionary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Dictionary":
+        """Read a file written by `save`; a line that is not <word><tab><index>
+        raises DataFileError naming the file and the line."""
+        text = datafiles.read_text(path)
         mapping: dict[str, int] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            word, idx = line.rsplit("\t", 1)
-            mapping[word] = int(idx)
+        try:
+            for line in text.splitlines():
+                if line.strip():
+                    word, idx = line.rsplit("\t", 1)
+                    mapping[word] = int(idx)
+        except ValueError:  # numbered only now: the first line equal to this one failed
+            lineno = text.splitlines().index(line) + 1
+            raise datafiles.DataFileError(f"{path}:{lineno}: expected <word><tab><index>") from None
         return cls(mapping)
 
 

@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import SMELL_FIXTURE_DIR, _git
 from smelltriage import cli, datafiles, nnet, textprep
@@ -81,7 +82,7 @@ def test_label_rejects_old_format_vectors_in_one_line(bug_repo, tmp_path, caplog
         "--paths.smell_vectors", str(old), "label"])
     assert rc == EXIT_FATAL
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert errors == ["smell vectors record 1: missing or malformed field 'Files'; "
+    assert errors == [f"{old} record 1: missing or malformed field 'Files'; "
                       "rewrite the file with scan-smells"]
 
 
@@ -476,3 +477,114 @@ def test_mistyped_setting_is_a_one_line_error(flags, config_doc, command, messag
     assert cli.main(args + _TINY_MODEL_FLAGS + flags + [command]) == EXIT_FATAL
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
+
+
+def _errors(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("embed_dim", "0"), ("conv1_filters", "0"), ("batch_size", "0"), ("epochs", "-1"),
+    ("dropout_rate", "1.5"), ("learning_rate", "nan"), ("learning_rate", "0"),
+])
+def test_model_setting_out_of_range_is_a_one_line_error(key, value, tmp_path, caplog):
+    """embed_dim 0 ended in a ZeroDivisionError traceback and batch_size 0 in a
+    range() error; the others trained and exited 0."""
+    ds = _tiny_dataset(tmp_path / "dataset.jsonl")
+    rc = cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path)] + _TINY_MODEL_FLAGS
+                  + [f"--model.{key}", value, "train"])
+    assert rc == EXIT_FATAL
+    errors = _errors(caplog)
+    assert len(errors) == 1 and errors[0].startswith(f"model.{key}: expected ")
+    assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A directory with a tiny dataset and the model and dictionary trained on it."""
+    d = tmp_path_factory.mktemp("trained")
+    ds = _tiny_dataset(d / "dataset.jsonl")
+    assert cli.main(["--paths.dataset", str(ds), "--out", str(d)]
+                    + _TINY_MODEL_FLAGS + ["train"]) == EXIT_OK
+    return d
+
+
+@pytest.mark.parametrize("command,key", [
+    ("build-dataset", "issues"), ("build-dataset", "links"), ("build-dataset", "repo"),
+    ("scan-smells", "repo"), ("label", "smell_vectors"), ("train", "dataset"),
+    ("evaluate", "dataset"), ("predict", "model"), ("predict", "dictionary"),
+])
+def test_missing_path_setting_is_a_one_line_error(command, key, bug_repo, trained,
+                                                  tmp_path, caplog):
+    args = _base_args(bug_repo, tmp_path) + [
+        "--paths.dataset", str(trained / "dataset.jsonl"),
+        "--paths.model", str(trained / "model.bin"),
+        "--paths.dictionary", str(trained / "dictionary.tsv")]
+    flag = f"--paths.{key}"
+    if flag in args:
+        del args[args.index(flag): args.index(flag) + 2]
+    assert cli.main(args + [command]) == EXIT_FATAL
+    assert _errors(caplog) == [f"missing input: paths.{key}"]
+
+
+def test_malformed_inputs_name_their_file_and_line_or_record(trained, tmp_path, caplog):
+    """Each of these failed without naming the file, or in a traceback."""
+    ds = tmp_path / "dataset.jsonl"
+    good = json.dumps({"issue_id": "T-1", "text": "crash", "label": 1})
+    cases = [
+        ("dataset", f'{good}\n"just a string"\n', "train",
+         f"{ds} record 2: missing or malformed field "),
+        ("dataset", f'{good}\n{{"issue_id": "T-2", "label": 0}}\n', "train",
+         f"{ds} record 2: missing or malformed field 'text'"),
+        ("dataset", f"{good}\n\nnot json\n", "evaluate",
+         f"{ds}:3: Expecting value: line 1 column 1 (char 0)"),
+        ("dictionary", "crash\t2\nno index here\n", "predict",
+         f"{tmp_path / 'dictionary.tsv'}:2: expected <word><tab><index>"),
+    ]
+    for key, text, command, message in cases:
+        path = ds if key == "dataset" else tmp_path / "dictionary.tsv"
+        path.write_text(text, encoding="utf-8")
+        caplog.clear()
+        rc = cli.main(["--paths.dataset", str(ds), "--paths.model", str(trained / "model.bin"),
+                       "--paths.dictionary", str(tmp_path / "dictionary.tsv"),
+                       "--out", str(tmp_path / "out")] + _TINY_MODEL_FLAGS + [command])
+        assert rc == EXIT_FATAL
+        errors = _errors(caplog)
+        assert len(errors) == 1 and errors[0].startswith(message), (key, text)
+
+
+_ARBITRARY_TEXT = st.one_of(
+    st.text(),
+    st.text().map(lambda t: "STMODEL1\n" + t),  # past the model file's magic
+    st.integers(1, 100_000).map(lambda n: "[" * n),  # nested deeper than json's recursion
+)
+
+
+@pytest.mark.parametrize("command,key", [
+    ("train", "dataset"), ("evaluate", "dataset"), ("predict", "dictionary"),
+    ("predict", "model"), ("label", "smell_vectors"), ("build-dataset", "records"),
+])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_ARBITRARY_TEXT,
+       record_kind=st.sampled_from(["issues", "commits", "changes", "links"]))
+def test_any_text_as_an_input_exits_with_a_code_and_at_most_one_error(
+        command, key, text, record_kind, bug_repo, trained, tmp_path, caplog):
+    """Exit 1 comes with one ERROR line that names the file; the other exits
+    with none. Nothing raises. `build-dataset` reads the text as one of its
+    four record files."""
+    key = record_kind if key == "records" else key
+    path = tmp_path / f"{key}.input"
+    path.write_text(text, encoding="utf-8")
+    args = _base_args(bug_repo, tmp_path / "out") + [
+        "--paths.model", str(trained / "model.bin"),
+        "--paths.dictionary", str(trained / "dictionary.tsv"),
+        "--eval.folds", "2"] + _TINY_MODEL_FLAGS + [f"--paths.{key}", str(path), command]
+    if command == "predict":
+        args += ["--summary", "crash in parser"]
+    caplog.clear()
+    rc = cli.main(args)
+    errors = _errors(caplog)
+    if rc == EXIT_FATAL:
+        assert len(errors) == 1 and str(path) in errors[0]
+    else:
+        assert rc in (EXIT_OK, EXIT_DIAGNOSTICS) and errors == []

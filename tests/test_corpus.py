@@ -12,6 +12,7 @@ from smelltriage.corpus import (
     FileChange, IngestResult, IssueRecord, IssueType, RecordKind,
     UnlinkedIssueError, parse_utc,
 )
+from smelltriage.datafiles import DataFileError
 
 
 HASH_A = "a" * 40
@@ -96,9 +97,33 @@ def test_ingest_reports_malformed_lines_and_duplicates(tmp_path):
     assert any("duplicate key" in d for d in result.diagnostics)
 
 
+def test_ingest_reports_mistyped_dates_and_deep_nesting_as_line_diagnostics(tmp_path):
+    """A date that is not a string, one that leaves the datetime range in UTC,
+    and a line nested deeper than the JSON decoder recurses each ended the run
+    in a traceback."""
+    p = tmp_path / "commits.jsonl"
+    lines = [json.dumps({"Commit_Hash": HASH_A, "Committed_Date": 5}),
+             json.dumps({"Commit_Hash": HASH_A, "Committed_Date": "0001-01-01T00:00:00+01:00"}),
+             "[" * 100_000,
+             json.dumps({"Commit_Hash": HASH_A, "Committed_Date": "2020-01-01T00:00:00Z"})]
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = CorpusStore().ingest_records(p, RecordKind.COMMITS)
+    assert result.accepted == 1
+    assert [d.split(":")[:2] for d in result.diagnostics] == [
+        ["commits.jsonl", "1"], ["commits.jsonl", "2"], ["commits.jsonl", "3"]]
+
+
+def test_ingest_non_utf8_file_raises_naming_it(tmp_path):
+    p = tmp_path / "issues.jsonl"
+    p.write_bytes(b'{"Issue_id": "\xff"}\n')
+    with pytest.raises(DataFileError, match=f"^{p}: not UTF-8: 'utf-8' codec"):
+        CorpusStore().ingest_records(p, RecordKind.ISSUES)
+
+
 def test_ingest_missing_file_raises(tmp_path):
-    with pytest.raises(CorpusError, match="unreadable"):
-        CorpusStore().ingest_records(tmp_path / "missing.jsonl", RecordKind.ISSUES)
+    missing = tmp_path / "missing.jsonl"
+    with pytest.raises(FileNotFoundError, match=str(missing)):
+        CorpusStore().ingest_records(missing, RecordKind.ISSUES)
 
 
 def _store_with_links():

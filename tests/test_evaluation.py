@@ -113,6 +113,14 @@ def test_run_kfold_scope_all_balances_before_folding():
     assert report.mean.sampling == "SMOTE/all"
 
 
+def test_run_kfold_refuses_scope_both():
+    """`both` means two experiments, which only the CLI runs; the experiment
+    used to skip SMOTE and label every row SMOTE/both."""
+    X, y = _tiny_data()
+    with pytest.raises(EvalError, match="balance scope 'both'"):
+        run_kfold_experiment(X, y, _tiny_model_cfg(20), BalanceConfig(scope="both"), k=3)
+
+
 def test_run_kfold_balance_disabled():
     X, y = _tiny_data()
     cfg = BalanceConfig(enabled=False)

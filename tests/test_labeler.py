@@ -1,14 +1,16 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import SMELL_FIXTURE_DIR, _git
-from smelltriage import labeler
+from smelltriage import datafiles, labeler
 from smelltriage.corpus import (
     ChangeLink, CommitRecord, CorpusError, CorpusStore, IssueRecord, IssueType, RecordKind,
     parse_utc,
 )
+from smelltriage.datafiles import DataFileError
 from smelltriage.labeler import (
     GitScanSource, LabeledSample, VectorTableSource, build_labeled_dataset,
     fix_commits, label_commit, smell_delta, vectors_record,
@@ -85,6 +87,22 @@ def test_labeled_sample_record_roundtrip():
     assert LabeledSample.from_record(s.to_record()) == s
 
 
+@pytest.mark.parametrize("records, message", [
+    ([], "0 samples labelled []; learning needs both labels 0 and 1"),
+    ([{"issue_id": "A", "text": "t", "label": 1}] * 2,
+     "2 samples labelled [1]; learning needs both labels 0 and 1"),
+    ([{"issue_id": "A", "text": "t", "label": 0}, {"issue_id": "B", "text": "t", "label": 2}],
+     "record 2: missing or malformed field label 2 is not 0 or 1"),
+    ([{"issue_id": "A", "text": "t", "label": 0}, ["A", "t", 1]],
+     "record 2: missing or malformed field "),
+])
+def test_load_dataset_refuses_what_cannot_be_learned_from(records, message, tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    datafiles.write_jsonl(path, records, seed=0, kind="labeled-dataset")
+    with pytest.raises(DataFileError, match=re.escape(f"{path}") + ":? " + re.escape(message)):
+        labeler.load_dataset(path)
+
+
 def test_vector_table_source_returns_recorded_previous():
     cur = _vec([1] + [0] * 15)
     prev = _vec([0] * 16)
@@ -133,7 +151,7 @@ def test_vector_table_source_unknown_commit_raises():
      "'Previous'"),
 ])
 def test_from_records_rejects_a_record_without_files_or_previous(record, field):
-    with pytest.raises(CorpusError, match=f"record 1: missing or malformed field {field}"):
+    with pytest.raises(DataFileError, match=f"record 1: missing or malformed field {field}"):
         VectorTableSource.from_records([record])
 
 

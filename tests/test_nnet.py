@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -471,6 +472,16 @@ def test_load_rejects_or_reproduces_a_mutated_file(saved_model, kind, at, xor, e
             mutated[payload:]
 
 
+def _rewrite_meta(data, path, edit):
+    """Write `data` to `path` with its metadata changed by `edit`."""
+    start = len(nnet._MAGIC) + 8
+    meta_len = int.from_bytes(data[len(nnet._MAGIC):start], "little")
+    meta = json.loads(data[start:start + meta_len])
+    edit(meta)
+    raw = json.dumps(meta).encode()
+    path.write_bytes(nnet._MAGIC + len(raw).to_bytes(8, "little") + raw + data[start + meta_len:])
+
+
 @pytest.mark.parametrize("edit", [
     lambda meta: meta["tensors"][5].update(name="wx"),
     lambda meta: meta["config"].update(embed_dims=4),
@@ -479,13 +490,43 @@ def test_load_rejects_or_reproduces_a_mutated_file(saved_model, kind, at, xor, e
 ])
 def test_load_rejects_metadata_that_does_not_describe_the_tensors(saved_model, edit):
     _, data, path = saved_model
-    meta_len = int.from_bytes(data[len(nnet._MAGIC):len(nnet._MAGIC) + 8], "little")
-    start = len(nnet._MAGIC) + 8
-    meta = json.loads(data[start:start + meta_len])
-    edit(meta)
-    raw = json.dumps(meta).encode()
-    path.write_bytes(nnet._MAGIC + len(raw).to_bytes(8, "little") + raw + data[start + meta_len:])
+    _rewrite_meta(data, path, edit)
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+_OUT_OF_RANGE = [("embed_dim", 0), ("conv2_width", 0), ("batch_size", 0), ("epochs", -1),
+                 ("vocab_size", 2.0), ("dropout_rate", 1.0), ("dropout_rate", -0.1),
+                 ("learning_rate", 0.0), ("learning_rate", float("inf")),
+                 ("learning_rate", float("nan")), ("dtype", "float16")]
+
+
+@pytest.mark.parametrize("key, value", _OUT_OF_RANGE)
+def test_init_model_refuses_a_setting_out_of_range(key, value):
+    cfg = ModelConfig(vocab_size=5, seq_len=10, embed_dim=2, conv1_filters=2,
+                      conv1_width=2, conv2_filters=2, conv2_width=2, pool_size=2)
+    with pytest.raises(ConfigError, match=f"^model.{key}: expected "):
+        init_model(dataclasses.replace(cfg, **{key: value}), 0)
+
+
+@pytest.mark.parametrize("key, value", _OUT_OF_RANGE)
+def test_load_rejects_a_config_out_of_range(saved_model, key, value):
+    _, data, path = saved_model
+    _rewrite_meta(data, path, lambda meta: meta["config"].update({key: value}))
+    with pytest.raises(ModelFormatError, match=f"model.{key}: expected "):
+        load_model(path)
+
+
+def test_load_rejects_tensors_of_another_dtype_than_the_config(saved_model, tmp_path):
+    """float16 tensors loaded as float16 arrays into a float32 model."""
+    model, _, _ = saved_model
+    half = Model(model.cfg, *(getattr(model, n).astype(np.float16) for n in nnet.PARAM_NAMES))
+    path = tmp_path / "half.bin"
+    save_model(half, path)
+    with pytest.raises(ModelFormatError, match="tensor emb is float16 .*needs float32"):
+        load_model(path)
+    _rewrite_meta(path.read_bytes(), path, lambda meta: meta["config"].update(dtype="float16"))
+    with pytest.raises(ModelFormatError, match="model.dtype: expected"):
         load_model(path)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smelltriage import textprep
+from smelltriage.datafiles import DataFileError
 from smelltriage.textprep import (
     Dictionary, TokenDocument, build_vocabulary, doc2indices,
     preprocess, tokenize, PAD_INDEX, OOV_INDEX,
@@ -71,6 +72,19 @@ def test_dictionary_roundtrip(tmp_path):
     loaded = Dictionary.load(p)
     assert loaded.word_to_index == d.word_to_index
     assert loaded.content_hash() == d.content_hash()
+
+
+def test_dictionary_load_names_the_first_bad_line(tmp_path):
+    p = tmp_path / "dict.tsv"
+    p.write_text("alpha\t2\n\nno tab\nbeta\t3\nno tab\n", encoding="utf-8")
+    with pytest.raises(DataFileError, match=f"^{p}:3: expected <word><tab><index>$"):
+        Dictionary.load(p)
+    p.write_text("alpha\t2\nbeta\tthree\n", encoding="utf-8")
+    with pytest.raises(DataFileError, match=f"^{p}:2: "):
+        Dictionary.load(p)
+    p.write_bytes(b"alpha\t2\n\xff\t3\n")
+    with pytest.raises(DataFileError, match=f"^{p}: not UTF-8"):
+        Dictionary.load(p)
 
 
 def test_dictionary_hash_changes_with_content():
