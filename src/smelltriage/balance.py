@@ -19,6 +19,10 @@ class BalanceError(ValueError):
     pass
 
 
+class TooFewMinorityError(BalanceError):
+    """The minority class has too few samples to pick neighbours among."""
+
+
 @dataclass
 class SmoteRecord:
     """Provenance of one synthetic sample: s = x + g * (n - x)."""
@@ -44,7 +48,7 @@ def k_nearest_minority(X_minority: np.ndarray, index: int, k: int) -> list[int]:
     X = np.asarray(X_minority, dtype=np.float64)
     n = len(X)
     if n <= 1:
-        raise BalanceError("minority class has <= 1 sample, cannot pick neighbors")
+        raise TooFewMinorityError("minority class has <= 1 sample, cannot pick neighbors")
     if k < 1:
         raise BalanceError("k must be >= 1")
     d = np.linalg.norm(X - X[index], axis=1)
@@ -76,7 +80,7 @@ def smote(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
     minority_idx = np.flatnonzero(y == minority)
     Xm = X[minority_idx].astype(np.float64)
     if len(Xm) <= 1:
-        raise BalanceError("minority class has <= 1 sample, cannot oversample")
+        raise TooFewMinorityError("minority class has <= 1 sample, cannot oversample")
     if len(Xm) <= k:
         diagnostics.append(f"k shrunk from {k} to {len(Xm) - 1}: minority count {len(Xm)}")
         k = len(Xm) - 1

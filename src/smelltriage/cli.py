@@ -83,6 +83,10 @@ def _load_store(cfg: config.RunConfig) -> tuple[corpus.CorpusStore, list[str]]:
 def _git_source(cfg: config.RunConfig, store: corpus.CorpusStore) -> labeler.GitScanSource:
     """The built-in scanner over the checkout at `paths.repo`."""
     store.repo_path = Path(_required(cfg, "repo"))
+    try:
+        store._git("rev-parse", "--git-dir")
+    except corpus.GitCommandError:
+        raise config.ConfigError(f"paths.repo: {store.repo_path} is not a git repository") from None
     return labeler.GitScanSource(store=store, thresholds=cfg.smell)
 
 
@@ -181,7 +185,8 @@ def cmd_train(cfg: config.RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: config.RunConfig) -> int:
-    samples = labeler.load_dataset(_required(cfg, "dataset"))
+    ds_path = _required(cfg, "dataset")
+    samples = labeler.load_dataset(ds_path)
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
     scopes = ["train", "all"] if cfg.balance.scope == "both" else [cfg.balance.scope]
     out_dir = Path(cfg.paths.out_dir)
@@ -190,8 +195,12 @@ def cmd_evaluate(cfg: config.RunConfig) -> int:
     diagnostics: list[str] = []
     for scope in scopes:
         bal = dataclasses.replace(cfg.balance, scope=scope)
-        report = evaluation.run_kfold_experiment(
-            X, y, model_cfg, bal, k=cfg.eval.folds, seed=cfg.seed, project=cfg.project)
+        try:
+            report = evaluation.run_kfold_experiment(
+                X, y, model_cfg, bal, k=cfg.eval.folds, seed=cfg.seed, project=cfg.project)
+        except evaluation.TooFewSamplesError as exc:
+            raise evaluation.EvalError(f"{ds_path}: too few samples for "
+                                       f"eval.folds={cfg.eval.folds}: {exc}") from None
         suffix = f"_{scope}" if len(scopes) > 1 else ""
         (out_dir / f"report{suffix}.tsv").write_text(
             f"# seed={cfg.seed}\n" + evaluation.format_report(report, class1, total),
@@ -208,7 +217,7 @@ def cmd_predict(cfg: config.RunConfig, summary: str, description: str) -> int:
     model_path, dict_path = _required(cfg, "model"), _required(cfg, "dictionary")
     model = nnet.load_model(model_path)
     dictionary = textprep.Dictionary.load(dict_path)
-    if dictionary.content_hash() != model.dict_hash:  # each file is valid; the pair is not
+    if not dictionary.matches(model.dict_hash):  # each file is valid; the pair is not
         raise config.ConfigError(f"{model_path}: trained with dictionary {model.dict_hash!r}, "
                                  f"not with {dict_path}")
     X, _ = textprep.featurize([textprep.report_text(summary, description)],

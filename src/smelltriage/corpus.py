@@ -192,6 +192,8 @@ class CorpusStore:
     links: dict[tuple[str, str], ChangeLink] = field(default_factory=dict)
     repo_path: Path | None = None
     source_extensions: tuple[str, ...] = (".java",)
+    # issue id -> its linked commits in link order: the links table indexed by issue
+    _commits_by_issue: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
 
     # -- ingest -------------------------------------------------------------
 
@@ -225,6 +227,8 @@ class CorpusStore:
         if key in table:
             return False
         table[key] = obj
+        if table is self.links:  # cheaper than comparing the enum member per record
+            self._commits_by_issue.setdefault(obj.issue_id, []).append(obj.commit_hash)
         return True
 
     # -- queries ------------------------------------------------------------
@@ -233,7 +237,7 @@ class CorpusStore:
         """The linked fix commit; with several links, the latest committed_date wins."""
         if issue_id not in self.issues:
             raise CorpusError(f"unknown issue {issue_id}")
-        linked = [h for i, h in self.links if i == issue_id]
+        linked = self._commits_by_issue.get(issue_id, [])
         if not linked:
             raise UnlinkedIssueError(f"unlinked issue {issue_id}")
         dated = []

@@ -15,6 +15,11 @@ class EvalError(ValueError):
     pass
 
 
+class TooFewSamplesError(EvalError):
+    """The samples cannot fill k folds: a class has fewer than k, or a training
+    fold too few of the minority class to oversample."""
+
+
 @dataclass
 class FoldPlan:
     k: int
@@ -98,7 +103,7 @@ def stratified_folds(labels, k: int, seed: int) -> FoldPlan:
     for cls in sorted(np.unique(labels)):
         idx = np.flatnonzero(labels == cls)
         if len(idx) < k:
-            raise EvalError(f"class {cls} has {len(idx)} samples, fewer than k={k}")
+            raise TooFewSamplesError(f"class {cls} has {len(idx)} samples, fewer than k={k}")
         shuffled = rng.permutation(idx)
         for pos, sample in enumerate(shuffled):
             assignments[sample] = pos % k
@@ -197,6 +202,8 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
                 X_train, y_train = res.X, res.y
             model = nnet.init_model(model_cfg, seed=child_seed)
             model, history = nnet.train(model, X_train, y_train, seed=child_seed)
+        except balance.TooFewMinorityError as exc:
+            raise TooFewSamplesError(f"fold {fold}: {exc}") from exc
         except ValueError as exc:  # BalanceError and ConfigError are ValueErrors
             raise EvalError(f"fold {fold}: {exc}") from exc
         y_pred, _ = nnet.predict_batch(model, X_test)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Literal, get_args, get_type_hints
@@ -418,46 +419,51 @@ def load_model(path: str | Path, expected_dict_hash: str | None = None) -> Model
     ModelFormatError: a truncated or extended file, malformed metadata, or
     tensors whose names or shapes do not match the stored config, or a model
     trained with a dictionary other than the one `expected_dict_hash` names.
-    The tensor bytes themselves carry no checksum."""
-    data = Path(path).read_bytes()
-    if not data.startswith(_MAGIC):
-        raise ModelFormatError(f"{path}: bad magic at offset 0")
-    pos = len(_MAGIC)
-    if len(data) < pos + 8:
-        raise ModelFormatError(f"{path}: truncated header at offset {pos}")
-    meta_len = int.from_bytes(data[pos: pos + 8], "little")
-    pos += 8
-    if len(data) < pos + meta_len:
-        raise ModelFormatError(f"{path}: truncated metadata at offset {pos}")
-    try:
-        meta = json.loads(data[pos: pos + meta_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
-        raise ModelFormatError(f"{path}: malformed metadata: {exc}") from exc
-    pos += meta_len
-    version = meta.get("format_version") if isinstance(meta, dict) else None
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unsupported format version {version}")
-    try:
-        cfg = ModelConfig(**meta["config"])
-        shapes = _param_shapes(cfg)
-        specs = [(t["name"], t["dtype"], tuple(t["shape"])) for t in meta["tensors"]]
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
-        raise ModelFormatError(f"{path}: malformed metadata: {exc!r}") from exc
-    if [name for name, _, _ in specs] != list(PARAM_NAMES):
-        raise ModelFormatError(f"{path}: tensors {[name for name, _, _ in specs]}, "
-                               f"expected {list(PARAM_NAMES)}")
-    arrays = {}
-    for name, dtype, shape in specs:
-        if dtype != cfg.dtype or shape != shapes[name]:
-            raise ModelFormatError(f"{path}: tensor {name} is {dtype} {list(shape)}, but the "
-                                   f"config needs {cfg.dtype} {list(shapes[name])}")
-        dt, count = np.dtype(dtype), math.prod(shapes[name])
-        if len(data) < pos + count * dt.itemsize:
-            raise ModelFormatError(f"{path}: truncated tensor {name} at offset {pos}")
-        arrays[name] = np.frombuffer(data, dt, count, pos).reshape(shapes[name]).copy()
-        pos += count * dt.itemsize
-    if pos != len(data):
-        raise ModelFormatError(f"{path}: {len(data) - pos} trailing bytes after the last "
+    The tensor bytes themselves carry no checksum. Each tensor is read
+    straight into its own array, once every length before it is known to fit
+    the file."""
+    with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise ModelFormatError(f"{path}: bad magic at offset 0")
+        pos = len(_MAGIC)
+        if size < pos + 8:
+            raise ModelFormatError(f"{path}: truncated header at offset {pos}")
+        meta_len = int.from_bytes(fh.read(8), "little")
+        pos += 8
+        if size < pos + meta_len:
+            raise ModelFormatError(f"{path}: truncated metadata at offset {pos}")
+        try:
+            meta = json.loads(fh.read(meta_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
+            raise ModelFormatError(f"{path}: malformed metadata: {exc}") from exc
+        pos += meta_len
+        version = meta.get("format_version") if isinstance(meta, dict) else None
+        if version != FORMAT_VERSION:
+            raise ModelFormatError(f"{path}: unsupported format version {version}")
+        try:
+            cfg = ModelConfig(**meta["config"])
+            shapes = _param_shapes(cfg)
+            specs = [(t["name"], t["dtype"], tuple(t["shape"])) for t in meta["tensors"]]
+        except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+            raise ModelFormatError(f"{path}: malformed metadata: {exc!r}") from exc
+        if [name for name, _, _ in specs] != list(PARAM_NAMES):
+            raise ModelFormatError(f"{path}: tensors {[name for name, _, _ in specs]}, "
+                                   f"expected {list(PARAM_NAMES)}")
+        arrays = {}
+        for name, dtype, shape in specs:
+            if dtype != cfg.dtype or shape != shapes[name]:
+                raise ModelFormatError(f"{path}: tensor {name} is {dtype} {list(shape)}, but "
+                                       f"the config needs {cfg.dtype} {list(shapes[name])}")
+            nbytes = math.prod(shapes[name]) * np.dtype(cfg.dtype).itemsize
+            if size < pos + nbytes:  # checked before allocating what the header claims
+                raise ModelFormatError(f"{path}: truncated tensor {name} at offset {pos}")
+            arrays[name] = np.empty(shapes[name], cfg.dtype)
+            if fh.readinto(arrays[name]) != nbytes:  # the file shrank while being read
+                raise ModelFormatError(f"{path}: truncated tensor {name} at offset {pos}")
+            pos += nbytes
+    if pos != size:
+        raise ModelFormatError(f"{path}: {size - pos} trailing bytes after the last "
                                f"tensor at offset {pos}")
     if expected_dict_hash is not None and meta.get("dict_hash") != expected_dict_hash:
         raise ModelFormatError(f"{path}: trained with dictionary {meta.get('dict_hash')!r}, "

@@ -46,6 +46,8 @@ class Dictionary:
     """word -> index map; index 0 is padding, index 1 is out-of-vocabulary."""
 
     word_to_index: dict[str, int] = field(default_factory=dict)
+    # the SHA-256 of the bytes `load` read: content_hash() for a file `save` wrote
+    file_hash: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def vocab_size(self) -> int:
@@ -61,24 +63,46 @@ class Dictionary:
     def content_hash(self) -> str:
         return hashlib.sha256(self.export_text().encode("utf-8")).hexdigest()
 
+    def matches(self, digest: str) -> bool:
+        """Whether content_hash() is `digest`. A file `save` wrote holds exactly
+        the bytes content_hash() hashes, so the hash of the bytes `load` read
+        settles it without the re-export."""
+        return self.file_hash == digest or self.content_hash() == digest
+
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.export_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Dictionary":
-        """Read a file written by `save`; a line that is not <word><tab><index>
-        raises DataFileError naming the file and the line."""
-        text = datafiles.read_text(path)
-        mapping: dict[str, int] = {}
-        try:
-            for line in text.splitlines():
-                if line.strip():
-                    word, idx = line.rsplit("\t", 1)
-                    mapping[word] = int(idx)
-        except ValueError:  # numbered only now: the first line equal to this one failed
-            lineno = text.splitlines().index(line) + 1
-            raise datafiles.DataFileError(f"{path}:{lineno}: expected <word><tab><index>") from None
-        return cls(mapping)
+        """Read a file of <word><tab><index> lines, as `save` writes it. Blank
+        lines are skipped; any other line without a tab and an integer after
+        its last tab raises DataFileError naming the file and the line."""
+        data = Path(path).read_bytes()
+        lines = datafiles.decode(data, path).splitlines()
+        mapping: dict[str, int] | None = {}
+        try:  # one pass for a file `save` wrote, with no check per line
+            for line in lines:
+                word, _, idx = line.rpartition("\t")
+                mapping[word] = int(idx)
+        except ValueError:  # a blank or bad line
+            mapping = None
+        if mapping is None or "" in mapping:  # "" is also the word of a line without a tab
+            mapping = _parse_lines(lines, path)
+        return cls(mapping, hashlib.sha256(data).hexdigest())
+
+
+def _parse_lines(lines: list[str], path: str | Path) -> dict[str, int]:
+    """`Dictionary.load`'s checked pass, line by line."""
+    mapping: dict[str, int] = {}
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                word, idx = line.rsplit("\t", 1)
+                mapping[word] = int(idx)
+            except ValueError:
+                raise datafiles.DataFileError(
+                    f"{path}:{lineno}: expected <word><tab><index>") from None
+    return mapping
 
 
 def build_vocabulary(documents: list[TokenDocument], max_vocab: int | None = None) -> Dictionary:

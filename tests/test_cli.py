@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import textprep_oracle
 from conftest import SMELL_FIXTURE_DIR, _git
 from smelltriage import cli, datafiles, nnet, textprep
 from smelltriage.cli import EXIT_DIAGNOSTICS, EXIT_FATAL, EXIT_OK
@@ -56,6 +57,21 @@ def test_scan_smells_emits_commit_and_parent_rows(bug_repo, tmp_path):
     assert service["File_path"] == "Service.java"
     assert service["GodClass"] == 0
     assert service["Previous"]["GodClass"] == 0
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "scan-smells"])
+@pytest.mark.parametrize("repo", ["absent", "plain"])
+def test_a_repo_that_is_not_a_git_checkout_is_a_one_line_error(command, repo, bug_repo,
+                                                               tmp_path, caplog):
+    """Each fix commit's git call used to fail on its own: 3,090 skips or 90
+    warnings and exit 2 on the benchmark's label history."""
+    path = tmp_path / repo
+    if repo == "plain":
+        path.mkdir()
+    args = _base_args(bug_repo, tmp_path / "out")
+    args[args.index("--paths.repo") + 1] = str(path)
+    assert cli.main(args + [command]) == EXIT_FATAL
+    assert _errors(caplog) == [f"paths.repo: {path} is not a git repository"]
 
 
 def test_label_from_precomputed_vectors(bug_repo, tmp_path):
@@ -340,6 +356,43 @@ def test_predict_refuses_a_dictionary_the_model_was_not_trained_with(tmp_path, c
     assert len(errors) == 1 and "trained with dictionary" in errors[0]
 
 
+def test_predict_checks_the_dictionary_by_its_bytes_then_by_its_words(trained, tmp_path,
+                                                                      capsys, caplog,
+                                                                      monkeypatch):
+    """The dictionary `train` wrote matches by the hash of its bytes; a CRLF copy
+    of it by a re-export of its words, and prints the same line; another
+    dictionary is refused, naming both files."""
+    model_path, dict_path = trained / "model.bin", trained / "dictionary.tsv"
+    words = textprep_oracle.load(dict_path)  # read as before the hash of the bytes
+    model = nnet.load_model(model_path)
+    X, _ = textprep.featurize([textprep.report_text("crash in parser", "")],
+                              model.cfg.seq_len, textprep.Dictionary(words))
+    label, prob = nnet.predict(model, X[0])
+    expected = [f"label={label} probability={prob:.6f}",
+                "refer to designer" if label == 1 else "assign to programmer"]
+    crlf, other = tmp_path / "crlf.tsv", tmp_path / "other.tsv"
+    crlf.write_bytes(dict_path.read_bytes().replace(b"\n", b"\r\n"))
+    textprep.Dictionary({**words, "unseen": max(words.values()) + 1}).save(other)
+    re_exports = []
+    content_hash = textprep.Dictionary.content_hash
+    monkeypatch.setattr(textprep.Dictionary, "content_hash",
+                        lambda self: re_exports.append(1) or content_hash(self))
+
+    def predict(dictionary):
+        capsys.readouterr()
+        re_exports.clear()
+        rc = cli.main(["--paths.model", str(model_path), "--paths.dictionary", str(dictionary),
+                       "predict", "--summary", "crash in parser"])
+        return rc, capsys.readouterr().out.splitlines(), len(re_exports)
+
+    assert predict(dict_path) == (EXIT_OK, expected, 0)
+    assert predict(crlf) == (EXIT_OK, expected, 1)
+    caplog.clear()
+    assert predict(other) == (EXIT_FATAL, [], 1)
+    assert _errors(caplog) == [f"{model_path}: trained with dictionary {model.dict_hash!r}, "
+                               f"not with {other}"]
+
+
 def _imbalanced_dataset(path):
     """12 reports, 3 of them positive: SMOTE's k=5 must shrink to 2."""
     records = [{"issue_id": f"T-{i}", "commit_hash": "", "label": int(i < 3),
@@ -412,6 +465,22 @@ def test_evaluate_with_one_fold_is_a_one_line_error(tmp_path, caplog):
     assert rc == EXIT_FATAL
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert errors == ["k must be >= 2, got 1"]
+
+
+@pytest.mark.parametrize("folds,message", [
+    ("5", "class 1 has 2 samples, fewer than k=5"),
+    ("2", "fold 0: minority class has <= 1 sample, cannot oversample"),
+], ids=["a-class-smaller-than-the-folds", "a-training-fold-with-one-minority-sample"])
+def test_evaluate_names_the_dataset_and_the_folds_when_they_do_not_fit(folds, message,
+                                                                       tmp_path, caplog):
+    """Both messages used to name neither the file nor the setting."""
+    ds = tmp_path / "dataset.jsonl"
+    datafiles.write_jsonl(ds, [{"issue_id": f"T-{i}", "label": int(i < 2), "text": f"w{i} crash"}
+                               for i in range(12)])
+    rc = cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path), "--eval.folds", folds]
+                  + _TINY_MODEL_FLAGS + ["evaluate"])
+    assert rc == EXIT_FATAL
+    assert _errors(caplog) == [f"{ds}: too few samples for eval.folds={folds}: {message}"]
 
 
 def test_evaluate_single_scope_default_filename(tmp_path):

@@ -136,13 +136,14 @@ def _store_with_links():
     return store
 
 
-def _links(*links):
-    return {(l.issue_id, l.commit_hash): l for l in links}
+def _link(store, *links):
+    for link in links:
+        assert store._insert(RecordKind.LINKS, link)
 
 
 def test_resolve_fix_commit_latest_wins():
     store = _store_with_links()
-    store.links = _links(ChangeLink("B-1", HASH_A), ChangeLink("B-1", HASH_B))
+    _link(store, ChangeLink("B-1", HASH_A), ChangeLink("B-1", HASH_B))
     assert store.resolve_fix_commit("B-1") == HASH_B
 
 
@@ -150,7 +151,7 @@ def test_resolve_fix_commit_unlinked_and_dangling():
     store = _store_with_links()
     with pytest.raises(UnlinkedIssueError):
         store.resolve_fix_commit("B-1")
-    store.links = _links(ChangeLink("B-1", "c" * 40))
+    _link(store, ChangeLink("B-1", "c" * 40))
     with pytest.raises(DanglingLinkError):
         store.resolve_fix_commit("B-1")
 

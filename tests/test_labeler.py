@@ -211,7 +211,7 @@ def _history_store(tmp_path, contents: list[bytes]) -> tuple[CorpusStore, list[s
         if n:
             store.issues[f"B-{n}"] = IssueRecord(f"B-{n}", IssueType.BUG, date,
                                                  summary_raw=f"crash number {n}")
-            store.links[(f"B-{n}", hashes[-1])] = ChangeLink(f"B-{n}", hashes[-1])
+            store._insert(RecordKind.LINKS, ChangeLink(f"B-{n}", hashes[-1]))
     return store, hashes
 
 

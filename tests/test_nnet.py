@@ -404,6 +404,26 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_load_reads_each_tensor_into_its_own_array(dtype, tmp_path):
+    cfg = ModelConfig(vocab_size=9, seq_len=12, embed_dim=3, conv1_filters=2, conv1_width=3,
+                      conv2_filters=2, conv2_width=2, pool_size=2, dtype=dtype)
+    model = init_model(cfg, 11, dict_hash="abc123")
+    model.bd = np.array(-0.25, dtype=dtype)  # the 0-d tensor, not zero
+    p, again = tmp_path / "model.bin", tmp_path / "again.bin"
+    save_model(model, p)
+    loaded = load_model(p)
+    arrays = [getattr(loaded, name) for name in nnet.PARAM_NAMES]
+    for name, a in zip(nnet.PARAM_NAMES, arrays):
+        assert a.flags.aligned and a.flags.c_contiguous and a.flags.writeable, name
+        want = getattr(model, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    save_model(loaded, again)
+    assert again.read_bytes() == p.read_bytes()
+
+
 def test_save_is_byte_deterministic(tmp_path):
     cfg = ModelConfig(vocab_size=5, seq_len=10, embed_dim=2, conv1_filters=2,
                       conv1_width=2, conv2_filters=2, conv2_width=2, pool_size=2)

@@ -1,8 +1,10 @@
+import hashlib
 import string
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import textprep_oracle as oracle
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smelltriage import textprep
 from smelltriage.datafiles import DataFileError
@@ -85,6 +87,80 @@ def test_dictionary_load_names_the_first_bad_line(tmp_path):
     p.write_bytes(b"alpha\t2\n\xff\t3\n")
     with pytest.raises(DataFileError, match=f"^{p}: not UTF-8"):
         Dictionary.load(p)
+
+
+# every line boundary of str.splitlines
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+# words without a line boundary, as every dictionary `train` writes has;
+# few letters, so that words repeat
+_dict_words = st.text(alphabet="ab \t\u00e9", max_size=4)
+_indices = st.one_of(st.integers(-3, 30).map(str),
+                     st.sampled_from([" 5", "+5", "05", "1_0", "5 ", "\u0665", "x", "", "1__0"]))
+_lines = st.one_of(
+    st.tuples(_dict_words, _indices).map("\t".join),  # <word><tab><index>
+    st.text(alphabet=" \t\u00a0\u3000", max_size=3),   # blank or whitespace only
+    _indices,                                           # no tab
+)
+
+
+@st.composite
+def _dictionary_files(draw):
+    """The bytes of a dictionary file: what `save` writes for some words, that
+    with CRLF line ends, or lines of any kind between any line ends."""
+    kind = draw(st.sampled_from(["saved", "crlf", "lines"]))
+    if kind != "lines":
+        text = Dictionary(draw(st.dictionaries(_dict_words, st.integers(-3, 30)))).export_text()
+        text = text.replace("\n", "\r\n") if kind == "crlf" else text
+    else:
+        lines = draw(st.lists(st.tuples(_lines, st.sampled_from(_LINE_ENDS)), max_size=8))
+        text = "".join(line + end for line, end in lines)
+        if lines and draw(st.booleans()):  # no line end after the last line
+            text = text[: -len(lines[-1][1])]
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def _outcome(load, path):
+    try:
+        mapping = load(path)
+    except DataFileError as exc:
+        return "error", str(exc)
+    return "loaded", list(mapping.items())
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_dictionary_files(), other=st.dictionaries(_dict_words, st.integers(-3, 30)))
+def test_dictionary_load_and_predict_check_match_the_old_ones(data, other, tmp_path):
+    """The one-pass parse reads the words, in the same order, that the old
+    line-by-line parse read, or fails with the same message; and `matches`
+    accepts a model's dictionary hash exactly when the old `content_hash` of
+    the file's words equals it."""
+    path = tmp_path / f"{hashlib.sha256(data).hexdigest()}.tsv"
+    if not path.exists():  # a new file: truncating one is slow on some file systems
+        path.write_bytes(data)
+    outcome = _outcome(oracle.load, path)
+    assert _outcome(lambda p: Dictionary.load(p).word_to_index, path) == outcome
+    if outcome[0] == "error":
+        return
+    words = dict(outcome[1])
+    loaded = Dictionary.load(path)
+    assert loaded.file_hash == hashlib.sha256(data).hexdigest()
+    assert loaded.content_hash() == oracle.content_hash(words)
+    # a model's hash is the content hash of the dictionary it was trained with
+    for model_hash in (oracle.content_hash(words), oracle.content_hash(other)):
+        assert loaded.matches(model_hash) == (oracle.content_hash(words) == model_hash)
+
+
+def test_saved_dictionary_matches_by_the_hash_of_its_bytes(tmp_path, monkeypatch):
+    d = Dictionary({"crash": 2, "parser": 3})
+    d.save(tmp_path / "dictionary.tsv")
+    loaded, digest = Dictionary.load(tmp_path / "dictionary.tsv"), d.content_hash()
+    monkeypatch.setattr(Dictionary, "content_hash", lambda self: pytest.fail("re-exported"))
+    assert loaded.matches(digest)
 
 
 def test_dictionary_hash_changes_with_content():

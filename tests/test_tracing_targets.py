@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import smelltriage.cli  # noqa: F401  (imports every module the tracer wraps)
-from smelltriage import textprep
+from smelltriage import cli, nnet, textprep
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -52,3 +52,27 @@ def test_tracer_installs_every_target_and_uninstalls_cleanly():
     finally:
         tracer.uninstall()
     assert _bindings() == before
+
+
+def test_predict_on_matching_files_loads_each_once_and_re_exports_nothing(tmp_path, capsys):
+    """The per-call work the predict benchmark times: one dictionary read, one
+    model read, and no re-export of the dictionary to check the pair."""
+    dictionary = textprep.Dictionary({"crash": 2, "parser": 3})
+    cfg = nnet.ModelConfig(vocab_size=dictionary.vocab_size, seq_len=12, embed_dim=4,
+                           conv1_filters=2, conv1_width=3, conv2_filters=2, conv2_width=2,
+                           pool_size=2)
+    nnet.save_model(nnet.init_model(cfg, 0, dict_hash=dictionary.content_hash()),
+                    tmp_path / "model.bin")
+    dictionary.save(tmp_path / "dictionary.tsv")
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["--paths.model", str(tmp_path / "model.bin"),
+                         "--paths.dictionary", str(tmp_path / "dictionary.tsv"),
+                         "predict", "--summary", "crash in parser"]) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.startswith("label=")
+    assert {n: tracer.calls(n, "none") for n in (
+        "textprep.Dictionary.load", "nnet.load_model", "textprep.Dictionary.content_hash")} == {
+        "textprep.Dictionary.load": 1, "nnet.load_model": 1, "textprep.Dictionary.content_hash": 0}
