@@ -160,14 +160,23 @@ def _training_inputs(cfg: config.RunConfig, samples: list[labeler.LabeledSample]
     return X, y, dictionary, dataclasses.replace(cfg.model, vocab_size=dictionary.vocab_size)
 
 
+def _too_few_samples(ds_path: str, setting: str, exc: ValueError) -> ValueError:
+    """`exc`, raised for a dataset too small for a setting, naming both."""
+    return type(exc)(f"{ds_path}: too few samples for {setting}: {exc}")
+
+
 def cmd_train(cfg: config.RunConfig) -> int:
-    samples = labeler.load_dataset(_required(cfg, "dataset"))
+    ds_path = _required(cfg, "dataset")
+    samples = labeler.load_dataset(ds_path)
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
     model = nnet.init_model(model_cfg, seed=cfg.seed, dict_hash=dictionary.content_hash())
     diagnostics: list[str] = []
     if cfg.balance.enabled:
-        res = balance.smote(X, y, k=cfg.balance.k, seed=cfg.seed,
-                            max_index=model_cfg.vocab_size - 1)
+        try:
+            res = balance.smote(X, y, k=cfg.balance.k, seed=cfg.seed,
+                                max_index=model_cfg.vocab_size - 1)
+        except balance.TooFewMinorityError as exc:
+            raise _too_few_samples(ds_path, "balance.enabled=true", exc) from None
         X, y, diagnostics = res.X, res.y, res.diagnostics
     model, history = nnet.train(model, X, y, seed=cfg.seed)
     out_dir = Path(cfg.paths.out_dir)
@@ -199,8 +208,10 @@ def cmd_evaluate(cfg: config.RunConfig) -> int:
             report = evaluation.run_kfold_experiment(
                 X, y, model_cfg, bal, k=cfg.eval.folds, seed=cfg.seed, project=cfg.project)
         except evaluation.TooFewSamplesError as exc:
-            raise evaluation.EvalError(f"{ds_path}: too few samples for "
-                                       f"eval.folds={cfg.eval.folds}: {exc}") from None
+            raise _too_few_samples(ds_path, f"eval.folds={cfg.eval.folds}", exc) from None
+        except balance.TooFewMinorityError as exc:  # SMOTE of the whole dataset
+            raise _too_few_samples(ds_path, f"balance.enabled=true, balance.scope={scope}",
+                                   exc) from None
         suffix = f"_{scope}" if len(scopes) > 1 else ""
         (out_dir / f"report{suffix}.tsv").write_text(
             f"# seed={cfg.seed}\n" + evaluation.format_report(report, class1, total),

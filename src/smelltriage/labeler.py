@@ -3,9 +3,10 @@ smell to any changed source file (additions-only delta), else 0."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import ContextManager, Iterator, Protocol
 
 from .corpus import CorpusStore, IssueType, UnlinkedIssueError, DanglingLinkError, CorpusError
 from .smellscan import RuleThresholds, SmellVector, scan_source
@@ -93,6 +94,10 @@ def label_commit(deltas: list[SmellDelta]) -> tuple[int, list[str]]:
 class SmellSource(Protocol):
     """Supplies (path, current vector, previous vector) triples for a commit."""
 
+    def reading(self, commits: list[str]) -> ContextManager[None]:
+        """The lifetime of a pass that reads `commits`, in this order."""
+        ...
+
     def file_vectors(self, commit_hash: str,
                      diagnostics: list[str]) -> list[tuple[str, SmellVector, SmellVector | None]]:
         ...
@@ -102,10 +107,13 @@ class SmellSource(Protocol):
 class GitScanSource:
     """Scan changed file contents straight out of the repository.
 
-    Each content is scanned once per source, whatever its path: a file's
-    content at one fix is often its parent content at the next. The memo keys
-    on a digest of the content, so it does not hold every scanned file in
-    memory; build one source per pass so no result outlives it.
+    `reading` opens the store's git pass over the commits to be scanned
+    (`CorpusStore.reading`), which starts three git processes for up to 128
+    commits; a commit outside an open pass is read on its own. Each content is scanned
+    once per source, whatever its path: a file's content at one fix is often
+    its parent content at the next. The memo keys on a digest of the content,
+    so it does not hold every scanned file in memory; build one source per
+    pass so no result outlives it.
     """
 
     store: CorpusStore
@@ -117,6 +125,9 @@ class GitScanSource:
         if key not in self._scans:
             self._scans[key] = scan_source(content, thresholds=self.thresholds)
         return self._scans[key]
+
+    def reading(self, commits: list[str]) -> ContextManager[None]:
+        return self.store.reading(commits)
 
     def file_vectors(self, commit_hash, diagnostics):
         out = []
@@ -160,6 +171,9 @@ class VectorTableSource:
                 for f in rec["Files"]]
         datafiles.parse_records(records, add, name, "; rewrite the file with scan-smells")
         return cls(files)
+
+    def reading(self, commits: list[str]) -> ContextManager[None]:
+        return contextlib.nullcontext()
 
     def file_vectors(self, commit_hash, diagnostics):
         if commit_hash not in self.files:
@@ -214,15 +228,15 @@ def scan_fix_commits(store: CorpusStore, source: SmellSource,
     """One `vectors_record` per fix commit; a commit that cannot be scanned
     becomes a diagnostic, so `label` later skips its issue."""
     records: list[dict] = []
-    seen: set[str] = set()
+    first_issue: dict[str, str] = {}  # commit -> the first issue it fixes
     for issue_id, commit in fix_commits(store, []):
-        if commit in seen:
-            continue
-        seen.add(commit)
-        try:
-            records.append(vectors_record(commit, source.file_vectors(commit, diagnostics)))
-        except CorpusError as exc:
-            diagnostics.append(f"{issue_id}: {exc}")
+        first_issue.setdefault(commit, issue_id)
+    with source.reading(list(first_issue)):
+        for commit, issue_id in first_issue.items():
+            try:
+                records.append(vectors_record(commit, source.file_vectors(commit, diagnostics)))
+            except CorpusError as exc:
+                diagnostics.append(f"{issue_id}: {exc}")
     return records
 
 
@@ -233,28 +247,34 @@ def build_labeled_dataset(store: CorpusStore, source: SmellSource,
     skipped: list[str] = []
     diagnostics: list[str] = []
     stats = DatasetStats(project=project)
-    for issue_id, commit in fix_commits(store, skipped):
+    # in issue-id order, a skip reason or an (issue, fix commit, text) to label
+    todo: list[str | tuple[str, str, str]] = []
+    for issue_id, commit in fix_commits(store, todo):
         issue = store.issues[issue_id]
         text = textprep.report_text(issue.summary_raw, issue.description_raw)
-        if not text:
-            skipped.append(f"{issue_id}: empty report text")
-            continue
-        try:
-            vectors = source.file_vectors(commit, diagnostics)
-        except CorpusError as exc:
-            skipped.append(f"{issue_id}: {exc}")
-            continue
-        deltas = [smell_delta(commit, p, cur, prev) for p, cur, prev in vectors]
-        label, diags = label_commit(deltas)
-        diagnostics.extend(f"{issue_id}: {d}" for d in diags)
-        samples.append(LabeledSample(
-            issue_id=issue_id,
-            commit_hash=commit,
-            text=text,
-            label=label,
-            total_added_smells=sum(d.total_added for d in deltas),
-            raw_signed_delta=sum(d.signed_sum for d in deltas),
-        ))
-        stats.total += 1
-        stats.class1 += label
+        todo.append((issue_id, commit, text) if text else f"{issue_id}: empty report text")
+    with source.reading([item[1] for item in todo if isinstance(item, tuple)]):
+        for item in todo:
+            if isinstance(item, str):
+                skipped.append(item)
+                continue
+            issue_id, commit, text = item
+            try:
+                vectors = source.file_vectors(commit, diagnostics)
+            except CorpusError as exc:
+                skipped.append(f"{issue_id}: {exc}")
+                continue
+            deltas = [smell_delta(commit, p, cur, prev) for p, cur, prev in vectors]
+            label, diags = label_commit(deltas)
+            diagnostics.extend(f"{issue_id}: {d}" for d in diags)
+            samples.append(LabeledSample(
+                issue_id=issue_id,
+                commit_hash=commit,
+                text=text,
+                label=label,
+                total_added_smells=sum(d.total_added for d in deltas),
+                raw_signed_delta=sum(d.signed_sum for d in deltas),
+            ))
+            stats.total += 1
+            stats.class1 += label
     return LabeledDataset(samples, stats, skipped, diagnostics)

@@ -177,6 +177,26 @@ def test_bug_linked_to_absent_commit_is_skipped_on_both_paths(consecutive_fixes,
         assert [r["reason"].split(":")[0] for r in skipped] == ["FIX-3"]
 
 
+@pytest.mark.parametrize("kind,rev", [("blob", "HEAD:Service.java"), ("tree", "HEAD^{tree}")])
+def test_bug_linked_to_a_blob_or_tree_is_skipped_on_both_paths(consecutive_fixes, tmp_path,
+                                                               caplog, kind, rev):
+    """Such a link was read as a fix that changed no source file, labelled 0."""
+    f = consecutive_fixes
+    sha = _git(f["repo"], "rev-parse", rev)
+    args = _record_args(tmp_path, f["issues"] + [_issue("FIX-3")],
+                        f["commits"] + [{"Commit_Hash": sha,
+                                         "Committed_Date": "2020-01-09T00:00:00Z"}],
+                        f["links"] + [{"Issue_id": "FIX-3", "Commit_Hash": sha}], f["repo"])
+    assert _both_paths(args, tmp_path) == (EXIT_DIAGNOSTICS,) * 3
+    reason = f"FIX-3: {sha} is a {kind}, not a commit"
+    assert reason in [r.getMessage() for r in caplog.records]  # scan-smells reports it
+    _, skipped = datafiles.read_jsonl(tmp_path / "build" / "skipped.jsonl")
+    assert [r["reason"] for r in skipped] == [reason]
+    for step in ("build", "label"):
+        _, records = datafiles.read_jsonl(tmp_path / step / "dataset.jsonl")
+        assert [r["issue_id"] for r in records] == ["FIX-1", "FIX-2"]
+
+
 def test_scan_smells_ignores_non_bug_link_to_absent_commit(consecutive_fixes, tmp_path):
     f = consecutive_fixes
     args = _record_args(tmp_path, f["issues"] + [_issue("FEAT-1", "New Feature")],
@@ -481,6 +501,23 @@ def test_evaluate_names_the_dataset_and_the_folds_when_they_do_not_fit(folds, me
                   + _TINY_MODEL_FLAGS + ["evaluate"])
     assert rc == EXIT_FATAL
     assert _errors(caplog) == [f"{ds}: too few samples for eval.folds={folds}: {message}"]
+
+
+@pytest.mark.parametrize("command,flags,setting", [
+    ("train", [], "balance.enabled=true"),
+    ("evaluate", ["--balance.scope", "all"], "balance.enabled=true, balance.scope=all"),
+])
+def test_one_positive_sample_names_the_dataset_and_the_balance_setting(command, flags, setting,
+                                                                        tmp_path, caplog):
+    """SMOTE of the whole dataset used to fail naming neither."""
+    ds = tmp_path / "dataset.jsonl"
+    datafiles.write_jsonl(ds, [{"issue_id": f"T-{i}", "label": int(i < 1), "text": f"w{i} crash"}
+                               for i in range(12)])
+    rc = cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path)] + flags
+                  + _TINY_MODEL_FLAGS + [command])
+    assert rc == EXIT_FATAL
+    assert _errors(caplog) == [f"{ds}: too few samples for {setting}: "
+                               "minority class has <= 1 sample, cannot oversample"]
 
 
 def test_evaluate_single_scope_default_filename(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import _git
 from corpus_oracle import OracleStore
+from smelltriage import corpus
 from smelltriage.corpus import (
     ChangedFile, ChangeLink, CommitRecord, CorpusError, CorpusStore, DanglingLinkError,
     FileChange, IngestResult, IssueRecord, IssueType, RecordKind,
@@ -209,6 +210,13 @@ def test_changed_files_unknown_hash(bug_repo):
     store = CorpusStore(repo_path=bug_repo["repo"])
     with pytest.raises(CorpusError, match="unknown commit"):
         store.changed_files_with_contents("e" * 40)
+    # a name that spans two lines of git's input names no commit, and does
+    # not shift the other commits of its pass
+    fix = bug_repo["hashes"][1]
+    with store.reading([f"{fix}\n{fix}", fix]):
+        with pytest.raises(CorpusError, match="unknown commit"):
+            store.changed_files_with_contents(f"{fix}\n{fix}")
+        assert len(store.changed_files_with_contents(fix)) == 2
 
 
 def test_changed_files_filters_extensions_and_sorts(bug_repo):
@@ -247,7 +255,17 @@ def _commit(repo, message: str) -> str:
     return _git(repo, "rev-parse", "HEAD")
 
 
-def test_two_git_processes_per_commit_whatever_it_changes(tmp_path, monkeypatch):
+def _count_git(monkeypatch) -> list[str]:
+    """The subcommand of each `CorpusStore._git` call from now on."""
+    calls: list[str] = []
+    git = CorpusStore._git
+    monkeypatch.setattr(CorpusStore, "_git",
+                        lambda self, *a, **kw: calls.append(a[0]) or git(self, *a, **kw))
+    return calls
+
+
+def test_a_commit_read_alone_starts_the_same_git_processes_whatever_it_changes(
+        tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     repo.mkdir()
     _git(repo, "init", "-q", "-b", "main")
@@ -260,15 +278,29 @@ def test_two_git_processes_per_commit_whatever_it_changes(tmp_path, monkeypatch)
     (repo / "notes.txt").write_text("no source\n", encoding="utf-8")
     docs = _commit(repo, "docs only")
 
-    calls = []
-    git = CorpusStore._git
-    monkeypatch.setattr(CorpusStore, "_git",
-                        lambda self, *a, **kw: calls.append(a[0]) or git(self, *a, **kw))
+    calls = _count_git(monkeypatch)
     store = CorpusStore(repo_path=repo)
-    for commit, n_files, procs in [(root, 6, 2), (six, 6, 2), (docs, 0, 1)]:
+    with_blobs = ["cat-file", "diff-tree", "cat-file"]
+    for commit, n_files, procs in [(root, 6, with_blobs), (six, 6, with_blobs),
+                                   (docs, 0, with_blobs[:2])]:
         calls.clear()
         assert len(store.changed_files_with_contents(commit)) == n_files
-        assert len(calls) == procs
+        assert calls == procs
+
+
+@pytest.mark.parametrize("kind,rev", [("blob", "HEAD:Service.java"), ("tree", "HEAD^{tree}")])
+def test_a_hash_of_a_blob_or_tree_is_not_a_commit(bug_repo, kind, rev):
+    """`git diff-tree` exits 0 with no output on such a hash, which read as a
+    commit that changed no source file."""
+    sha = _git(bug_repo["repo"], "rev-parse", rev)
+    store = CorpusStore(repo_path=bug_repo["repo"])
+    with pytest.raises(CorpusError, match=f"^{sha} is a {kind}, not a commit$"):
+        store.changed_files_with_contents(sha)
+    fix = bug_repo["hashes"][1]
+    with store.reading([sha, fix]):
+        with pytest.raises(CorpusError, match=f"^{sha} is a {kind}, not a commit$"):
+            store.changed_files_with_contents(sha)
+        assert len(store.changed_files_with_contents(fix)) == 2
 
 
 def test_non_ascii_source_path_is_kept(tmp_path):
@@ -354,21 +386,57 @@ def _random_history(repo, seed: int) -> list[str]:
     return commits
 
 
+def _read_all(reader, commits):
+    """(files or error, diagnostics) of each commit in turn."""
+    out = []
+    for commit in commits:
+        diagnostics: list[str] = []
+        try:
+            out.append((reader.changed_files_with_contents(commit, diagnostics), diagnostics))
+        except CorpusError as exc:
+            out.append((str(exc), diagnostics))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_extraction_matches_the_per_file_oracle(tmp_path, seed):
+def test_extraction_matches_the_per_file_oracle(tmp_path, monkeypatch, seed):
+    """One pass over the whole history, with an unknown hash among the
+    commits and a commit read twice, as when two issues share a fix."""
     repo = tmp_path / "repo"
     repo.mkdir()
     commits = _random_history(repo, seed)
+    order = commits[:2] + ["e" * 40] + commits[2:] + [commits[1]]
     store, oracle = CorpusStore(repo_path=repo), OracleStore(repo_path=repo)
-    seen = set()
-    for commit in commits:
-        got_diags, want_diags = [], []
-        got = store.changed_files_with_contents(commit, got_diags)
-        assert got == oracle.changed_files_with_contents(commit, want_diags), commit
-        assert got_diags == want_diags, commit
+    want = _read_all(oracle, order)
+    calls = _count_git(monkeypatch)
+    with store.reading(order):
+        got = _read_all(store, order)
+    assert calls == ["cat-file", "diff-tree", "cat-file"]
+    for commit, got_one, want_one in zip(order, got, want):
+        assert got_one == want_one, commit
+    assert got[2] == (f"unknown commit hash {'e' * 40}", [])
+    seen = {"no files" for files, _ in got if files == []}
+    for files, diagnostics in got[:2] + got[3:]:
         seen.update(("added" if f.content_at_parent is None else
                      "deleted" if f.content_at_commit is None else
                      "same" if f.content_at_commit == f.content_at_parent else "modified")
-                    for f in got)
-        seen.update("merge" for d in got_diags if d.startswith("merge commit"))
-    assert {"added", "deleted", "same", "modified", "merge"} <= seen
+                    for f in files)
+        seen.update("merge" for d in diagnostics if d.startswith("merge commit"))
+    assert {"added", "deleted", "same", "modified", "merge", "no files"} <= seen
+
+
+def test_a_pass_read_in_chunks_matches_one_chunk(tmp_path, monkeypatch):
+    """A chunk's blobs are dropped when the next chunk is read, and read again
+    for a commit of an earlier chunk."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    commits = _random_history(repo, 0)
+    store = CorpusStore(repo_path=repo)
+    with store.reading(commits):
+        want = _read_all(store, commits + [commits[0]])
+    changing = sum(1 for files, _ in want[:-1] if files)
+    monkeypatch.setattr(corpus, "_CHUNK_COMMITS", 2)
+    calls = _count_git(monkeypatch)
+    with store.reading(commits):
+        assert _read_all(store, commits + [commits[0]]) == want
+    assert calls == ["cat-file", "diff-tree"] + ["cat-file"] * ((changing + 1) // 2 + 1)

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, strategies as st
@@ -206,7 +208,7 @@ def _history_store(tmp_path, contents: list[bytes]) -> tuple[CorpusStore, list[s
             (repo / name).write_bytes(body)
         _git(repo, "add", "."), _git(repo, "commit", "-q", "-m", f"commit {n}")
         hashes.append(_git(repo, "rev-parse", "HEAD"))
-        date = parse_utc(f"2020-01-0{n + 1}T00:00:00Z")
+        date = parse_utc("2020-01-01T00:00:00Z") + timedelta(days=n)
         store.commits[hashes[-1]] = CommitRecord(hashes[-1], date)
         if n:
             store.issues[f"B-{n}"] = IssueRecord(f"B-{n}", IssueType.BUG, date,
@@ -243,3 +245,32 @@ def test_git_scan_source_scans_each_content_once(tmp_path, monkeypatch):
     # B-1 adds the same content under two paths; B-2's parent content is
     # B-1's content, and its own content is B-1's parent
     assert len(scanned) == 2
+
+
+def test_a_pass_starts_the_same_git_processes_however_many_commits_it_reads(
+        tmp_path, monkeypatch):
+    """Every git process a pass starts goes through `CorpusStore._git`, and
+    their number does not grow with the fix commits."""
+    started = []
+
+    class Popen(subprocess.Popen):
+        def __init__(self, args, *rest, **kwargs):
+            started.append(args[0])
+            super().__init__(args, *rest, **kwargs)
+
+    calls = []
+    git = CorpusStore._git
+    monkeypatch.setattr(CorpusStore, "_git",
+                        lambda self, *a, **kw: calls.append(a[0]) or git(self, *a, **kw))
+    for n in (10, 20):
+        (tmp_path / str(n)).mkdir()
+        store, _ = _history_store(tmp_path / str(n),
+                                  [f"class Legacy {{ int v = {i}; }}\n".encode()
+                                   for i in range(n + 1)])
+        calls.clear(), started.clear()
+        with monkeypatch.context() as m:
+            m.setattr(subprocess, "Popen", Popen)
+            dataset = build_labeled_dataset(store, GitScanSource(store=store))
+        assert dataset.stats.total == n and dataset.skipped == []
+        assert calls == ["cat-file", "diff-tree", "cat-file"]
+        assert started == ["git"] * len(calls)
