@@ -148,7 +148,11 @@ class SmellVector:
 # end of its line or at the end of the text; a backslash escapes one character
 _LITERAL_RE = re.compile(
     r"""//[^\n]*|/\*.*?(\*/|\Z)|(["'])(?:\\.?|(?!\2)[^\\\n])*(\2|\n|\Z)""", re.DOTALL)
-_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+def _blank(text: str) -> str:
+    """text with every character but its line breaks replaced by a space."""
+    return "\n".join(" " * len(line) for line in text.split("\n"))
 
 
 def strip_comments_and_strings(source: str) -> tuple[str, list[str]]:
@@ -165,7 +169,7 @@ def strip_comments_and_strings(source: str) -> tuple[str, list[str]]:
         if quote is None:  # a comment
             if m.group(1) == "":
                 diagnostics.append("unterminated block comment at end of file")
-            return _NOT_NEWLINE_RE.sub(" ", text)
+            return _blank(text)
         kind = "string" if quote == '"' else "char"
         if end == "\n":
             counted[1] += source.count("\n", counted[0], m.start())
@@ -173,7 +177,7 @@ def strip_comments_and_strings(source: str) -> tuple[str, list[str]]:
             diagnostics.append(f"line {counted[1]}: unterminated {kind} literal")
         elif not end:
             diagnostics.append(f"unterminated {kind} literal at end of file")
-        return quote + _NOT_NEWLINE_RE.sub(" ", text[1:len(text) - len(end)]) + end
+        return quote + _blank(text[1:len(text) - len(end)]) + end
 
     return _LITERAL_RE.sub(blank, source), diagnostics
 
@@ -186,8 +190,11 @@ def strip_comments_and_strings(source: str) -> tuple[str, list[str]]:
 # lines is not rescanned from each of its line starts
 _IMPORT_RE = re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;",
                         re.MULTILINE)
-# a class keyword after '.' (`Foo.class`) is a literal, not a declaration
-_LEX_RE = re.compile(r"[(){};]|(\.\s*)?\b(?:class|interface|enum)\s+(\w+)")
+# a class keyword after '.' (`Foo.class`) is a literal (group 1), not a
+# declaration (group 2). `c(?<!\wc)lass` is `\bclass` written to start with a
+# literal character, so the regex engine can skip to the next candidate offset
+_LEX_RE = re.compile(r"[(){};]|(\.\s*(?:class|interface|enum)\s+\w+)"
+                     r"|(?:c(?<!\wc)lass|i(?<!\wi)nterface|e(?<!\we)num)\s+(\w+)")
 _CONTROL_KEYWORDS = frozenset(
     "if else for while do switch case default try catch finally return "
     "throw new synchronized".split()
@@ -445,7 +452,7 @@ def _blank_holes(text: str, pairs: dict[int, int], start: int, end: int, holes):
     parts, pos = [], start
     for hs, he in inner:
         hs, he = max(hs, pos), min(he, end)
-        parts += [text[pos:hs], _NOT_NEWLINE_RE.sub(" ", text[hs:he])]
+        parts += [text[pos:hs], _blank(text[hs:he])]
         pos = max(he, pos)
     blanked = "".join(parts) + text[pos:end]
     return blanked, _lex(blanked)[0], 0, len(blanked)
@@ -488,8 +495,7 @@ def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
             pos = min(pairs.get(p, p) + 1, end)
             continue
         # annotations are blanked, so the first '(' opens the parameter list
-        segment = _ANNOTATION_ARGS_RE.sub(lambda a: _NOT_NEWLINE_RE.sub(" ", a.group()),
-                                          text[seg:p].strip())
+        segment = _ANNOTATION_ARGS_RE.sub(lambda a: _blank(a.group()), text[seg:p].strip())
         if text[p] == ";":
             if segment and _method_name(segment) is not None and ")" in segment:
                 cm.methods.append(_scan_method(segment, text, pairs, p, p))  # abstract

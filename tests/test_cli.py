@@ -615,6 +615,13 @@ def trained(tmp_path_factory):
     return d
 
 
+def test_predict_stems_a_long_run_of_y(trained, capsys):
+    """A description word of 3,000 y's in a row once ended in a traceback
+    from the stemmer's RecursionError."""
+    rc, probability = _predict(trained, "crash", "a" + "y" * 3000, capsys)
+    assert rc == EXIT_OK and 0 <= probability <= 1
+
+
 @pytest.mark.parametrize("command,key", [
     ("build-dataset", "issues"), ("build-dataset", "links"), ("build-dataset", "repo"),
     ("scan-smells", "repo"), ("label", "smell_vectors"), ("train", "dataset"),

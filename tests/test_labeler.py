@@ -231,6 +231,18 @@ def test_non_utf8_source_is_labeled_with_a_diagnostic(tmp_path):
     ]
 
 
+def test_a_report_word_of_a_long_run_of_y_is_labeled(tmp_path):
+    """A description word of 3,000 y's in a row once ended the pass in the
+    stemmer's RecursionError."""
+    store, (_, fix) = _history_store(tmp_path, [b"class Legacy {}\n",
+                                                b"class Legacy { int v; }\n"])
+    store.issues["B-1"].description_raw = "a" + "y" * 3000
+    dataset = build_labeled_dataset(store, GitScanSource(store=store))
+    assert [(s.issue_id, s.commit_hash, s.label, s.text) for s in dataset.samples] == [
+        ("B-1", fix, 0, "crash number 1 a" + "y" * 2999 + "i")]
+    assert dataset.skipped == []
+
+
 def test_git_scan_source_scans_each_content_once(tmp_path, monkeypatch):
     kitchen = (SMELL_FIXTURE_DIR / "Kitchen.java").read_bytes()
     store, _ = _history_store(tmp_path, [b"class Legacy {}\n",

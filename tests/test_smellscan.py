@@ -365,6 +365,43 @@ def test_fixture_scans_like_the_old_scanner(entry):
     _assert_scans_like_the_old_scanner(src)
 
 
+# -- lexer and stripper edge cases, against the old scanner ------------------
+
+@pytest.mark.parametrize("src,classes", [
+    # a class keyword after '.' is a class literal, across blanks and lines
+    ("class A { Object o = Foo.class; }", ["A"]),
+    ("Foo . class Bar {}", []),
+    ("Foo.\nclass Bar {}", []),
+    ("class A { Object o = Foo.\nclass Bar {} }", ["A"]),
+    # a keyword inside or at the start of a longer word is not a keyword
+    ("myenum class X {}", ["X"]),
+    ("subclass Foo {}", []),
+    ("subinterface Foo {}", []),
+    ("interfaceX y;", []),
+    ("class A { interfaceX y; }", ["A"]),
+    # each keyword at offset 0
+    ("class X {}", ["X"]),
+    ("interface I { void f(); }", ["I"]),
+    ("enum E { A, B; int v; }", ["E"]),
+])
+def test_lexer_edge_case_finds_the_classes_the_old_scanner_finds(src, classes):
+    """The class declarations only: the old scanner counted an enum's constants
+    as fields, and no field for an initializer that runs into a class literal."""
+    cleaned = strip_comments_and_strings(src)[0]
+    assert [c.name for c in scan_metrics(cleaned).classes] == classes
+    assert [c.name for c in oracle.scan_metrics(cleaned).classes] == classes
+
+
+@pytest.mark.parametrize("src", [
+    "'\\\n",
+    "x = '\\\nclass Y {}",
+    's = "a\\\nb"; class Z {}',
+])
+def test_a_literal_holding_a_backslash_newline_strips_like_the_old_stripper(src):
+    assert strip_comments_and_strings(src) == oracle.strip_comments_and_strings(src)
+    _assert_scans_like_the_old_scanner(src)
+
+
 # -- line-anchored import pattern ------------------------------------------
 
 # the line-anchored import pattern before blank runs stopped being rescanned;

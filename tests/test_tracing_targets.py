@@ -7,6 +7,8 @@ from pathlib import Path
 
 import smelltriage.cli  # noqa: F401  (imports every module the tracer wraps)
 from smelltriage import cli, nnet, textprep
+from smelltriage.labeler import GitScanSource, build_labeled_dataset
+from test_labeler import _history_store
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -76,3 +78,25 @@ def test_predict_on_matching_files_loads_each_once_and_re_exports_nothing(tmp_pa
     assert {n: tracer.calls(n, "none") for n in (
         "textprep.Dictionary.load", "nnet.load_model", "textprep.Dictionary.content_hash")} == {
         "textprep.Dictionary.load": 1, "nnet.load_model": 1, "textprep.Dictionary.content_hash": 0}
+
+
+def test_stemming_and_scanning_reach_their_traced_boundaries_once_per_item(tmp_path):
+    """`stemmer.calls` counts the tokens of the reports, and the scanner's
+    per-stage times cover each scanned blob once."""
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        summary, description = "Crash on load", "null pointer in the parser2, again"
+        textprep.report_text(summary, description)
+        assert tracer.calls("stemmer.stem", "none") == len(
+            textprep.tokenize(summary) + textprep.tokenize(description)) == 9
+        store, _ = _history_store(tmp_path, [f"class Legacy {{ int v{i}; }}\n".encode()
+                                             for i in range(4)])
+        dataset = build_labeled_dataset(store, GitScanSource(store=store))
+    finally:
+        tracer.uninstall()
+    assert len(dataset.samples) == 3
+    blobs = len(tracer.seen_blobs)
+    assert blobs == 4 and {n: tracer.calls(f"smellscan.{n}", "none") for n in (
+        "scan_source", "strip_comments_and_strings", "scan_metrics")} == {
+        "scan_source": blobs, "strip_comments_and_strings": blobs, "scan_metrics": blobs}
