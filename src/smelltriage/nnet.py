@@ -309,11 +309,21 @@ def backward_batch(model: Model, cache: dict, y: np.ndarray) -> dict[str, np.nda
         dE[:, j: j + T] += dwin1[:, :, j, :]
     X = X[:, : T + cfg.conv1_width - 1]
     real = X != 0  # row 0 stays frozen
-    demb = np.zeros_like(model.emb)
-    np.add.at(demb, X[real], dE[real])
+    demb = _scatter_rows(model.emb, X[real], dE[real])
 
     return {"emb": demb, "w1": dw1, "b1": db1, "w2": dw2, "b2": db2,
             "wd": dwd, "bd": np.asarray(dbd, dtype=model.bd.dtype)}
+
+
+def _scatter_rows(emb: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A zero array shaped like `emb` with each of `rows` added to the row of
+    its id, in order: the sums, and so the bits, of np.add.at(out, ids, rows).
+    It runs as one 1-D scatter at the element indices id*q + column, which
+    numpy does far faster than a scatter of rows."""
+    out = np.zeros_like(emb)
+    q = emb.shape[1]
+    np.add.at(out.reshape(-1), (ids[:, None] * q + np.arange(q)).reshape(-1), rows.reshape(-1))
+    return out
 
 
 class _Adam:
@@ -323,16 +333,29 @@ class _Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        # two scratch arrays per parameter, so that a step allocates nothing
+        self.scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps), in place, with
+        the same operations in the same order and so the same bits."""
         self.t += 1
         for k, p in params.items():
-            g = grads[k]
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            mhat = self.m[k] / (1 - self.b1 ** self.t)
-            vhat = self.v[k] / (1 - self.b2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            a, b = self.scratch[k]
+            m *= self.b1
+            m += np.multiply(1 - self.b1, g, out=a)
+            v *= self.b2
+            np.multiply(1 - self.b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, 1 - self.b1 ** self.t, out=a)  # mhat
+            np.divide(v, 1 - self.b2 ** self.t, out=b)  # vhat
+            np.sqrt(b, out=b)
+            b += self.eps
+            a *= self.lr
+            a /= b
+            p -= a
 
 
 def train(model: Model, X: np.ndarray, y: np.ndarray, seed: int) -> tuple[Model, TrainHistory]:

@@ -4,6 +4,7 @@ the one path from a bug report to model input, for training and prediction alike
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -103,6 +104,50 @@ def _parse_lines(lines: list[str], path: str | Path) -> dict[str, int]:
                 raise datafiles.DataFileError(
                     f"{path}:{lineno}: expected <word><tab><index>") from None
     return mapping
+
+
+# the bytes of a saved dictionary's line other than its tab and line end, for
+# the words of `tokenize` and their indices
+_WORD_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789-"
+_WORD = re.compile(r"[a-z0-9-]+")
+
+
+def load_words(path: str | Path, digest: str, words: list[str]) -> Dictionary | None:
+    """The entries of `words` in the dictionary file at `path`, read in one
+    pass over its bytes, when they hash to `digest` and every line is one
+    <word><tab><index> of the bytes [a-z0-9-]; else None.
+
+    `digest` is a model's `dict_hash`, the `content_hash` of the dictionary
+    `train` used, so matching bytes are that dictionary's `export_text`. With
+    no other tab or line break in them, `load` reads each line as one entry,
+    and a word's entry is the line that starts with the word and a tab. One
+    regex over the bytes finds those lines: its words form a trie, so a line
+    costs a few character checks however many words there are."""
+    data = Path(path).read_bytes()
+    if hashlib.sha256(data).hexdigest() != digest:
+        return None
+    separators = data.translate(None, _WORD_BYTES)
+    if separators != b"\t\n" * (len(separators) // 2):
+        return None
+    keys = sorted({w for w in words if _WORD.fullmatch(w)})
+    if not keys:
+        return Dictionary()
+    lines = re.compile(f"\n({_trie(keys)})\t([^\n]*)".encode())
+    re.purge()  # a pattern for one report: re's cache would keep 512 of them, about 5 MB
+    # a word on two lines takes the last one, as in `load`
+    return Dictionary({m[1].decode(): int(m[2]) for m in lines.finditer(b"\n" + data)})
+
+
+def _trie(words: list[str], depth: int = 2) -> str:
+    """A regex for exactly the sorted, distinct `words`, branching on their
+    first `depth` characters: deeper levels cost more to compile than they
+    save in the match."""
+    if depth == 0 or len(words) == 1:
+        return words[0] if len(words) == 1 else f"(?:{'|'.join(words)})"
+    end = words[0] == ""  # a word that ends here
+    branches = "|".join(ch + _trie([w[1:] for w in group], depth - 1) for ch, group in
+                        itertools.groupby(words[1:] if end else words, key=lambda w: w[0]))
+    return f"(?:{branches})" + ("?" if end else "")
 
 
 def build_vocabulary(documents: list[TokenDocument], max_vocab: int | None = None) -> Dictionary:

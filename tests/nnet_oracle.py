@@ -3,7 +3,8 @@ padding-aware prefix bound, kept verbatim as the reference for the
 differential tests in test_nnet.py.
 
 They gather, convolve and scatter every one of the seq_len input positions,
-padding included.
+padding included. `_Adam` is the optimizer as it was before it worked in
+place, also kept verbatim.
 """
 
 from __future__ import annotations
@@ -141,3 +142,22 @@ def backward_batch(model: Model, cache: dict, y: np.ndarray) -> dict[str, np.nda
 
     return {"emb": demb, "w1": dw1, "b1": db1, "w2": dw2, "b2": db2,
             "wd": dwd, "bd": np.asarray(dbd, dtype=model.bd.dtype)}
+
+
+class _Adam:
+    def __init__(self, params: dict[str, np.ndarray], lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        self.t += 1
+        for k, p in params.items():
+            g = grads[k]
+            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
+            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
+            mhat = self.m[k] / (1 - self.b1 ** self.t)
+            vhat = self.v[k] / (1 - self.b2 ** self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import textprep_oracle
 from conftest import SMELL_FIXTURE_DIR, _git
@@ -411,6 +412,92 @@ def test_predict_checks_the_dictionary_by_its_bytes_then_by_its_words(trained, t
     assert predict(other) == (EXIT_FATAL, [], 1)
     assert _errors(caplog) == [f"{model_path}: trained with dictionary {model.dict_hash!r}, "
                                f"not with {other}"]
+
+
+# dictionary words of the bytes a saved line may hold, the empty one included,
+# and in some dictionaries one word with a tab, a line break or a non-ASCII
+# letter between two such words
+_saved_words = st.text(alphabet="ab1-", max_size=2)
+_odd_words = st.tuples(_saved_words, st.sampled_from(["\t", "\n", "\r", "\u2028", "\u00e9"]),
+                       _saved_words).map("".join)
+_saved_dicts = st.builds(lambda words, odd: {**words, **odd},
+                         st.dictionaries(_saved_words, st.integers(-2, 20), max_size=8),
+                         st.dictionaries(_odd_words, st.integers(-2, 20), max_size=1))
+
+
+@st.composite
+def _predict_dictionary_files(draw):
+    """The bytes of a dictionary file: what `save` writes, that with CRLF line
+    ends, or lines that are blank, without a tab or with a bad index."""
+    kind = draw(st.sampled_from(["saved", "saved", "crlf", "lines"]))
+    if kind == "lines":
+        lines = draw(st.lists(st.one_of(
+            st.tuples(st.one_of(_saved_words, _odd_words),
+                      st.sampled_from(["2", "+3", "x", ""])).map("\t".join),
+            st.sampled_from(["", " ", "ab"])), max_size=6))
+        return "".join(line + "\n" for line in lines).encode("utf-8")
+    text = textprep.Dictionary(draw(_saved_dicts)).export_text()
+    return (text.replace("\n", "\r\n") if kind == "crlf" else text).encode("utf-8")
+
+
+def _old_predict(model, model_path, dict_path, summary):
+    """Exit code and output or error line of `predict` as it read the whole
+    dictionary with the old parse, and accepted it when the hash of its bytes
+    or of its re-export was the model's `dict_hash`."""
+    try:
+        words = textprep_oracle.load(dict_path)
+    except datafiles.DataFileError as exc:
+        return EXIT_FATAL, str(exc)
+    if model.dict_hash not in (hashlib.sha256(dict_path.read_bytes()).hexdigest(),
+                               textprep_oracle.content_hash(words)):
+        return EXIT_FATAL, (f"{model_path}: trained with dictionary {model.dict_hash!r}, "
+                            f"not with {dict_path}")
+    row = textprep.doc2indices(textprep.TokenDocument("", textprep.preprocess(summary)),
+                               textprep.Dictionary(words), model.cfg.seq_len)
+    try:
+        label, prob = nnet.predict(model, row)
+    except ValueError as exc:  # an index outside the model's vocabulary
+        return EXIT_FATAL, str(exc)
+    return EXIT_OK, f"label={label} probability={prob:.6f}"
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# "b" is the second distinct word but the tenth token
+@example(data=b"a\t2\nb\t3\n", trained_with_file=True, other={}, report=["a"] * 9 + ["b"])
+# a word with a tab starts with a report word and a tab
+@example(data=b"a\tb\t2\n", trained_with_file=True, other={}, report=["a", "b"])
+@given(data=_predict_dictionary_files(), trained_with_file=st.booleans(), other=_saved_dicts,
+       report=st.lists(st.text(alphabet="ab1", min_size=1, max_size=2), min_size=4,
+                       max_size=24))
+def test_predict_resolves_the_report_words_as_the_old_full_parse(
+        data, trained_with_file, other, report, tmp_path, capsys, caplog):
+    """`predict` looks up only the report's words when the dictionary hashes to
+    the model's `dict_hash`; its exit code, output and errors are those of the
+    old full parse and re-export check, for any dictionary file. Report words
+    of at most two letters are their own stems, and they repeat, so a report
+    often has fewer distinct words than seq_len."""
+    path = tmp_path / f"{hashlib.sha256(data).hexdigest()}.tsv"
+    if not path.exists():
+        path.write_bytes(data)
+    try:  # a model trained with the words the old parse reads from the file
+        digest = textprep_oracle.content_hash(
+            textprep_oracle.load(path) if trained_with_file else other)
+    except datafiles.DataFileError:
+        digest = textprep_oracle.content_hash(other)
+    cfg = nnet.ModelConfig(vocab_size=16, seq_len=8, embed_dim=4, conv1_filters=2,
+                           conv1_width=3, conv2_filters=2, conv2_width=2, pool_size=2)
+    model = nnet.init_model(cfg, 0, dict_hash=digest)
+    model_path = tmp_path / f"{digest}.bin"
+    if not model_path.exists():
+        nnet.save_model(model, model_path)
+    summary = " ".join(report)
+    capsys.readouterr()
+    caplog.clear()
+    rc = cli.main(["--paths.model", str(model_path), "--paths.dictionary", str(path),
+                   "predict", "--summary", summary])
+    got = capsys.readouterr().out.splitlines()[:1] if rc == EXIT_OK else _errors(caplog)
+    expected_rc, line = _old_predict(model, model_path, path, summary)
+    assert (rc, got) == (expected_rc, [line])
 
 
 def _imbalanced_dataset(path):

@@ -57,8 +57,9 @@ def test_tracer_installs_every_target_and_uninstalls_cleanly():
 
 
 def test_predict_on_matching_files_loads_each_once_and_re_exports_nothing(tmp_path, capsys):
-    """The per-call work the predict benchmark times: one dictionary read, one
-    model read, and no re-export of the dictionary to check the pair."""
+    """The per-call work the predict benchmark times: one model read, and for
+    the dictionary `train` wrote neither a full parse nor a re-export. A CRLF
+    copy of it is parsed once and re-exported once to check the pair."""
     dictionary = textprep.Dictionary({"crash": 2, "parser": 3})
     cfg = nnet.ModelConfig(vocab_size=dictionary.vocab_size, seq_len=12, embed_dim=4,
                            conv1_filters=2, conv1_width=3, conv2_filters=2, conv2_width=2,
@@ -66,18 +67,23 @@ def test_predict_on_matching_files_loads_each_once_and_re_exports_nothing(tmp_pa
     nnet.save_model(nnet.init_model(cfg, 0, dict_hash=dictionary.content_hash()),
                     tmp_path / "model.bin")
     dictionary.save(tmp_path / "dictionary.tsv")
-    tracer = _load_tracing().Tracer()
-    tracer.install()
-    try:
-        assert cli.main(["--paths.model", str(tmp_path / "model.bin"),
-                         "--paths.dictionary", str(tmp_path / "dictionary.tsv"),
-                         "predict", "--summary", "crash in parser"]) == cli.EXIT_OK
-    finally:
-        tracer.uninstall()
-    assert capsys.readouterr().out.startswith("label=")
-    assert {n: tracer.calls(n, "none") for n in (
-        "textprep.Dictionary.load", "nnet.load_model", "textprep.Dictionary.content_hash")} == {
-        "textprep.Dictionary.load": 1, "nnet.load_model": 1, "textprep.Dictionary.content_hash": 0}
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes((tmp_path / "dictionary.tsv").read_bytes().replace(b"\n", b"\r\n"))
+    counts, lines = [], []
+    for dict_path in (tmp_path / "dictionary.tsv", crlf):
+        tracer = _load_tracing().Tracer()
+        tracer.install()
+        try:
+            assert cli.main(["--paths.model", str(tmp_path / "model.bin"),
+                             "--paths.dictionary", str(dict_path),
+                             "predict", "--summary", "crash in parser"]) == cli.EXIT_OK
+        finally:
+            tracer.uninstall()
+        lines.append(capsys.readouterr().out)
+        counts.append([tracer.calls(n, "none") for n in (
+            "textprep.Dictionary.load", "nnet.load_model", "textprep.Dictionary.content_hash")])
+    assert lines[0].startswith("label=") and lines[1] == lines[0]
+    assert counts == [[0, 1, 0], [1, 1, 1]]
 
 
 def test_stemming_and_scanning_reach_their_traced_boundaries_once_per_item(tmp_path):
