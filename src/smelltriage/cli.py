@@ -228,14 +228,10 @@ def cmd_predict(cfg: config.RunConfig, summary: str, description: str) -> int:
     model_path, dict_path = _required(cfg, "model"), _required(cfg, "dictionary")
     model = nnet.load_model(model_path)
     text = textprep.report_text(summary, description)
-    # featurize reads only the first seq_len distinct words
-    words = list(dict.fromkeys(textprep.tokenize(text)))[: model.cfg.seq_len]
-    dictionary = textprep.load_words(dict_path, model.dict_hash, words)
-    if dictionary is None:  # not the file `train` wrote: parse it all and compare its words
-        dictionary = textprep.Dictionary.load(dict_path)
-        if not dictionary.matches(model.dict_hash):  # each file is valid; the pair is not
-            raise config.ConfigError(f"{model_path}: trained with dictionary "
-                                     f"{model.dict_hash!r}, not with {dict_path}")
+    dictionary = textprep.load_words(dict_path, model.dict_hash, text, model.cfg.seq_len)
+    if dictionary is None:  # each file is valid; the pair is not
+        raise config.ConfigError(f"{model_path}: trained with dictionary "
+                                 f"{model.dict_hash!r}, not with {dict_path}")
     X, _ = textprep.featurize([text], model.cfg.seq_len, dictionary)
     label, prob = nnet.predict(model, X[0])
     verdict = "refer to designer" if label == 1 else "assign to programmer"

@@ -28,14 +28,8 @@ def write_jsonl(path: str | Path, records: list[dict], seed: int | None = None,
 def read_text(path: str | Path) -> str:
     """The text of a UTF-8 file, line ends as they are; other bytes raise
     DataFileError naming it."""
-    return decode(Path(path).read_bytes(), path)
-
-
-def decode(data: bytes, path: str | Path) -> str:
-    """The bytes read from the file `path` as UTF-8; other bytes raise
-    DataFileError naming it."""
     try:
-        return data.decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFileError(f"{path}: not UTF-8: {exc}") from None
 

@@ -3,6 +3,7 @@ tabular experiment report."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -74,22 +75,7 @@ class MetricsRow:
     fold: int | None = None
 
     def to_record(self) -> dict:
-        rec = {
-            "project": self.project,
-            "sampling": self.sampling,
-            "test_percent": self.test_percent,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "fold": self.fold,
-            "train_accuracy": self.train_accuracy,
-            "train_loss": self.train_loss,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "undefined": list(self.undefined),
-        }
-        return rec
+        return dataclasses.asdict(self)
 
 
 def stratified_folds(labels, k: int, seed: int) -> FoldPlan:
@@ -149,19 +135,10 @@ class ExperimentReport:
 
 
 def _mean_row(rows: list[MetricsRow]) -> MetricsRow:
-    undefined = tuple(sorted({u for r in rows for u in r.undefined}))
-    return MetricsRow(
-        accuracy=float(np.mean([r.accuracy for r in rows])),
-        precision=float(np.mean([r.precision for r in rows])),
-        recall=float(np.mean([r.recall for r in rows])),
-        f1=float(np.mean([r.f1 for r in rows])),
-        train_accuracy=float(np.mean([r.train_accuracy for r in rows])),
-        train_loss=float(np.mean([r.train_loss for r in rows])),
-        undefined=undefined,
-        project=rows[0].project, sampling=rows[0].sampling,
-        test_percent=rows[0].test_percent, epochs=rows[0].epochs,
-        seed=rows[0].seed, fold=None,
-    )
+    means = {name: float(np.mean([getattr(r, name) for r in rows])) for name in
+             ("accuracy", "precision", "recall", "f1", "train_accuracy", "train_loss")}
+    return dataclasses.replace(rows[0], **means, fold=None,
+                               undefined=tuple(sorted({u for r in rows for u in r.undefined})))
 
 
 def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
@@ -207,17 +184,12 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
         except ValueError as exc:  # BalanceError and ConfigError are ValueErrors
             raise EvalError(f"fold {fold}: {exc}") from exc
         y_pred, _ = nnet.predict_batch(model, X_test)
-        row = compute_metrics(ConfusionMatrix.from_predictions(y_test, y_pred))
-        if history.epochs:
-            row.train_accuracy = history.epochs[-1]["accuracy"]
-            row.train_loss = history.epochs[-1]["loss"]
-        row.project = project
-        row.sampling = sampling
-        row.test_percent = 100.0 / k
-        row.epochs = model_cfg.epochs
-        row.seed = seed
-        row.fold = fold
-        rows.append(row)
+        last = history.epochs[-1] if history.epochs else {"accuracy": 0.0, "loss": 0.0}
+        rows.append(dataclasses.replace(
+            compute_metrics(ConfusionMatrix.from_predictions(y_test, y_pred)),
+            train_accuracy=last["accuracy"], train_loss=last["loss"], project=project,
+            sampling=sampling, test_percent=100.0 / k, epochs=model_cfg.epochs, seed=seed,
+            fold=fold))
     return ExperimentReport(mean=_mean_row(rows), folds=rows, diagnostics=diagnostics)
 
 

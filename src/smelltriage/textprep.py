@@ -47,8 +47,6 @@ class Dictionary:
     """word -> index map; index 0 is padding, index 1 is out-of-vocabulary."""
 
     word_to_index: dict[str, int] = field(default_factory=dict)
-    # the SHA-256 of the bytes `load` read: content_hash() for a file `save` wrote
-    file_hash: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def vocab_size(self) -> int:
@@ -62,79 +60,63 @@ class Dictionary:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def content_hash(self) -> str:
+        """The SHA-256 of export_text(): a model's `dict_hash`, and the one
+        rule by which a dictionary fits a model."""
         return hashlib.sha256(self.export_text().encode("utf-8")).hexdigest()
-
-    def matches(self, digest: str) -> bool:
-        """Whether content_hash() is `digest`. A file `save` wrote holds exactly
-        the bytes content_hash() hashes, so the hash of the bytes `load` read
-        settles it without the re-export."""
-        return self.file_hash == digest or self.content_hash() == digest
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.export_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Dictionary":
-        """Read a file of <word><tab><index> lines, as `save` writes it. Blank
-        lines are skipped; any other line without a tab and an integer after
-        its last tab raises DataFileError naming the file and the line."""
-        data = Path(path).read_bytes()
-        lines = datafiles.decode(data, path).splitlines()
-        mapping: dict[str, int] | None = {}
-        try:  # one pass for a file `save` wrote, with no check per line
-            for line in lines:
-                word, _, idx = line.rpartition("\t")
-                mapping[word] = int(idx)
-        except ValueError:  # a blank or bad line
-            mapping = None
-        if mapping is None or "" in mapping:  # "" is also the word of a line without a tab
-            mapping = _parse_lines(lines, path)
-        return cls(mapping, hashlib.sha256(data).hexdigest())
-
-
-def _parse_lines(lines: list[str], path: str | Path) -> dict[str, int]:
-    """`Dictionary.load`'s checked pass, line by line."""
-    mapping: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                word, idx = line.rsplit("\t", 1)
-                mapping[word] = int(idx)
-            except ValueError:
+        """Read a file of <word><tab><index> lines, as `save` writes it. Lines
+        of only whitespace are skipped; any other line without a tab and an
+        integer after its last tab raises DataFileError naming the file and
+        the line."""
+        lines = datafiles.read_text(path).splitlines()
+        mapping: dict[str, int] = {}
+        for line in lines:
+            word, tab, idx = line.rpartition("\t")
+            if tab:
+                try:
+                    mapping[word] = int(idx)
+                    continue
+                except ValueError:
+                    pass
+            if line.strip():  # numbered only now: an equal earlier line failed first
                 raise datafiles.DataFileError(
-                    f"{path}:{lineno}: expected <word><tab><index>") from None
-    return mapping
+                    f"{path}:{lines.index(line) + 1}: expected <word><tab><index>")
+        return cls(mapping)
 
 
 # the bytes of a saved dictionary's line other than its tab and line end, for
 # the words of `tokenize` and their indices
 _WORD_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789-"
-_WORD = re.compile(r"[a-z0-9-]+")
 
 
-def load_words(path: str | Path, digest: str, words: list[str]) -> Dictionary | None:
-    """The entries of `words` in the dictionary file at `path`, read in one
-    pass over its bytes, when they hash to `digest` and every line is one
-    <word><tab><index> of the bytes [a-z0-9-]; else None.
+def load_words(path: str | Path, digest: str, text: str, seq_len: int) -> Dictionary | None:
+    """The dictionary file at `path`, for `featurize` of `text`: it maps the
+    first `seq_len` distinct words of `text` as the file does. None when the
+    `content_hash` of the file's words is not `digest`, a model's `dict_hash`.
 
-    `digest` is a model's `dict_hash`, the `content_hash` of the dictionary
-    `train` used, so matching bytes are that dictionary's `export_text`. With
-    no other tab or line break in them, `load` reads each line as one entry,
-    and a word's entry is the line that starts with the word and a tab. One
-    regex over the bytes finds those lines: its words form a trie, so a line
-    costs a few character checks however many words there are."""
+    Bytes that hash to `digest` are the `export_text` of the dictionary the
+    model was trained with. When they also hold only [a-z0-9-] words and
+    indices between one tab and one LF per line, `load` would read that
+    dictionary back, so they need no parse: one regex over the bytes finds
+    the lines that start with a report word and a tab. Its words form a trie,
+    so a line costs a few character checks however many words there are. Any
+    other file is read in full by `load` and re-exported."""
     data = Path(path).read_bytes()
-    if hashlib.sha256(data).hexdigest() != digest:
-        return None
     separators = data.translate(None, _WORD_BYTES)
-    if separators != b"\t\n" * (len(separators) // 2):
-        return None
-    keys = sorted({w for w in words if _WORD.fullmatch(w)})
+    if (hashlib.sha256(data).hexdigest() != digest
+            or separators != b"\t\n" * (len(separators) // 2)):
+        dictionary = Dictionary.load(path)
+        return dictionary if dictionary.content_hash() == digest else None
+    keys = sorted(itertools.islice(dict.fromkeys(tokenize(text)), seq_len))
     if not keys:
         return Dictionary()
     lines = re.compile(f"\n({_trie(keys)})\t([^\n]*)".encode())
     re.purge()  # a pattern for one report: re's cache would keep 512 of them, about 5 MB
-    # a word on two lines takes the last one, as in `load`
     return Dictionary({m[1].decode(): int(m[2]) for m in lines.finditer(b"\n" + data)})
 
 

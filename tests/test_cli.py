@@ -414,6 +414,22 @@ def test_predict_checks_the_dictionary_by_its_bytes_then_by_its_words(trained, t
                                f"not with {other}"]
 
 
+def test_predict_refuses_saved_words_that_read_back_as_other_words(tmp_path, caplog):
+    """The file `save` wrote for {"": 0, "\\r": 0, "1": 0} hashes to the
+    model's `dict_hash`, but `load` reads {"": 0, "1": 0} from it."""
+    saved = textprep.Dictionary({"": 0, "\r": 0, "1": 0})
+    saved.save(tmp_path / "dictionary.tsv")
+    cfg = nnet.ModelConfig(vocab_size=4, seq_len=8, embed_dim=4, conv1_filters=2,
+                           conv1_width=3, conv2_filters=2, conv2_width=2, pool_size=2)
+    nnet.save_model(nnet.init_model(cfg, 0, dict_hash=saved.content_hash()),
+                    tmp_path / "model.bin")
+    rc = cli.main(["--paths.model", str(tmp_path / "model.bin"), "--paths.dictionary",
+                   str(tmp_path / "dictionary.tsv"), "predict", "--summary", "1"])
+    assert rc == EXIT_FATAL
+    assert _errors(caplog) == [f"{tmp_path / 'model.bin'}: trained with dictionary "
+                               f"{saved.content_hash()!r}, not with {tmp_path / 'dictionary.tsv'}"]
+
+
 # dictionary words of the bytes a saved line may hold, the empty one included,
 # and in some dictionaries one word with a tab, a line break or a non-ASCII
 # letter between two such words
@@ -442,14 +458,13 @@ def _predict_dictionary_files(draw):
 
 def _old_predict(model, model_path, dict_path, summary):
     """Exit code and output or error line of `predict` as it read the whole
-    dictionary with the old parse, and accepted it when the hash of its bytes
-    or of its re-export was the model's `dict_hash`."""
+    dictionary with the old parse, and accepted it when the hash of its
+    re-export was the model's `dict_hash`."""
     try:
         words = textprep_oracle.load(dict_path)
     except datafiles.DataFileError as exc:
         return EXIT_FATAL, str(exc)
-    if model.dict_hash not in (hashlib.sha256(dict_path.read_bytes()).hexdigest(),
-                               textprep_oracle.content_hash(words)):
+    if model.dict_hash != textprep_oracle.content_hash(words):
         return EXIT_FATAL, (f"{model_path}: trained with dictionary {model.dict_hash!r}, "
                             f"not with {dict_path}")
     row = textprep.doc2indices(textprep.TokenDocument("", textprep.preprocess(summary)),
@@ -466,6 +481,9 @@ def _old_predict(model, model_path, dict_path, summary):
 @example(data=b"a\t2\nb\t3\n", trained_with_file=True, other={}, report=["a"] * 9 + ["b"])
 # a word with a tab starts with a report word and a tab
 @example(data=b"a\tb\t2\n", trained_with_file=True, other={}, report=["a", "b"])
+# the bytes `save` wrote hash to the model's `dict_hash`, but "\r" breaks a line
+@example(data=b"\t0\n\r\t0\n1\t0\n", trained_with_file=False, other={"": 0, "\r": 0, "1": 0},
+         report=["1"] * 4)
 @given(data=_predict_dictionary_files(), trained_with_file=st.booleans(), other=_saved_dicts,
        report=st.lists(st.text(alphabet="ab1", min_size=1, max_size=2), min_size=4,
                        max_size=24))

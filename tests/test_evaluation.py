@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smelltriage import nnet
 from smelltriage.evaluation import (
-    BalanceConfig, ConfusionMatrix, EvalError, compute_metrics, format_report,
+    BalanceConfig, ConfusionMatrix, EvalError, MetricsRow, compute_metrics, format_report,
     run_kfold_experiment, stratified_folds,
 )
 
@@ -97,6 +99,18 @@ def test_run_kfold_report_shape_and_metadata():
     assert report.folds[0].test_percent == pytest.approx(100.0 / 3)
     assert report.mean.accuracy == pytest.approx(
         np.mean([r.accuracy for r in report.folds]))
+    assert all(r.train_accuracy > 0 and r.train_loss > 0 for r in report.folds)
+    assert report.mean.train_loss == pytest.approx(
+        np.mean([r.train_loss for r in report.folds]))
+
+
+def test_metrics_record_holds_every_field_as_json():
+    row = MetricsRow(accuracy=50.0, f1=12.5, undefined=("precision", "recall"), project="p",
+                     sampling="none", test_percent=20.0, epochs=3, seed=7, fold=2)
+    assert json.loads(json.dumps(row.to_record(), sort_keys=True)) == {
+        "accuracy": 50.0, "precision": 0.0, "recall": 0.0, "f1": 12.5, "train_accuracy": 0.0,
+        "train_loss": 0.0, "undefined": ["precision", "recall"], "project": "p",
+        "sampling": "none", "test_percent": 20.0, "epochs": 3, "seed": 7, "fold": 2}
 
 
 def test_run_kfold_deterministic():

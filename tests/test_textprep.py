@@ -4,7 +4,7 @@ import string
 import numpy as np
 import pytest
 import textprep_oracle as oracle
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from smelltriage import textprep
 from smelltriage.datafiles import DataFileError
@@ -95,6 +95,8 @@ _LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"
 # words without a line boundary, as every dictionary `train` writes has;
 # few letters, so that words repeat
 _dict_words = st.text(alphabet="ab \t\u00e9", max_size=4)
+# a word with a line boundary, which a re-export cannot read back as itself
+_broken_words = st.tuples(_dict_words, st.sampled_from(_LINE_ENDS), _dict_words).map("".join)
 _indices = st.one_of(st.integers(-3, 30).map(str),
                      st.sampled_from([" 5", "+5", "05", "1_0", "5 ", "\u0665", "x", "", "1__0"]))
 _lines = st.one_of(
@@ -106,11 +108,16 @@ _lines = st.one_of(
 
 @st.composite
 def _dictionary_files(draw):
-    """The bytes of a dictionary file: what `save` writes for some words, that
-    with CRLF line ends, or lines of any kind between any line ends."""
+    """The bytes of a dictionary file, and the words `save` wrote to it or
+    None: what `save` writes for some words, at times one with a line break,
+    that with CRLF line ends, or lines of any kind between any line ends."""
     kind = draw(st.sampled_from(["saved", "crlf", "lines"]))
+    saved = None
     if kind != "lines":
-        text = Dictionary(draw(st.dictionaries(_dict_words, st.integers(-3, 30)))).export_text()
+        saved = draw(st.dictionaries(_dict_words, st.integers(-3, 30)))
+        if draw(st.booleans()):
+            saved.update(draw(st.dictionaries(_broken_words, st.integers(-3, 30), max_size=1)))
+        text = Dictionary(saved).export_text()
         text = text.replace("\n", "\r\n") if kind == "crlf" else text
     else:
         lines = draw(st.lists(st.tuples(_lines, st.sampled_from(_LINE_ENDS)), max_size=8))
@@ -121,7 +128,7 @@ def _dictionary_files(draw):
     if draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
-    return data
+    return data, saved
 
 
 def _outcome(load, path):
@@ -132,35 +139,76 @@ def _outcome(load, path):
     return "loaded", list(mapping.items())
 
 
+@pytest.mark.parametrize("data", [
+    b"a\t2\nbad\nb\t3\nbad\n",                 # the same bad line twice: the first is named
+    b"a\t2\nb\tx\nb\tx\n",
+    b"\t5\n5\n",                                  # no tab after a line of the word ""
+    b"\t5\n\t\n",
+    " \t \na\t2\n\t\n  \n\t \t\n\u3000\n".encode(),   # whitespace only, with and without tabs
+    b"a\t+2\nb\t 2\nc\t2 \n",                    # indices int() reads with a sign or spaces
+    b"\n\na\t2\n\n\nb\t3",                         # blank lines, no LF after the last
+    b"a\t2\r\nb\t3\r\n\r\n",                         # CRLF
+    b"a\t2\rb\t3\r\rbad\r",                           # CR
+    b"",
+])
+def test_dictionary_load_reads_each_line_as_the_old_parse(data, tmp_path):
+    path = tmp_path / "dictionary.tsv"
+    path.write_bytes(data)
+    assert _outcome(lambda p: Dictionary.load(p).word_to_index, path) == \
+        _outcome(oracle.load, path)
+
+
+_report_words = st.lists(st.text(alphabet="ab1", min_size=1, max_size=2), max_size=12)
+
+
 @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=_dictionary_files(), other=st.dictionaries(_dict_words, st.integers(-3, 30)))
-def test_dictionary_load_and_predict_check_match_the_old_ones(data, other, tmp_path):
+# the bytes `save` wrote hash to the saved words' content hash, but "\r" breaks a line
+@example(file=(b"\t0\n\r\t0\n1\t0\n", {"": 0, "\r": 0, "1": 0}), other={}, report=["1"],
+         seq_len=8)
+@given(file=_dictionary_files(), other=st.dictionaries(_dict_words, st.integers(-3, 30)),
+       report=_report_words, seq_len=st.integers(1, 8))
+def test_dictionary_load_and_predict_check_match_the_old_ones(file, other, report, seq_len,
+                                                              tmp_path):
     """The one-pass parse reads the words, in the same order, that the old
-    line-by-line parse read, or fails with the same message; and `matches`
+    line-by-line parse read, or fails with the same message; and `load_words`
     accepts a model's dictionary hash exactly when the old `content_hash` of
-    the file's words equals it."""
+    the file's words equals it, then gives the report the row those words
+    give it. The model hashes are those of the file's
+    words, of the words saved to it and of other words."""
+    data, saved = file
     path = tmp_path / f"{hashlib.sha256(data).hexdigest()}.tsv"
     if not path.exists():  # a new file: truncating one is slow on some file systems
         path.write_bytes(data)
     outcome = _outcome(oracle.load, path)
     assert _outcome(lambda p: Dictionary.load(p).word_to_index, path) == outcome
+    # a model's hash is the content hash of the dictionary it was trained with
+    digests = [oracle.content_hash(other)] + ([] if saved is None else [oracle.content_hash(saved)])
+    text = " ".join(report)
     if outcome[0] == "error":
+        for digest in digests:
+            assert _outcome(lambda p: textprep.load_words(p, digest, text, seq_len).word_to_index,
+                            path) == outcome
         return
     words = dict(outcome[1])
-    loaded = Dictionary.load(path)
-    assert loaded.file_hash == hashlib.sha256(data).hexdigest()
-    assert loaded.content_hash() == oracle.content_hash(words)
-    # a model's hash is the content hash of the dictionary it was trained with
-    for model_hash in (oracle.content_hash(words), oracle.content_hash(other)):
-        assert loaded.matches(model_hash) == (oracle.content_hash(words) == model_hash)
+    assert Dictionary.load(path).content_hash() == oracle.content_hash(words)
+    for digest in digests + [oracle.content_hash(words)]:
+        got = textprep.load_words(path, digest, text, seq_len)
+        assert (got is not None) == (oracle.content_hash(words) == digest)
+        if got is not None:
+            assert textprep.featurize([text], seq_len, got)[0].tolist() == \
+                textprep.featurize([text], seq_len, Dictionary(words))[0].tolist()
 
 
 def test_saved_dictionary_matches_by_the_hash_of_its_bytes(tmp_path, monkeypatch):
-    d = Dictionary({"crash": 2, "parser": 3})
+    """A dictionary `save` wrote is neither parsed in full nor re-exported, and
+    gives only the entries of the report's first distinct words."""
+    d = Dictionary({"crash": 2, "parser": 3, "in": 4, "x": 5})
     d.save(tmp_path / "dictionary.tsv")
-    loaded, digest = Dictionary.load(tmp_path / "dictionary.tsv"), d.content_hash()
     monkeypatch.setattr(Dictionary, "content_hash", lambda self: pytest.fail("re-exported"))
-    assert loaded.matches(digest)
+    monkeypatch.setattr(Dictionary, "load", lambda path: pytest.fail("parsed"))
+    got = textprep.load_words(tmp_path / "dictionary.tsv", hashlib.sha256(
+        d.export_text().encode()).hexdigest(), "crash unseen crash in parser x", 4)
+    assert got.word_to_index == {"crash": 2, "in": 4, "parser": 3}
 
 
 def test_dictionary_hash_changes_with_content():
