@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import ContextManager, Iterator, Protocol
 
 from .corpus import CorpusStore, IssueType, UnlinkedIssueError, DanglingLinkError, CorpusError
@@ -36,15 +36,7 @@ class LabeledSample:
     synthetic: bool = False
 
     def to_record(self) -> dict:
-        return {
-            "issue_id": self.issue_id,
-            "commit_hash": self.commit_hash,
-            "text": self.text,
-            "label": self.label,
-            "total_added_smells": self.total_added_smells,
-            "raw_signed_delta": self.raw_signed_delta,
-            "synthetic": self.synthetic,
-        }
+        return asdict(self)
 
     @classmethod
     def from_record(cls, rec: dict) -> "LabeledSample":

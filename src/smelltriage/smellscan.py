@@ -121,10 +121,6 @@ class SmellVector:
     def __getitem__(self, rule: SmellRule) -> bool:
         return self.flags[rule]
 
-    @property
-    def total(self) -> int:
-        return sum(self.flags)
-
     def to_record(self) -> dict:
         rec = {name: int(f) for name, f in zip(RULE_NAMES, self.flags)}
         rec["raw_cyclomatic_max"] = self.raw_cyclomatic_max
@@ -205,8 +201,10 @@ def _lex(text: str) -> tuple[dict[int, int], list[list]]:
     """The bracket table of cleaned source, mapping each matched '{' and '(' to
     its partner (braces and parentheses pair independently), and its class
     declarations as [name, header start, brace, declarations directly inside]:
-    a header starts after the last ';', '{' or '}' before its keyword, and the
-    brace is the first '{' after the name."""
+    a header starts after the last ';', '{' or '}' before its keyword, but a
+    closed (...) group whose last one is a brace, such as an annotation's
+    array argument, leaves the start where it was before the group. The brace
+    is the first '{' after the name."""
     pairs, braces, parens, decls, waiting, open_classes = {}, [], [], [], [], []
     boundary = 0
     for m in _LEX_RE.finditer(text):
@@ -215,10 +213,13 @@ def _lex(text: str) -> tuple[dict[int, int], list[list]]:
             if m.group(1) is None:
                 waiting.append([m.group(2), boundary, -1, []])
         elif c == "(":
-            parens.append(pos)
+            parens.append((pos, boundary))
         elif c == ")":
             if parens:
-                pairs[parens.pop()] = pos
+                opening, before = parens.pop()
+                pairs[opening] = pos
+                if text[boundary - 1] in "{}":
+                    boundary = before
         else:
             boundary = pos + 1
             if c == "{":
@@ -443,21 +444,6 @@ def _scan_method(header: str, text: str, pairs: dict[int, int],
     )
 
 
-def _blank_holes(text: str, pairs: dict[int, int], start: int, end: int, holes):
-    """(text, pairs, start, end) for text[start:end] with the `holes` inside it
-    blanked: a copy with its own bracket table, or the text itself if none."""
-    inner = holes[bisect_left(holes, (start,)): bisect_left(holes, (end,))]
-    if not inner:
-        return text, pairs, start, end
-    parts, pos = [], start
-    for hs, he in inner:
-        hs, he = max(hs, pos), min(he, end)
-        parts += [text[pos:hs], _blank(text[hs:he])]
-        pos = max(he, pos)
-    blanked = "".join(parts) + text[pos:end]
-    return blanked, _lex(blanked)[0], 0, len(blanked)
-
-
 def _enum_constants_end(text: str, pairs: dict[int, int], start: int, end: int) -> int:
     """Past the constant list that opens the enum body text[start:end]: its
     first ';' outside brackets, or end when there is none. Constants may have
@@ -471,25 +457,16 @@ def _enum_constants_end(text: str, pairs: dict[int, int], start: int, end: int) 
 
 
 def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
-                start: int, end: int, holes: list[tuple[int, int]]) -> ClassMetrics:
-    """Counts for the class with body text[start:end]. `holes` are the spans of
-    the classes declared in it, which count for themselves only. An enum's
-    constants are neither fields nor methods."""
-    pieces = zip([start] + [he for _, he in holes], [hs for hs, _ in holes] + [end])
-    types = {t for ps, pe in pieces for t in _TYPE_TOKEN_RE.findall(text, ps, pe)}
+                start: int, end: int) -> ClassMetrics:
+    """Counts for the class with body text[start:end], which holds none of the
+    classes declared in it. An enum's constants are neither fields nor methods."""
+    types = set(_TYPE_TOKEN_RE.findall(text, start, end))
     cm = ClassMetrics(name=name, is_abstract=bool(re.search(r"\babstract\b", header)),
                       line_count=header.strip().count("\n") + text.count("\n", start, end) + 1,
                       unique_coupled_types=len(types - {name}))
-    bounds = holes + [(end, end + 1)]
-    fields = hole = 0
+    fields = 0
     pos = seg = _enum_constants_end(text, pairs, start, end) if _ENUM_RE.search(header) else start
-    while pos < end:
-        while bounds[hole][1] <= pos:
-            hole += 1
-        m = _MEMBER_END_RE.search(text, pos, bounds[hole][0])
-        if m is None:  # a nested class
-            pos = seg = bounds[hole][1]
-            continue
+    while m := _MEMBER_END_RE.search(text, pos, end):
         p = m.start()
         if text[p] == "(":  # annotation arguments and initializers may hold ';' and '{'
             pos = min(pairs.get(p, p) + 1, end)
@@ -511,8 +488,7 @@ def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
         if close == end:
             break  # unbalanced braces: the rest of the class is not scanned
         if _method_name(segment) is not None:
-            body = _blank_holes(text, pairs, p + 1, close, holes)
-            cm.methods.append(_scan_method(segment, *body))
+            cm.methods.append(_scan_method(segment, text, pairs, p + 1, close))
             cm.public_member_count += cm.methods[-1].is_public
         elif "=" in segment:  # field initialized with an anonymous class body
             fields += 1
@@ -526,18 +502,25 @@ def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
 
 def scan_metrics(cleaned_source: str, file_path: str = "<memory>") -> FileMetrics:
     """Discover classes/methods in comment-stripped source and compute counts:
-    one lexer pass, then one walk over each class body that jumps over blocks
-    and over the classes declared inside it."""
+    one lexer pass, then one walk over each class body that jumps over blocks.
+    A class that declares classes is walked over a copy of its body in which
+    each of them, header to closing brace, is cut down to its line breaks, so
+    the lexer reads each other character at most twice, however deep the nest."""
     text, n = cleaned_source, len(cleaned_source)
     imports = _IMPORT_RE.findall(text)
     fm = FileMetrics(file_path, len(imports), {_package_of(p) for p in imports})
     pairs, decls = _lex(text)
     for name, start, brace, nested in decls:
-        end = pairs.get(brace, n)
-        # a nested class spans its header and body
-        holes = [(d[1], min(pairs.get(d[2], n) + 1, end)) for d in nested]
-        fm.classes.append(_scan_class(text, pairs, name, text[start:brace],
-                                      brace + 1, end, holes))
+        body, body_pairs, lo, hi = text, pairs, brace + 1, pairs.get(brace, n)
+        if nested:
+            parts, pos = [], lo
+            for d in nested:  # declarations that share a brace share a span
+                cut, stop = max(d[1], pos), pairs.get(d[2], n) + 1
+                parts += [text[pos:cut], "\n" * text.count("\n", cut, stop)]
+                pos = stop
+            body = "".join(parts) + text[pos:hi]
+            body_pairs, lo, hi = _lex(body)[0], 0, len(body)
+        fm.classes.append(_scan_class(body, body_pairs, name, text[start:brace], lo, hi))
     return fm
 
 

@@ -112,7 +112,7 @@ def load_words(path: str | Path, digest: str, text: str, seq_len: int) -> Dictio
             or separators != b"\t\n" * (len(separators) // 2)):
         dictionary = Dictionary.load(path)
         return dictionary if dictionary.content_hash() == digest else None
-    keys = sorted(itertools.islice(dict.fromkeys(tokenize(text)), seq_len))
+    keys = sorted(_first_distinct(tokenize(text), seq_len))
     if not keys:
         return Dictionary()
     lines = re.compile(f"\n({_trie(keys)})\t([^\n]*)".encode())
@@ -143,21 +143,19 @@ def build_vocabulary(documents: list[TokenDocument], max_vocab: int | None = Non
     return Dictionary({word: i + 2 for i, (word, _) in enumerate(ordered)})
 
 
+def _first_distinct(tokens: list[str], n: int) -> list[str]:
+    """The first `n` distinct tokens, in first-occurrence order: the words a
+    model input of length `n` holds."""
+    return list(itertools.islice(dict.fromkeys(tokens), n))
+
+
 def doc2indices(doc: TokenDocument, dictionary: Dictionary, length: int) -> list[int]:
     """Unique tokens in first-occurrence order, mapped to indices, truncated to
     `length` and right-padded with zeros."""
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    seen: set[str] = set()
-    indices: list[int] = []
-    for token in doc.tokens:
-        if token in seen:
-            continue
-        seen.add(token)
-        indices.append(dictionary.index_of(token))
-    indices = indices[:length]
-    indices.extend([PAD_INDEX] * (length - len(indices)))
-    return indices
+    indices = [dictionary.index_of(t) for t in _first_distinct(doc.tokens, length)]
+    return indices + [PAD_INDEX] * (length - len(indices))
 
 
 def featurize(texts: list[str], seq_len: int, dictionary: Dictionary | None = None,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smellscan_oracle as oracle
+from smelltriage import smellscan
 from smelltriage.smellscan import (
     RULE_NAMES, RuleThresholds, SmellRule, SmellVector,
     evaluate_rules, ingest_pmd_report, npath_of_block,
@@ -363,6 +364,71 @@ def test_npath_matches_the_old_npath(body):
 def test_fixture_scans_like_the_old_scanner(entry):
     src = (SMELL_FIXTURE_DIR / entry["file"]).read_text(encoding="utf-8")
     _assert_scans_like_the_old_scanner(src)
+
+
+# -- nested classes: each class is scanned from its own text -----------------
+
+def _nest(kind, depth):
+    """`depth` classes, each declaring the next in the place `kind` names:
+    a method body, the class body, an anonymous class in a method, or a
+    switch case."""
+    src = ""
+    for k in reversed(range(depth)):
+        inner = {
+            "local": f"x = 1;\n        {src}",
+            "member": "x = 1;",
+            "anonymous": "Runnable r = new Runnable() {\n"
+                         f"            public void run() {{ if (a) {{ go(); }} {src} }}\n        }};",
+            "switch": f"switch (k) {{\n        case 1: {src} break;\n        default: go();\n        }}",
+        }[kind]
+        member = src if kind == "member" else ""
+        src = (f"class C{k} extends Base{k} {{\n    int f{k};\n    {member}\n"
+               f"    void m(int k) {{\n        if (a && b) {{ y = 2; }}\n        {inner}\n"
+               f"        return;\n    }}\n}}\n")
+    return src
+
+
+_NESTS = [_nest(kind, depth) for kind in ("local", "member", "anonymous", "switch")
+          for depth in range(1, 7)]
+
+
+@pytest.mark.parametrize("src", [
+    *_NESTS,
+    *(src[: len(src) // 2] for src in _NESTS),  # cut off mid-file
+    "class A { class B class C {} int x; }",  # two declarations share one brace
+    "class A { void m() { for (int i = 0; i < n; i++) class L { int f; } } }",
+    "class A { int v;\n  int get() {\n    class L { int w; }\n    return v;\n  }\n}",
+])
+def test_nested_classes_scan_like_the_old_scanner(src):
+    _assert_scans_like_the_old_scanner(src)
+
+
+def test_nested_code_is_lexed_once_more_at_most(monkeypatch):
+    """The classes around a nested class lex only their own text and the line
+    breaks of what they declare, so the lexer reads each character at most
+    twice, however deep the nest."""
+    lexed = []
+    lex = smellscan._lex
+    monkeypatch.setattr(smellscan, "_lex",
+                        lambda text: lexed.append(len(text) - text.count("\n")) or lex(text))
+    src = ""
+    for k in reversed(range(16)):  # member and local classes by turns
+        member, local = (src, "") if k % 2 else ("", src)
+        body = "\n".join(f"        x = x + {i};" for i in range(20))
+        src = (f"class C{k} {{\n    int f;\n    {member}\n    void m() {{\n{body}\n"
+               f"        {local}\n    }}\n}}\n")
+    assert len(scan_metrics(src).classes) == 16
+    assert sum(lexed) <= 2 * (len(src) - src.count("\n"))
+
+
+def test_an_annotated_nested_class_leaves_no_member_behind():
+    src = ('class A {\n  @SuppressWarnings({"a", "b"}) static class B { int f; }\n'
+           '  @JsonSubTypes({ @Type(X.class),\n    @Type(Y.class) })\n'
+           '  abstract static class C { }\n  void m() { @Ann({1}) class L { } }\n}')
+    classes = scan_metrics(strip_comments_and_strings(src)[0]).classes
+    assert [(c.name, [m.name for m in c.methods], c.field_count, c.line_count,
+             c.unique_coupled_types) for c in classes] == [
+        ("A", ["m"], 0, 7, 0), ("B", [], 1, 1, 0), ("C", [], 0, 3, 0), ("L", [], 0, 1, 0)]
 
 
 # -- lexer and stripper edge cases, against the old scanner ------------------
