@@ -1,9 +1,10 @@
 """Structural scanner for Java-like source plus the 16 smell-rule predicates.
 
-The scanner is a lexer, not a grammar: one regex pass blanks comments and
-string interiors, one pass pairs the brackets and finds class declarations,
-and every later step reads offsets into that text. Statement nesting has no
-depth limit. Every rule only needs counts, so this is enough.
+The scanner is a lexer, not a grammar: a pre-pass blanks what is not code
+(comments, the interiors of string, char and text-block literals, and the
+argument lists of annotations), one pass pairs the brackets and finds class
+declarations, and every later step reads offsets into that text. Statement
+nesting has no depth limit. Every rule only needs counts, so this is enough.
 Externally produced PMD XML reports can be ingested as an alternative source.
 """
 
@@ -140,10 +141,16 @@ class SmellVector:
 # Comment / string stripping
 # ---------------------------------------------------------------------------
 
-# a comment, or a string or char literal that ends at its closing quote, at the
-# end of its line or at the end of the text; a backslash escapes one character
+# a comment, a text block (interior: group 2), or a string or char literal
+# (interior: group 4). Without its closing delimiter a literal runs to the end
+# of the text, and a string or char literal only to the end of its line. A
+# backslash escapes one character
 _LITERAL_RE = re.compile(
-    r"""//[^\n]*|/\*.*?(\*/|\Z)|(["'])(?:\\.?|(?!\2)[^\\\n])*(\2|\n|\Z)""", re.DOTALL)
+    r'''//[^\n]*|/\*.*?(?:\*/|\Z)|(""")((?:\\.?|(?!""")[^\\])*)(?:""")?'''
+    r"""|(["'])((?:\\.?|(?!\3)[^\\\n])*)\3?""", re.DOTALL)
+# an annotation's name (group 1) and its argument list (group 2), which may
+# nest parentheses three deep
+_ANNOTATION_RE = re.compile(r"(@\s*[\w$.]+\s*)(\((?:[^()]|\((?:[^()]|\([^()]*\))*\))*\))")
 
 
 def _blank(text: str) -> str:
@@ -151,31 +158,22 @@ def _blank(text: str) -> str:
     return "\n".join(" " * len(line) for line in text.split("\n"))
 
 
-def strip_comments_and_strings(source: str) -> tuple[str, list[str]]:
-    """Blank comment and string-literal interiors with spaces.
+def _blank_group(m: re.Match, i: int) -> str:
+    """The text of match m with its group i blanked."""
+    (start, end), (a, b) = m.span(), m.span(i)
+    return m.string[start:a] + _blank(m.string[a:b]) + m.string[b:end]
 
-    Byte length, line breaks and column positions are all preserved; string
-    and char delimiters are kept so literals remain visible as empty tokens.
+
+def strip_comments_and_strings(source: str) -> str:
+    """Blank what is not code with spaces: comments, the interiors of text
+    block, string and char literals, and the argument lists of annotations.
+
+    Length, line breaks and column positions are all preserved; literal
+    delimiters and annotation names are kept.
     """
-    diagnostics: list[str] = []
-    counted = [0, 1]  # the line number at offset counted[0]
-
-    def blank(m: re.Match) -> str:
-        text, quote, end = m.group(), m.group(2), m.group(3)
-        if quote is None:  # a comment
-            if m.group(1) == "":
-                diagnostics.append("unterminated block comment at end of file")
-            return _blank(text)
-        kind = "string" if quote == '"' else "char"
-        if end == "\n":
-            counted[1] += source.count("\n", counted[0], m.start())
-            counted[0] = m.start()
-            diagnostics.append(f"line {counted[1]}: unterminated {kind} literal")
-        elif not end:
-            diagnostics.append(f"unterminated {kind} literal at end of file")
-        return quote + _blank(text[1:len(text) - len(end)]) + end
-
-    return _LITERAL_RE.sub(blank, source), diagnostics
+    text = _LITERAL_RE.sub(
+        lambda m: _blank_group(m, 2 if m.group(1) else 4 if m.group(3) else 0), source)
+    return _ANNOTATION_RE.sub(lambda m: _blank_group(m, 2), text)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +199,8 @@ def _lex(text: str) -> tuple[dict[int, int], list[list]]:
     """The bracket table of cleaned source, mapping each matched '{' and '(' to
     its partner (braces and parentheses pair independently), and its class
     declarations as [name, header start, brace, declarations directly inside]:
-    a header starts after the last ';', '{' or '}' before its keyword, but a
-    closed (...) group whose last one is a brace, such as an annotation's
-    array argument, leaves the start where it was before the group. The brace
-    is the first '{' after the name."""
+    a header starts after the last ';', '{' or '}' before its keyword, and its
+    brace is the first '{' after the name."""
     pairs, braces, parens, decls, waiting, open_classes = {}, [], [], [], [], []
     boundary = 0
     for m in _LEX_RE.finditer(text):
@@ -213,13 +209,10 @@ def _lex(text: str) -> tuple[dict[int, int], list[list]]:
             if m.group(1) is None:
                 waiting.append([m.group(2), boundary, -1, []])
         elif c == "(":
-            parens.append((pos, boundary))
+            parens.append(pos)
         elif c == ")":
             if parens:
-                opening, before = parens.pop()
-                pairs[opening] = pos
-                if text[boundary - 1] in "{}":
-                    boundary = before
+                pairs[parens.pop()] = pos
         else:
             boundary = pos + 1
             if c == "{":
@@ -368,9 +361,10 @@ def npath_of_block(text: str, start: int = 0, end: int | None = None,
 # ---------------------------------------------------------------------------
 
 _MEMBER_END_RE = re.compile(r"[;{(]")
-# an annotation with arguments, which may hold one level of parentheses
-_ANNOTATION_ARGS_RE = re.compile(r"@\s*[\w$.]+\s*\((?:[^()]|\([^()]*\))*\)")
 _DECISION_KEYWORD_RE = re.compile(r"\b(?:if|while|for|case|catch)\b")
+# a '?' of a conditional expression, not a generic wildcard such as `<?>`,
+# `<?, T>` or `<? super T>`
+_CONDITIONAL_RE = re.compile(r"\?(?!\s*(?:[>,]|(?:extends|super)\s+[\w$]))")
 _NCSS_HEADER_RE = re.compile(r"\b(?:if|else|for|while|do|switch|try|catch|finally)\b")
 _GETTER_RE = re.compile(r"\s*return\s+(?:this\s*\.\s*)?[\w$]+\s*;\s*")
 _SETTER_RE = re.compile(r"\s*(?:this\s*\.\s*)?[\w$]+\s*=\s*[\w$]+\s*;\s*")
@@ -434,7 +428,7 @@ def _scan_method(header: str, text: str, pairs: dict[int, int],
         ncss=1 + statements + len(_NCSS_HEADER_RE.findall(text, start, end)),
         decision_points=len(_DECISION_KEYWORD_RE.findall(text, start, end))
         + text.count("&&", start, end) + text.count("||", start, end)
-        + text.count("?", start, end),
+        + len(_CONDITIONAL_RE.findall(text, start, end)),
         npath=npath_of_block(text, start, end, pairs),
         switch_label_count=_switch_label_count(text, pairs, start, end),
         statement_count=statements,
@@ -468,11 +462,10 @@ def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
     pos = seg = _enum_constants_end(text, pairs, start, end) if _ENUM_RE.search(header) else start
     while m := _MEMBER_END_RE.search(text, pos, end):
         p = m.start()
-        if text[p] == "(":  # annotation arguments and initializers may hold ';' and '{'
+        if text[p] == "(":  # initializers may hold ';' and '{'
             pos = min(pairs.get(p, p) + 1, end)
             continue
-        # annotations are blanked, so the first '(' opens the parameter list
-        segment = _ANNOTATION_ARGS_RE.sub(lambda a: _blank(a.group()), text[seg:p].strip())
+        segment = text[seg:p].strip()
         if text[p] == ";":
             if segment and _method_name(segment) is not None and ")" in segment:
                 cm.methods.append(_scan_method(segment, text, pairs, p, p))  # abstract
@@ -590,8 +583,7 @@ def evaluate_rules(metrics: FileMetrics, thresholds: RuleThresholds | None = Non
 def scan_source(source: str, file_path: str = "<memory>",
                 thresholds: RuleThresholds | None = None) -> SmellVector:
     """strip -> scan -> evaluate, in one call."""
-    cleaned, _ = strip_comments_and_strings(source)
-    return evaluate_rules(scan_metrics(cleaned, file_path), thresholds)
+    return evaluate_rules(scan_metrics(strip_comments_and_strings(source), file_path), thresholds)
 
 
 # ---------------------------------------------------------------------------

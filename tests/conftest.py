@@ -11,6 +11,14 @@ from hypothesis import settings
 settings.register_profile("smelltriage", deadline=None)
 settings.load_profile("smelltriage")
 
+
+def pytest_collection_modifyitems(items):
+    """Mark as slow each test that needs the criterion 7 and 8 experiments,
+    which train fifteen full models."""
+    for item in items:
+        if "synthetic_experiments" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)
+
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 SMELL_FIXTURE_DIR = FIXTURE_DIR / "smells"
 
