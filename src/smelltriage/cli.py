@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import balance, config, corpus, datafiles, evaluation, labeler, nnet, smellscan, textprep
+from . import balance, config, corpus, datafiles, evaluation, labeler, nnet, textprep
 
 log = logging.getLogger("smelltriage")
 
@@ -37,12 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "predict that label from new bug-report text.",
     )
     parser.add_argument("--config", help="JSON run-configuration file")
-    # `--out` is a second spelling of `--paths.out_dir`; `--verbose` is the `verbose` key's switch
+    # `--out` is a second spelling of `--paths.out_dir`
     parser.add_argument("--out", dest="paths.out_dir", metavar="OUT", help="output directory")
-    parser.add_argument("--verbose", action="store_const", const="true")
     for dotted, _ in config.flat_keys():
-        if dotted == "verbose":
-            continue
         parser.add_argument(f"--{dotted}", dest=dotted, metavar="VALUE")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("build-dataset", help="corpus -> smell scan -> labeled dataset")
@@ -124,16 +121,8 @@ def cmd_build_dataset(cfg: config.RunConfig) -> int:
 
 
 def cmd_scan_smells(cfg: config.RunConfig) -> int:
-    diagnostics: list[str] = []
-    if path := cfg.paths.pmd_report:
-        result = smellscan.ingest_pmd_report(datafiles.read_text(path), cfg.smell, path)
-        diagnostics.extend(result.diagnostics)
-        for rule, count in sorted(result.unmatched_rules.items()):
-            diagnostics.append(f"unmatched PMD rule {rule}: {count} violation(s)")
-        records = [labeler.vectors_record("", [(f, vec, None) for f, vec in result.vectors])]
-    else:
-        store, diagnostics = _load_store(cfg)
-        records = labeler.scan_fix_commits(store, _git_source(cfg, store), diagnostics)
+    store, diagnostics = _load_store(cfg)
+    records = labeler.scan_fix_commits(store, _git_source(cfg, store), diagnostics)
     datafiles.write_jsonl(Path(cfg.paths.out_dir) / "smell_vectors.jsonl", records,
                           seed=cfg.seed, kind="smell-vectors")
     return _exit_code(diagnostics)
@@ -247,10 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except config.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
-    logging.basicConfig(
-        level=logging.DEBUG if cfg.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     commands = {"build-dataset": cmd_build_dataset, "scan-smells": cmd_scan_smells,
                 "label": cmd_label, "train": cmd_train, "evaluate": cmd_evaluate,
                 "predict": lambda cfg: cmd_predict(cfg, args.summary, args.description)}

@@ -29,7 +29,6 @@ class PathsConfig:
     links: str | None = None
     repo: str | None = None
     smell_vectors: str | None = None
-    pmd_report: str | None = None
     dataset: str | None = None
     model: str | None = None
     dictionary: str | None = None
@@ -57,7 +56,6 @@ class RunConfig:
     project: str = "project"
     source_extensions: tuple[str, ...] = (".java",)
     seed: int = 0
-    verbose: bool = False
 
 
 def _leaf_types(cls, prefix: str = "") -> dict[str, object]:
@@ -93,6 +91,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         _load_object(cfg, data, f"config {path}", "")
     for dotted, raw in (overrides or {}).items():
         apply_override(cfg, dotted, raw)
+    if cfg.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed: expected an integer >= 0, got {cfg.seed}")
     return cfg
 
 

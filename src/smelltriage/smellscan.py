@@ -5,14 +5,12 @@ The scanner is a lexer, not a grammar: a pre-pass blanks what is not code
 argument lists of annotations), one pass pairs the brackets and finds class
 declarations, and every later step reads offsets into that text. Statement
 nesting has no depth limit. Every rule only needs counts, so this is enough.
-Externally produced PMD XML reports can be ingested as an alternative source.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -43,7 +41,8 @@ RULE_NAMES = [r.name for r in SmellRule]
 
 @dataclass
 class RuleThresholds:
-    """Per-rule numeric thresholds; all comparisons are strict greater-than."""
+    """Per-rule numeric thresholds. Each comparison is strict greater-than,
+    except DataClass's: an accessor ratio >= `dataclass_accessor_ratio`."""
 
     cyclo_npath_threshold: int = 40
     coupling_threshold: int = 20
@@ -148,9 +147,9 @@ class SmellVector:
 _LITERAL_RE = re.compile(
     r'''//[^\n]*|/\*.*?(?:\*/|\Z)|(""")((?:\\.?|(?!""")[^\\])*)(?:""")?'''
     r"""|(["'])((?:\\.?|(?!\3)[^\\\n])*)\3?""", re.DOTALL)
-# an annotation's name (group 1) and its argument list (group 2), which may
-# nest parentheses three deep
-_ANNOTATION_RE = re.compile(r"(@\s*[\w$.]+\s*)(\((?:[^()]|\((?:[^()]|\([^()]*\))*\))*\))")
+# an annotation's name and the `(` that opens its argument list
+_ANNOTATION_RE = re.compile(r"@\s*[\w$.]+\s*\(")
+_ANNOTATION_OR_PAREN_RE = re.compile(_ANNOTATION_RE.pattern + r"|[()]")
 
 
 def _blank(text: str) -> str:
@@ -173,7 +172,28 @@ def strip_comments_and_strings(source: str) -> str:
     """
     text = _LITERAL_RE.sub(
         lambda m: _blank_group(m, 2 if m.group(1) else 4 if m.group(3) else 0), source)
-    return _ANNOTATION_RE.sub(lambda m: _blank_group(m, 2), text)
+    return _blank_annotation_arguments(text)
+
+
+def _blank_annotation_arguments(text: str) -> str:
+    """text with the argument list of each annotation blanked, its parentheses
+    included, however deep they nest. A list that the text ends inside is kept,
+    but not the closed lists inside it."""
+    spans, opens, pos = [], [], 0  # the outermost closed lists; the open `(`s
+    while m := (_ANNOTATION_OR_PAREN_RE if opens else _ANNOTATION_RE).search(text, pos):
+        pos = m.end()
+        if m.group() != ")":
+            opens.append(m)
+        elif (o := opens.pop()).group() != "(":  # an argument list closes
+            start = o.end() - 1
+            while spans and spans[-1][0] > start:  # the lists inside it
+                spans.pop()
+            spans.append((start, m.end()))
+    parts, done = [], 0
+    for start, end in spans:
+        parts += [text[done:start], _blank(text[start:end])]
+        done = end
+    return "".join(parts) + text[done:]
 
 
 # ---------------------------------------------------------------------------
@@ -584,61 +604,3 @@ def scan_source(source: str, file_path: str = "<memory>",
                 thresholds: RuleThresholds | None = None) -> SmellVector:
     """strip -> scan -> evaluate, in one call."""
     return evaluate_rules(scan_metrics(strip_comments_and_strings(source), file_path), thresholds)
-
-
-# ---------------------------------------------------------------------------
-# PMD XML report ingestion
-# ---------------------------------------------------------------------------
-
-class PmdReportError(ValueError):
-    pass
-
-
-@dataclass
-class PmdIngestResult:
-    vectors: list[tuple[str, SmellVector]]
-    unmatched_rules: dict[str, int]
-    diagnostics: list[str]
-
-
-def ingest_pmd_report(report_xml: str, thresholds: RuleThresholds | None = None,
-                      name: str = "PMD report") -> PmdIngestResult:
-    """Read a PMD XML report, from the file `name`; violations matching the
-    16 rule names set flags.
-
-    PMD has already applied its thresholds, so cyclomatic/NPath raw values are
-    recorded as threshold+1 sentinels.
-    """
-    t = thresholds or RuleThresholds()
-    try:
-        root = ET.fromstring(report_xml)
-    except ET.ParseError as exc:
-        raise PmdReportError(f"{name}: malformed PMD XML: {exc}") from exc
-
-    name_set = set(RULE_NAMES)
-    unmatched: dict[str, int] = {}
-    diagnostics: list[str] = []
-    vectors: list[tuple[str, SmellVector]] = []
-    for file_el in root.iter():
-        if not file_el.tag.endswith("file"):
-            continue
-        fname = file_el.get("name")
-        if fname is None:
-            diagnostics.append("file element without name attribute skipped")
-            continue
-        flags = [False] * 16
-        raw_cyclo = raw_npath = 0
-        for viol in file_el:
-            if not viol.tag.endswith("violation"):
-                continue
-            rule = viol.get("rule", "")
-            if rule in name_set:
-                flags[SmellRule[rule]] = True
-                if rule == "CyclomaticComplexity":
-                    raw_cyclo = t.cyclo_npath_threshold + 1
-                elif rule == "NPathComplexity":
-                    raw_npath = t.cyclo_npath_threshold + 1
-            else:
-                unmatched[rule] = unmatched.get(rule, 0) + 1
-        vectors.append((fname, SmellVector(tuple(flags), raw_cyclo, raw_npath)))
-    return PmdIngestResult(vectors, unmatched, diagnostics)

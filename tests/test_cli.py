@@ -207,28 +207,6 @@ def test_scan_smells_ignores_non_bug_link_to_absent_commit(consecutive_fixes, tm
     assert cli.main(args + ["--out", str(tmp_path), "scan-smells"]) == EXIT_OK
 
 
-_PMD_XML = """<?xml version="1.0"?>
-<pmd xmlns="http://pmd.sourceforge.net/report/2.0.0">
-  <file name="src/A.java"><violation rule="GodClass">god</violation></file>
-  <file name="src/B.java"><violation rule="SomeOtherRule">other</violation></file>
-</pmd>
-"""
-
-
-def test_scan_smells_from_pmd_report(tmp_path, caplog):
-    report = tmp_path / "pmd.xml"
-    report.write_text(_PMD_XML, encoding="utf-8")
-    rc = cli.main(["--paths.pmd_report", str(report), "--out", str(tmp_path), "scan-smells"])
-    assert rc == EXIT_DIAGNOSTICS  # SomeOtherRule matches none of the 16 rules
-    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert warnings == ["unmatched PMD rule SomeOtherRule: 1 violation(s)"]
-    _, records = datafiles.read_jsonl(tmp_path / "smell_vectors.jsonl")
-    assert len(records) == 1 and records[0]["Commit_Hash"] == ""
-    files = records[0]["Files"]
-    assert [(f["File_path"], f["GodClass"], f["Previous"]) for f in files] == [
-        ("src/A.java", 1, None), ("src/B.java", 0, None)]
-
-
 def test_build_dataset_logs_its_diagnostics(bug_repo, tmp_path, caplog):
     issues = tmp_path / "issues.jsonl"
     lines = bug_repo["record_paths"]["issues"].read_text(encoding="utf-8").splitlines()
@@ -243,18 +221,21 @@ def test_build_dataset_logs_its_diagnostics(bug_repo, tmp_path, caplog):
 @pytest.mark.parametrize("command", ["scan-smells", "label"])
 def test_missing_input_file_is_a_one_line_error(command, bug_repo, tmp_path, caplog):
     missing = tmp_path / "absent"
+    args = _base_args(bug_repo, tmp_path)
     if command == "scan-smells":
-        args = ["--paths.pmd_report", str(missing), "--out", str(tmp_path)]
+        args[args.index("--paths.issues") + 1] = str(missing)
     else:
-        args = _base_args(bug_repo, tmp_path) + ["--paths.smell_vectors", str(missing)]
+        args += ["--paths.smell_vectors", str(missing)]
     assert cli.main(args + [command]) == EXIT_FATAL
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and str(missing) in errors[0]
 
 
-def test_usage_error_exits_fatal_in_one_line(capsys):
+@pytest.mark.parametrize("argv", [["--nope", "1", "train"], ["--verbose", "train"],
+                                  ["--paths.pmd_report", "x", "scan-smells"]])
+def test_usage_error_exits_fatal_in_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--nope", "1", "train"])
+        cli.main(argv)
     assert exc.value.code == EXIT_FATAL
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -655,11 +636,12 @@ def test_unknown_config_key_is_fatal(tmp_path):
 
 
 @pytest.mark.parametrize("dotted", ["balance.rounding", "textprep.remove_stopwords",
-                                    "textprep.seq_len", "model.vocab_size"])
+                                    "textprep.seq_len", "model.vocab_size",
+                                    "paths.pmd_report", "verbose"])
 def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
-    section, key = dotted.split(".")
+    section, _, key = dotted.rpartition(".")
     cfg_file = tmp_path / "run.json"
-    cfg_file.write_text(json.dumps({section: {key: False}}))
+    cfg_file.write_text(json.dumps({section: {key: False}} if section else {key: True}))
     assert cli.main(["--config", str(cfg_file), "train"]) == EXIT_FATAL
     assert capsys.readouterr().err.splitlines() == [f"error: unknown config key {dotted}"]
 
@@ -674,7 +656,10 @@ def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
      'balance.scope: expected one of "train", "all", "both", got "bogus"'),
     (["--model.dtype", "float16"], None, "train",
      'model.dtype: expected one of "float32", "float64", got "float16"'),
-], ids=["flag-int", "file-int", "file-list", "flag-optional-int", "flag-scope", "flag-dtype"])
+    (["--seed", "-1"], None, "train", "seed: expected an integer >= 0, got -1"),
+    ([], {"seed": -1}, "evaluate", "seed: expected an integer >= 0, got -1"),
+], ids=["flag-int", "file-int", "file-list", "flag-optional-int", "flag-scope", "flag-dtype",
+        "flag-seed", "file-seed"])
 def test_mistyped_setting_is_a_one_line_error(flags, config_doc, command, message,
                                               tmp_path, capsys):
     """Each of these used to end in a traceback, or to run with a value no

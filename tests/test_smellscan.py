@@ -9,8 +9,7 @@ import smellscan_oracle as oracle
 from smelltriage import smellscan
 from smelltriage.smellscan import (
     RULE_NAMES, RuleThresholds, SmellRule, SmellVector,
-    evaluate_rules, ingest_pmd_report, npath_of_block,
-    scan_metrics, scan_source, strip_comments_and_strings, PmdReportError,
+    evaluate_rules, npath_of_block, scan_metrics, scan_source, strip_comments_and_strings,
 )
 
 from conftest import SMELL_FIXTURE_DIR
@@ -146,6 +145,10 @@ def test_annotation_arguments_are_not_members():
         ("get", 2, 2, True)]
     assert cls.field_count == 1
     assert cls.unique_coupled_types == 2  # Named and Foo, not the arguments
+    # an argument list nesting parentheses four deep
+    assert _methods("class A { @Ann(x = f(g(h(1)))) void m(int a) { } }") == [("m", 1, 1, 0)]
+    # a list that the text ends inside is kept, but not a closed list inside it
+    assert strip_comments_and_strings("@A(f(@B(g(1)) x") == "@A(f(@B" + " " * 7 + "x"
 
 
 def test_a_generic_wildcard_is_not_a_decision_point():
@@ -452,6 +455,7 @@ _ARGUMENTS = st.sampled_from([
     '("x")', '({"a", "b"})', "(value = {1, 2}, id = (3))", """(")}" + "{(" + '}')""",
     "(RetentionPolicy.RUNTIME)", '({ @Type(X.class), @Type(name = "y;", value = Y.class) })',
     "(f(g(1), (2)))", "({})", "(when = Kind.ALWAYS, of = { @Of(Z.class) })",
+    "(x = a(b(c(d(1)))))",
 ])
 _AT_PARAMS = st.lists(st.builds("{}{} {}".format, _AT, _TYPES, _NAMES), max_size=4).map(", ".join)
 _AT_BODY = st.lists(st.one_of(
@@ -583,35 +587,3 @@ def test_smell_vector_record_roundtrip():
 def test_smell_vector_requires_sixteen_flags():
     with pytest.raises(ValueError):
         SmellVector(flags=(True,) * 15)
-
-
-# -- PMD report ingestion ----------------------------------------------------
-
-PMD_XML = """<?xml version="1.0"?>
-<pmd xmlns="http://pmd.sourceforge.net/report/2.0.0">
-  <file name="src/A.java">
-    <violation rule="GodClass" beginline="1"/>
-    <violation rule="CyclomaticComplexity" beginline="9"/>
-    <violation rule="SomeOtherRule" beginline="2"/>
-  </file>
-  <file name="src/B.java">
-    <violation rule="DataClass" beginline="1"/>
-  </file>
-</pmd>
-"""
-
-
-def test_pmd_ingest_sets_flags_and_counts_unmatched():
-    result = ingest_pmd_report(PMD_XML)
-    by_name = dict(result.vectors)
-    assert by_name["src/A.java"][SmellRule.GodClass]
-    assert by_name["src/A.java"][SmellRule.CyclomaticComplexity]
-    assert by_name["src/A.java"].raw_cyclomatic_max == 41  # threshold + 1 sentinel
-    assert by_name["src/B.java"].flags == tuple(
-        r is SmellRule.DataClass for r in SmellRule)
-    assert result.unmatched_rules == {"SomeOtherRule": 1}
-
-
-def test_pmd_ingest_rejects_malformed_xml():
-    with pytest.raises(PmdReportError):
-        ingest_pmd_report("<pmd><file></pmd>")
