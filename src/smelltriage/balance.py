@@ -30,7 +30,7 @@ class SmoteRecord:
     base_index: int
     neighbor_index: int
     gap: float
-    pre_rounding: np.ndarray
+    pre_rounding: np.ndarray  # a view of the row in the pre-rounding array
 
 
 @dataclass
@@ -94,11 +94,10 @@ def smote(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
         base = i % len(Xm)
         nb = neighbor_table[base][rng.integers(k)]
         g = rng.random()
-        s = Xm[base] + g * (Xm[nb] - Xm[base])
+        synth[i] = Xm[base] + g * (Xm[nb] - Xm[base])
         records.append(SmoteRecord(int(minority_idx[base]), int(minority_idx[nb]),
-                                   float(g), s.copy()))
-        synth[i] = s
-    if rounding:
+                                   float(g), synth[i]))
+    if rounding:  # np.rint makes a new array: the records keep the values before rounding
         synth = np.rint(synth)
         if max_index is not None:
             synth = np.clip(synth, 0, max_index)

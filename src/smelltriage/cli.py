@@ -24,10 +24,30 @@ EXIT_DIAGNOSTICS = 2
 
 class _ArgumentParser(argparse.ArgumentParser):
     """A usage error is fatal (exit 1) and one line, like every other failure;
-    argparse's own exit code 2 would read as "completed with diagnostics"."""
+    argparse's own exit code 2 would read as "completed with diagnostics".
+    A flag is spelled in full, as in a config file: no prefix of it matches."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_FATAL, f"error: {message} (see {self.prog} --help)\n")
+
+    def parse_args(self, args=None, namespace=None):
+        """As argparse, but an unknown flag before the command is an error that
+        names it; argparse would read the flag's value as the command."""
+        args = sys.argv[1:] if args is None else list(args)
+        rest = iter(args)
+        for arg in rest:
+            if not arg.startswith("-") or arg == "--":
+                break  # the command
+            flag, eq, _ = arg.partition("=")
+            action = self._option_string_actions.get(flag)
+            if action is None:
+                self.error(f"unrecognized arguments: {flag}")
+            if not eq and action.nargs != 0:
+                next(rest, None)  # the flag's value
+        return super().parse_args(args, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,18 +187,17 @@ def cmd_train(cfg: config.RunConfig) -> int:
         except balance.TooFewMinorityError as exc:
             raise _too_few_samples(ds_path, "balance.enabled=true", exc) from None
         X, y, diagnostics = res.X, res.y, res.diagnostics
-    model, history = nnet.train(model, X, y, seed=cfg.seed)
+    model, epochs = nnet.train(model, X, y, seed=cfg.seed)
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = Path(cfg.paths.model) if cfg.paths.model else out_dir / "model.bin"
     nnet.save_model(model, model_path)
     dict_path = Path(cfg.paths.dictionary) if cfg.paths.dictionary else out_dir / "dictionary.tsv"
     dictionary.save(dict_path)
-    datafiles.write_jsonl(out_dir / "history.jsonl", history.epochs,
-                          seed=cfg.seed, kind="train-history")
-    if history.epochs:
+    datafiles.write_jsonl(out_dir / "history.jsonl", epochs, seed=cfg.seed, kind="train-history")
+    if epochs:
         log.info("final training accuracy %.1f%%, loss %.4f",
-                 history.epochs[-1]["accuracy"], history.epochs[-1]["loss"])
+                 epochs[-1]["accuracy"], epochs[-1]["loss"])
     return _exit_code(diagnostics)
 
 

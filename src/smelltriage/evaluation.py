@@ -34,29 +34,6 @@ class FoldPlan:
 
 
 @dataclass
-class ConfusionMatrix:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @classmethod
-    def from_predictions(cls, y_true, y_pred) -> "ConfusionMatrix":
-        y_true = np.asarray(y_true).astype(int)
-        y_pred = np.asarray(y_pred).astype(int)
-        return cls(
-            tp=int(np.sum((y_pred == 1) & (y_true == 1))),
-            fp=int(np.sum((y_pred == 1) & (y_true == 0))),
-            fn=int(np.sum((y_pred == 0) & (y_true == 1))),
-            tn=int(np.sum((y_pred == 0) & (y_true == 0))),
-        )
-
-
-@dataclass
 class MetricsRow:
     """All percentages in [0, 100]; undefined ratios reported as 0 + flag."""
 
@@ -96,18 +73,26 @@ def stratified_folds(labels, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments)
 
 
-def compute_metrics(cm: ConfusionMatrix) -> MetricsRow:
-    if cm.total == 0:
-        raise EvalError("empty confusion matrix")
+def compute_metrics(y_true, y_pred) -> MetricsRow:
+    """Accuracy, precision, recall and F1 of 0/1 predictions against 0/1 labels."""
+    y_true = np.asarray(y_true).astype(int)
+    y_pred = np.asarray(y_pred).astype(int)
+    tp = int(np.sum((y_pred == 1) & (y_true == 1)))
+    fp = int(np.sum((y_pred == 1) & (y_true == 0)))
+    fn = int(np.sum((y_pred == 0) & (y_true == 1)))
+    tn = int(np.sum((y_pred == 0) & (y_true == 0)))
+    total = tp + fp + fn + tn
+    if total == 0:
+        raise EvalError("no predictions to score")
     undefined = []
-    accuracy = 100.0 * (cm.tp + cm.tn) / cm.total
-    if cm.tp + cm.fp > 0:
-        precision = 100.0 * cm.tp / (cm.tp + cm.fp)
+    accuracy = 100.0 * (tp + tn) / total
+    if tp + fp > 0:
+        precision = 100.0 * tp / (tp + fp)
     else:
         precision = 0.0
         undefined.append("precision")
-    if cm.tp + cm.fn > 0:
-        recall = 100.0 * cm.tp / (cm.tp + cm.fn)
+    if tp + fn > 0:
+        recall = 100.0 * tp / (tp + fn)
     else:
         recall = 0.0
         undefined.append("recall")
@@ -178,15 +163,15 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
                 diagnostics.extend(f"fold {fold}: {d}" for d in res.diagnostics)
                 X_train, y_train = res.X, res.y
             model = nnet.init_model(model_cfg, seed=child_seed)
-            model, history = nnet.train(model, X_train, y_train, seed=child_seed)
+            model, epochs = nnet.train(model, X_train, y_train, seed=child_seed)
         except balance.TooFewMinorityError as exc:
             raise TooFewSamplesError(f"fold {fold}: {exc}") from exc
         except ValueError as exc:  # BalanceError and ConfigError are ValueErrors
             raise EvalError(f"fold {fold}: {exc}") from exc
         y_pred, _ = nnet.predict_batch(model, X_test)
-        last = history.epochs[-1] if history.epochs else {"accuracy": 0.0, "loss": 0.0}
+        last = epochs[-1] if epochs else {"accuracy": 0.0, "loss": 0.0}
         rows.append(dataclasses.replace(
-            compute_metrics(ConfusionMatrix.from_predictions(y_test, y_pred)),
+            compute_metrics(y_test, y_pred),
             train_accuracy=last["accuracy"], train_loss=last["loss"], project=project,
             sampling=sampling, test_percent=100.0 / k, epochs=model_cfg.epochs, seed=seed,
             fold=fold))

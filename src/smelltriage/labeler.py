@@ -3,10 +3,9 @@ smell to any changed source file (additions-only delta), else 0."""
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 from dataclasses import asdict, dataclass, field
-from typing import ContextManager, Iterator, Protocol
+from typing import Iterator, Protocol
 
 from .corpus import CorpusStore, IssueType, UnlinkedIssueError, DanglingLinkError, CorpusError
 from .smellscan import RuleThresholds, SmellVector, scan_source
@@ -84,11 +83,9 @@ def label_commit(deltas: list[SmellDelta]) -> tuple[int, list[str]]:
 
 
 class SmellSource(Protocol):
-    """Supplies (path, current vector, previous vector) triples for a commit."""
-
-    def reading(self, commits: list[str]) -> ContextManager[None]:
-        """The lifetime of a pass that reads `commits`, in this order."""
-        ...
+    """Supplies (path, current vector, previous vector) triples for a commit.
+    Its readers call it inside a git pass of their store (`CorpusStore.reading`),
+    which starts no git process until a commit is read from it."""
 
     def file_vectors(self, commit_hash: str,
                      diagnostics: list[str]) -> list[tuple[str, SmellVector, SmellVector | None]]:
@@ -99,9 +96,8 @@ class SmellSource(Protocol):
 class GitScanSource:
     """Scan changed file contents straight out of the repository.
 
-    `reading` opens the store's git pass over the commits to be scanned
-    (`CorpusStore.reading`), which starts three git processes for up to 128
-    commits; a commit outside an open pass is read on its own. Each content is scanned
+    A commit is read from the store's git pass when one is open over it
+    (`CorpusStore.reading`), and on its own otherwise. Each content is scanned
     once per source, whatever its path: a file's content at one fix is often
     its parent content at the next. The memo keys on a digest of the content,
     so it does not hold every scanned file in memory; build one source per
@@ -117,9 +113,6 @@ class GitScanSource:
         if key not in self._scans:
             self._scans[key] = scan_source(content, thresholds=self.thresholds)
         return self._scans[key]
-
-    def reading(self, commits: list[str]) -> ContextManager[None]:
-        return self.store.reading(commits)
 
     def file_vectors(self, commit_hash, diagnostics):
         out = []
@@ -163,9 +156,6 @@ class VectorTableSource:
                 for f in rec["Files"]]
         datafiles.parse_records(records, add, name, "; rewrite the file with scan-smells")
         return cls(files)
-
-    def reading(self, commits: list[str]) -> ContextManager[None]:
-        return contextlib.nullcontext()
 
     def file_vectors(self, commit_hash, diagnostics):
         if commit_hash not in self.files:
@@ -223,7 +213,7 @@ def scan_fix_commits(store: CorpusStore, source: SmellSource,
     first_issue: dict[str, str] = {}  # commit -> the first issue it fixes
     for issue_id, commit in fix_commits(store, []):
         first_issue.setdefault(commit, issue_id)
-    with source.reading(list(first_issue)):
+    with store.reading(first_issue):
         for commit, issue_id in first_issue.items():
             try:
                 records.append(vectors_record(commit, source.file_vectors(commit, diagnostics)))
@@ -245,7 +235,7 @@ def build_labeled_dataset(store: CorpusStore, source: SmellSource,
         issue = store.issues[issue_id]
         text = textprep.report_text(issue.summary_raw, issue.description_raw)
         todo.append((issue_id, commit, text) if text else f"{issue_id}: empty report text")
-    with source.reading([item[1] for item in todo if isinstance(item, tuple)]):
+    with store.reading(item[1] for item in todo if isinstance(item, tuple)):
         for item in todo:
             if isinstance(item, str):
                 skipped.append(item)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 from typing import Literal, get_args, get_type_hints
 
@@ -114,11 +114,6 @@ class Model:
     def copy(self) -> "Model":
         return Model(self.cfg, *(getattr(self, n).copy() for n in PARAM_NAMES),
                      dict_hash=self.dict_hash)
-
-
-@dataclass
-class TrainHistory:
-    epochs: list[dict] = field(default_factory=list)  # {"epoch", "loss", "accuracy"}
 
 
 def init_model(cfg: ModelConfig, seed: int, dict_hash: str = "") -> Model:
@@ -358,10 +353,11 @@ class _Adam:
             p -= a
 
 
-def train(model: Model, X: np.ndarray, y: np.ndarray, seed: int) -> tuple[Model, TrainHistory]:
-    """Minibatch Adam on shuffled samples; per-epoch mean loss and training
+def train(model: Model, X: np.ndarray, y: np.ndarray, seed: int) -> tuple[Model, list[dict]]:
+    """Minibatch Adam on shuffled samples. Returns the trained model and one
+    {"epoch", "loss", "accuracy"} dict per epoch: mean loss and training
     accuracy at threshold 0.5. Deterministic per seed; the input model is not
-    modified. epochs=0 returns a copy of the initial model and empty history."""
+    modified. epochs=0 returns a copy of the initial model and no epochs."""
     X = np.asarray(X)
     y = np.asarray(y)
     cfg = model.cfg
@@ -369,7 +365,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, seed: int) -> tuple[Model,
         if len(X) < 2 or len(np.unique(y)) < 2:
             raise ValueError("training needs at least two samples with both classes present")
     model = model.copy()
-    history = TrainHistory()
+    epochs: list[dict] = []
     rng = np.random.default_rng(seed)
     opt = _Adam(model.params(), cfg.learning_rate)
     n = len(X)
@@ -386,12 +382,12 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, seed: int) -> tuple[Model,
             correct += int(np.sum((prob >= 0.5).astype(int) == yb))
             opt.step(model.params(), grads)
             model.emb[0] = 0.0  # padding row stays frozen
-        history.epochs.append({
+        epochs.append({
             "epoch": epoch + 1,
             "loss": total_loss / n,
             "accuracy": 100.0 * correct / n,
         })
-    return model, history
+    return model, epochs
 
 
 def predict(model: Model, seq) -> tuple[int, float]:

@@ -206,9 +206,12 @@ _IMPORT_RE = re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;"
                         re.MULTILINE)
 # a class keyword after '.' (`Foo.class`) is a literal (group 1), not a
 # declaration (group 2). `c(?<!\wc)lass` is `\bclass` written to start with a
-# literal character, so the regex engine can skip to the next candidate offset
+# literal character, so the regex engine can skip to the next candidate offset.
+# `record` declares a class (group 3) only where '(' or '<' follows the name, so
+# `return record instanceof R` and a method named `record` stay code
 _LEX_RE = re.compile(r"[(){};]|(\.\s*(?:class|interface|enum)\s+\w+)"
-                     r"|(?:c(?<!\wc)lass|i(?<!\wi)nterface|e(?<!\we)num)\s+(\w+)")
+                     r"|(?:c(?<!\wc)lass|i(?<!\wi)nterface|e(?<!\we)num)\s+(\w+)"
+                     r"|r(?<!\wr)ecord\s+(\w+)(?=\s*[(<])")
 _CONTROL_KEYWORDS = frozenset(
     "if else for while do switch case default try catch finally return "
     "throw new synchronized".split()
@@ -227,7 +230,7 @@ def _lex(text: str) -> tuple[dict[int, int], list[list]]:
         c, pos = m.group(), m.start()
         if m.lastindex:
             if m.group(1) is None:
-                waiting.append([m.group(2), boundary, -1, []])
+                waiting.append([m.group(2) or m.group(3), boundary, -1, []])
         elif c == "(":
             parens.append(pos)
         elif c == ")":
@@ -399,14 +402,31 @@ def _package_of(import_path: str) -> str:
     return ".".join(parts[:-1]) if len(parts) > 1 else import_path
 
 
+# a type name and the '<' that opens its arguments, or one bracket or comma
+_SPLIT_RE = re.compile(r"(?<![\w$])[A-Z][\w$]*\s*<|[()\[\]>,]")
+
+
 def _split_top_level(text: str) -> list[str]:
-    """The non-blank parts of text between commas outside (), <> and []."""
-    parts, depth, start = [], 0, 0
-    for i, c in enumerate(text):
-        depth += (c in "(<[") - (c in ")>]")
-        if c == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
+    """The non-blank parts of text between commas outside (), [] and the <>
+    of type arguments. A '<' opens type arguments only right after a name that
+    starts with an upper-case letter, and a '>' closes them only while some are
+    open, so `a < b, c`, `a > b, c` and `x -> x, y` split at their commas. A
+    comparison with such a name, as in `A < b, c`, is still read as type
+    arguments, and its comma is not split."""
+    parts, depth, angles, start = [], 0, 0, 0
+    for m in _SPLIT_RE.finditer(text):
+        c = m.group()
+        if len(c) > 1:
+            angles += 1
+        elif c == ">":
+            angles -= angles > 0
+        elif c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        elif c == "," and depth == 0 and angles == 0:
+            parts.append(text[start:m.start()])
+            start = m.end()
     parts.append(text[start:])
     return [p.strip() for p in parts if p.strip()]
 
@@ -473,7 +493,9 @@ def _enum_constants_end(text: str, pairs: dict[int, int], start: int, end: int) 
 def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
                 start: int, end: int) -> ClassMetrics:
     """Counts for the class with body text[start:end], which holds none of the
-    classes declared in it. An enum's constants are neither fields nor methods."""
+    classes declared in it. An enum's constants are neither fields nor methods,
+    and a record's components, which sit in its header, are neither fields nor
+    parameters."""
     types = set(_TYPE_TOKEN_RE.findall(text, start, end))
     cm = ClassMetrics(name=name, is_abstract=bool(re.search(r"\babstract\b", header)),
                       line_count=header.strip().count("\n") + text.count("\n", start, end) + 1,

@@ -52,9 +52,6 @@ class Dictionary:
     def vocab_size(self) -> int:
         return max(self.word_to_index.values(), default=OOV_INDEX) + 1
 
-    def index_of(self, word: str) -> int:
-        return self.word_to_index.get(word, OOV_INDEX)
-
     def export_text(self) -> str:
         lines = [f"{w}\t{i}" for w, i in sorted(self.word_to_index.items(), key=lambda kv: kv[1])]
         return "\n".join(lines) + ("\n" if lines else "")
@@ -154,7 +151,8 @@ def doc2indices(doc: TokenDocument, dictionary: Dictionary, length: int) -> list
     `length` and right-padded with zeros."""
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    indices = [dictionary.index_of(t) for t in _first_distinct(doc.tokens, length)]
+    index = dictionary.word_to_index
+    indices = [index.get(t, OOV_INDEX) for t in _first_distinct(doc.tokens, length)]
     return indices + [PAD_INDEX] * (length - len(indices))
 
 

@@ -231,14 +231,21 @@ def test_missing_input_file_is_a_one_line_error(command, bug_repo, tmp_path, cap
     assert len(errors) == 1 and str(missing) in errors[0]
 
 
-@pytest.mark.parametrize("argv", [["--nope", "1", "train"], ["--verbose", "train"],
-                                  ["--paths.pmd_report", "x", "scan-smells"]])
-def test_usage_error_exits_fatal_in_one_line(argv, capsys):
+@pytest.mark.parametrize("argv,flag", [
+    (["--nope", "1", "train"], "--nope"), (["--verbose", "train"], "--verbose"),
+    (["--paths.pmd_report", "x", "scan-smells"], "--paths.pmd_report"),
+    (["--seed=3", "--nope=1", "train"], "--nope"),
+    # a prefix of a known flag is not that flag
+    (["--paths.mod", "m", "predict"], "--paths.mod"), (["--conf", "x", "train"], "--conf"),
+    (["predict", "--sum", "x"], "--sum"),
+])
+def test_usage_error_exits_fatal_in_one_line(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == EXIT_FATAL
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"unrecognized arguments: {flag}" in err
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == EXIT_OK

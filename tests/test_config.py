@@ -258,8 +258,11 @@ def test_a_mistyped_setting_raises_config_error_and_nothing_else(key_hint, value
                                                                   tmp_path_factory):
     key, hint = key_hint
     p = _config_file(tmp_path_factory.mktemp("cfg") / "run.json", key, value)
-    for load, fits in ((lambda: load_config(p), _file_may_give(hint, value)),
-                       (lambda: load_config(None, {key: text}), _flag_may_give(hint, text))):
+    for load, fits, given in ((lambda: load_config(p), _file_may_give(hint, value), value),
+                              (lambda: load_config(None, {key: text}),
+                               _flag_may_give(hint, text), text)):
+        if fits and key == "seed":
+            fits = int(given) >= 0  # a negative seed is refused too
         if fits:
             load()
         else:

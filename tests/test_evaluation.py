@@ -6,19 +6,25 @@ from hypothesis import given, settings, strategies as st
 
 from smelltriage import nnet
 from smelltriage.evaluation import (
-    BalanceConfig, ConfusionMatrix, EvalError, MetricsRow, compute_metrics, format_report,
+    BalanceConfig, EvalError, MetricsRow, compute_metrics, format_report,
     run_kfold_experiment, stratified_folds,
 )
 
 
-def test_confusion_matrix_from_predictions():
-    cm = ConfusionMatrix.from_predictions([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
-    assert (cm.tp, cm.fn, cm.tn, cm.fp) == (2, 1, 1, 1)
-    assert cm.total == 5
+def _labels(tp=0, fp=0, fn=0, tn=0) -> tuple[list[int], list[int]]:
+    """(y_true, y_pred) with the given confusion counts."""
+    return [1] * tp + [0] * fp + [1] * fn + [0] * tn, [1] * (tp + fp) + [0] * (fn + tn)
+
+
+def test_compute_metrics_counts_predictions():
+    row = compute_metrics([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])  # tp 2, fn 1, tn 1, fp 1
+    assert row.accuracy == pytest.approx(60.0)
+    assert row.precision == pytest.approx(200.0 / 3)
+    assert row.recall == pytest.approx(200.0 / 3)
 
 
 def test_compute_metrics_hand_values():
-    row = compute_metrics(ConfusionMatrix(tp=30, fp=10, fn=20, tn=40))
+    row = compute_metrics(*_labels(tp=30, fp=10, fn=20, tn=40))
     assert row.accuracy == pytest.approx(70.0)
     assert row.precision == pytest.approx(75.0)
     assert row.recall == pytest.approx(60.0)
@@ -27,14 +33,14 @@ def test_compute_metrics_hand_values():
 
 
 def test_compute_metrics_zero_denominators_flagged():
-    row = compute_metrics(ConfusionMatrix(tp=0, fp=0, fn=0, tn=10))
+    row = compute_metrics(*_labels(tn=10))
     assert row.precision == 0.0 and row.recall == 0.0 and row.f1 == 0.0
     assert set(row.undefined) == {"precision", "recall", "f1"}
 
 
 def test_compute_metrics_rejects_empty():
     with pytest.raises(EvalError):
-        compute_metrics(ConfusionMatrix())
+        compute_metrics([], [])
 
 
 def test_stratified_folds_rejects_small_classes():

@@ -179,6 +179,30 @@ def test_enum_constants_are_not_members():
     assert _members_of(src) == [("A", ["m"], 1), ("K", ["K"], 0)]
 
 
+def test_declarators_split_at_commas_after_comparisons_and_lambdas():
+    assert _members_of("class A { boolean x = a < b, y; int z; }") == [("A", [], 3)]
+    assert _members_of("class A { boolean x = a > b, y; int z; }") == [("A", [], 3)]
+    assert _members_of("class A { Function<A, B> f = x -> x, g = y -> y; }") == [("A", [], 2)]
+    # the commas of type arguments still split nothing
+    src = ("class A { Map<String, List<Integer>> m, n; "
+           "void k(Map<String, List<Integer>> m, int x) { } }")
+    assert _members_of(src) == [("A", ["k"], 2)]
+    assert scan_metrics(src).classes[0].methods[0].param_count == 2
+
+
+def test_a_record_is_a_class_whose_components_are_not_members():
+    src = "record Point(int x, int y) { int sum() { return x + y; } }"
+    assert _members_of(src) == [("Point", ["sum"], 0)]
+    assert _members_of("record Pair<A, B>(A a, B b) { }") == [("Pair", [], 0)]
+
+
+def test_a_member_record_is_not_a_method_and_record_as_a_name_declares_nothing():
+    src = ("class A { record R(int x) { int twice() { return 2 * x; } } "
+           "Object f(Object record) { return record instanceof String; } "
+           "void record(int a) { } int record = 1; }")
+    assert _members_of(src) == [("A", ["f", "record"], 1), ("R", ["twice"], 0)]
+
+
 # -- golden fixtures ---------------------------------------------------------
 
 def _manifest():
