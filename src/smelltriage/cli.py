@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -50,6 +51,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super().parse_args(args, namespace)
 
 
+@functools.cache  # one option per config key: built once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="smelltriage",
@@ -234,14 +236,18 @@ def cmd_evaluate(cfg: config.RunConfig) -> int:
 
 def cmd_predict(cfg: config.RunConfig, summary: str, description: str) -> int:
     model_path, dict_path = _required(cfg, "model"), _required(cfg, "dictionary")
-    model = nnet.load_model(model_path)
+    model_cfg, dict_hash = nnet.read_header(model_path)
     text = textprep.report_text(summary, description)
-    dictionary = textprep.load_words(dict_path, model.dict_hash, text, model.cfg.seq_len)
+    dictionary = textprep.load_words(dict_path, dict_hash, text, model_cfg.seq_len)
     if dictionary is None:  # each file is valid; the pair is not
         raise config.ConfigError(f"{model_path}: trained with dictionary "
-                                 f"{model.dict_hash!r}, not with {dict_path}")
-    X, _ = textprep.featurize([text], model.cfg.seq_len, dictionary)
-    label, prob = nnet.predict(model, X[0])
+                                 f"{dict_hash!r}, not with {dict_path}")
+    X, _ = textprep.featurize([text], model_cfg.seq_len, dictionary)
+    nnet.check_indices(X, model_cfg.vocab_size)
+    # only the report's embedding rows, with the padding row first
+    ids = np.union1d(0, X)
+    model = nnet.load_model(model_path, rows=ids)
+    label, prob = nnet.predict(model, np.searchsorted(ids, X[0]))
     verdict = "refer to designer" if label == 1 else "assign to programmer"
     print(f"label={label} probability={prob:.6f}")
     print(verdict)

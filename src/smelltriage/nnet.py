@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, fields, asdict, replace
 from pathlib import Path
 from typing import Literal, get_args, get_type_hints
 
@@ -174,6 +174,16 @@ def _pooled_prefix(T: int, pool: int, p1: int) -> int:
     return min(p1, -(-T // pool))
 
 
+def check_indices(X: np.ndarray, vocab_size: int) -> None:
+    """Raise ValueError naming the first index of the 2-D `X` outside
+    [0, vocab_size): a negative one would read a row from the end."""
+    bad = np.argwhere((X < 0) | (X >= vocab_size))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"index {X[r, c]} not in [0, vocab size {vocab_size}) "
+                         f"at position {c}")
+
+
 def forward_batch(model: Model, X: np.ndarray, training: bool = False,
                   rng: np.random.Generator | None = None,
                   dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
@@ -187,11 +197,7 @@ def forward_batch(model: Model, X: np.ndarray, training: bool = False,
         X = X[None, :]
     if X.shape[1] != cfg.seq_len:
         raise ValueError(f"sequence length {X.shape[1]} != configured {cfg.seq_len}")
-    bad = np.argwhere((X < 0) | (X >= cfg.vocab_size))
-    if bad.size:
-        r, c = bad[0]
-        raise ValueError(f"index {X[r, c]} not in [0, vocab size {cfg.vocab_size}) "
-                         f"at position {c}")
+    check_indices(X, cfg.vocab_size)
     b = X.shape[0]
 
     T = _real_prefix(model, X, t1)
@@ -433,59 +439,100 @@ def save_model(model: Model, path: str | Path) -> None:
             fh.write(blob)
 
 
-def load_model(path: str | Path, expected_dict_hash: str | None = None) -> Model:
+def _read_header(fh, path) -> tuple[dict, ModelConfig, dict[str, int]]:
+    """The metadata, the config and the byte offset of each tensor of the
+    open model file `fh`, once the header is known to describe a file of
+    exactly this size. Raises ModelFormatError otherwise."""
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(len(_MAGIC)) != _MAGIC:
+        raise ModelFormatError(f"{path}: bad magic at offset 0")
+    pos = len(_MAGIC)
+    if size < pos + 8:
+        raise ModelFormatError(f"{path}: truncated header at offset {pos}")
+    meta_len = int.from_bytes(fh.read(8), "little")
+    pos += 8
+    if size < pos + meta_len:  # checked before reading what the header claims
+        raise ModelFormatError(f"{path}: truncated metadata at offset {pos}")
+    try:
+        meta = json.loads(fh.read(meta_len).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
+        raise ModelFormatError(f"{path}: malformed metadata: {exc}") from exc
+    pos += meta_len
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"{path}: unsupported format version {version}")
+    try:
+        cfg = ModelConfig(**meta["config"])
+        shapes = _param_shapes(cfg)
+        specs = [(t["name"], t["dtype"], tuple(t["shape"])) for t in meta["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ModelFormatError(f"{path}: malformed metadata: {exc!r}") from exc
+    if [name for name, _, _ in specs] != list(PARAM_NAMES):
+        raise ModelFormatError(f"{path}: tensors {[name for name, _, _ in specs]}, "
+                               f"expected {list(PARAM_NAMES)}")
+    offsets = {}
+    for name, dtype, shape in specs:
+        if dtype != cfg.dtype or shape != shapes[name]:
+            raise ModelFormatError(f"{path}: tensor {name} is {dtype} {list(shape)}, but "
+                                   f"the config needs {cfg.dtype} {list(shapes[name])}")
+        offsets[name] = pos
+        pos += math.prod(shapes[name]) * np.dtype(cfg.dtype).itemsize
+        if size < pos:
+            raise ModelFormatError(f"{path}: truncated tensor {name} at offset {offsets[name]}")
+    if pos != size:
+        raise ModelFormatError(f"{path}: {size - pos} trailing bytes after the last "
+                               f"tensor at offset {pos}")
+    return meta, cfg, offsets
+
+
+def read_header(path: str | Path) -> tuple[ModelConfig, str]:
+    """The config and the `dict_hash` of the model file at `path`, after
+    every check of load_model that needs no tensor bytes."""
+    with Path(path).open("rb") as fh:
+        meta, cfg, _ = _read_header(fh, path)
+    return cfg, meta.get("dict_hash", "")
+
+
+def load_model(path: str | Path, expected_dict_hash: str | None = None,
+               rows: np.ndarray | None = None) -> Model:
     """Read a file written by save_model. Any other content raises
     ModelFormatError: a truncated or extended file, malformed metadata, or
     tensors whose names or shapes do not match the stored config, or a model
     trained with a dictionary other than the one `expected_dict_hash` names.
-    The tensor bytes themselves carry no checksum. Each tensor is read
-    straight into its own array, once every length before it is known to fit
-    the file."""
+    The tensor bytes themselves carry no checksum. The header is checked
+    against the file's size before any tensor is read, and each tensor is
+    read straight into its own array.
+
+    With `rows`, an array of embedding row ids, only those rows of `emb` are
+    read, by their offsets, and `emb[i]` of the model returned is row
+    `rows[i]` of the file; `cfg.vocab_size` is `len(rows)`. Every other tensor
+    is read whole. An id outside [0, vocab_size) raises ModelFormatError
+    before any tensor byte is read. A model for inputs mapped to these
+    positions, with row 0 kept first, gives the bits of the full model."""
     with Path(path).open("rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ModelFormatError(f"{path}: bad magic at offset 0")
-        pos = len(_MAGIC)
-        if size < pos + 8:
-            raise ModelFormatError(f"{path}: truncated header at offset {pos}")
-        meta_len = int.from_bytes(fh.read(8), "little")
-        pos += 8
-        if size < pos + meta_len:
-            raise ModelFormatError(f"{path}: truncated metadata at offset {pos}")
-        try:
-            meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
-            raise ModelFormatError(f"{path}: malformed metadata: {exc}") from exc
-        pos += meta_len
-        version = meta.get("format_version") if isinstance(meta, dict) else None
-        if version != FORMAT_VERSION:
-            raise ModelFormatError(f"{path}: unsupported format version {version}")
-        try:
-            cfg = ModelConfig(**meta["config"])
-            shapes = _param_shapes(cfg)
-            specs = [(t["name"], t["dtype"], tuple(t["shape"])) for t in meta["tensors"]]
-        except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
-            raise ModelFormatError(f"{path}: malformed metadata: {exc!r}") from exc
-        if [name for name, _, _ in specs] != list(PARAM_NAMES):
-            raise ModelFormatError(f"{path}: tensors {[name for name, _, _ in specs]}, "
-                                   f"expected {list(PARAM_NAMES)}")
-        arrays = {}
-        for name, dtype, shape in specs:
-            if dtype != cfg.dtype or shape != shapes[name]:
-                raise ModelFormatError(f"{path}: tensor {name} is {dtype} {list(shape)}, but "
-                                       f"the config needs {cfg.dtype} {list(shapes[name])}")
-            nbytes = math.prod(shapes[name]) * np.dtype(cfg.dtype).itemsize
-            if size < pos + nbytes:  # checked before allocating what the header claims
-                raise ModelFormatError(f"{path}: truncated tensor {name} at offset {pos}")
-            arrays[name] = np.empty(shapes[name], cfg.dtype)
-            if fh.readinto(arrays[name]) != nbytes:  # the file shrank while being read
-                raise ModelFormatError(f"{path}: truncated tensor {name} at offset {pos}")
-            pos += nbytes
-    if pos != size:
-        raise ModelFormatError(f"{path}: {size - pos} trailing bytes after the last "
-                               f"tensor at offset {pos}")
-    if expected_dict_hash is not None and meta.get("dict_hash") != expected_dict_hash:
-        raise ModelFormatError(f"{path}: trained with dictionary {meta.get('dict_hash')!r}, "
-                               f"not the given one {expected_dict_hash!r}")
-    return Model(cfg=cfg, dict_hash=meta.get("dict_hash", ""),
-                 **{name: arrays[name] for name in PARAM_NAMES})
+        meta, cfg, offsets = _read_header(fh, path)
+        if expected_dict_hash is not None and meta.get("dict_hash") != expected_dict_hash:
+            raise ModelFormatError(f"{path}: trained with dictionary {meta.get('dict_hash')!r}, "
+                                   f"not the given one {expected_dict_hash!r}")
+        shapes = _param_shapes(cfg)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            bad = rows[(rows < 0) | (rows >= cfg.vocab_size)]
+            if bad.size:
+                raise ModelFormatError(f"{path}: embedding row {bad[0]} not in "
+                                       f"[0, vocab size {cfg.vocab_size})")
+            cfg = replace(cfg, vocab_size=len(rows))
+            shapes["emb"] = (len(rows), cfg.embed_dim)
+        arrays = {name: np.empty(shapes[name], cfg.dtype) for name in PARAM_NAMES}
+        # (offset, destination) of each read
+        reads = {name: [(offsets[name], arrays[name])] for name in PARAM_NAMES}
+        if rows is not None:
+            row_bytes = cfg.embed_dim * np.dtype(cfg.dtype).itemsize
+            reads["emb"] = [(offsets["emb"] + r * row_bytes, arrays["emb"][i])
+                            for i, r in enumerate(rows.tolist())]
+        for name in PARAM_NAMES:
+            for offset, out in reads[name]:
+                fh.seek(offset)
+                if fh.readinto(out) != out.nbytes:  # the file shrank while being read
+                    raise ModelFormatError(f"{path}: truncated tensor {name} at offset {offset}")
+    return Model(cfg=cfg, dict_hash=meta.get("dict_hash", ""), **arrays)

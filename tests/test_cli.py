@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -472,6 +473,9 @@ def _old_predict(model, model_path, dict_path, summary):
 # the bytes `save` wrote hash to the model's `dict_hash`, but "\r" breaks a line
 @example(data=b"\t0\n\r\t0\n1\t0\n", trained_with_file=False, other={"": 0, "\r": 0, "1": 0},
          report=["1"] * 4)
+# an index outside the model is refused before any embedding row is read
+@example(data=b"1\t-1\n", trained_with_file=True, other={}, report=["1"] * 4)
+@example(data=b"1\t16\n", trained_with_file=True, other={}, report=["1"] * 4)
 @given(data=_predict_dictionary_files(), trained_with_file=st.booleans(), other=_saved_dicts,
        report=st.lists(st.text(alphabet="ab1", min_size=1, max_size=2), min_size=4,
                        max_size=24))
@@ -717,6 +721,81 @@ def test_predict_stems_a_long_run_of_y(trained, capsys):
     from the stemmer's RecursionError."""
     rc, probability = _predict(trained, "crash", "a" + "y" * 3000, capsys)
     assert rc == EXIT_OK and 0 <= probability <= 1
+
+
+def test_predict_reads_only_the_embedding_rows_of_the_report(trained, tmp_path, capsys,
+                                                            monkeypatch):
+    """Every other row of the embedding is overwritten with NaN bytes in a
+    copy of model.bin. Predict prints the line of the intact file, and the
+    model it runs holds no NaN: it read none of those rows."""
+    summary = "w1 w2 designflaw w3 crash"
+    model = nnet.load_model(trained / "model.bin")
+    X, _ = textprep.featurize([textprep.report_text(summary, "")], model.cfg.seq_len,
+                              textprep.Dictionary.load(trained / "dictionary.tsv"))
+    ids = np.union1d(0, X)  # the report's indices and the padding row
+    assert 2 < len(ids) < model.cfg.vocab_size
+    data = bytearray((trained / "model.bin").read_bytes())
+    row_bytes = model.emb[0].nbytes
+    emb_at = len(data) - sum(getattr(model, n).nbytes for n in nnet.PARAM_NAMES)
+    nan_row = np.full(model.cfg.embed_dim, np.nan, model.emb.dtype).tobytes()
+    for r in np.setdiff1d(np.arange(model.cfg.vocab_size), ids):
+        data[emb_at + r * row_bytes: emb_at + (r + 1) * row_bytes] = nan_row
+    for name in ("model.bin", "dictionary.tsv"):
+        (tmp_path / name).write_bytes((trained / name).read_bytes())
+    (tmp_path / "model.bin").write_bytes(data)
+    poisoned = nnet.load_model(tmp_path / "model.bin")
+    assert np.isnan(poisoned.emb).any(axis=1).sum() == model.cfg.vocab_size - len(ids)
+    run, lines = [], []
+    predict = nnet.predict
+    monkeypatch.setattr(nnet, "predict", lambda m, seq: run.append(m) or predict(m, seq))
+    for model_dir in (trained, tmp_path):
+        capsys.readouterr()
+        assert cli.main(["--paths.model", str(model_dir / "model.bin"), "--paths.dictionary",
+                         str(model_dir / "dictionary.tsv"), "predict", "--summary",
+                         summary]) == EXIT_OK
+        lines.append(capsys.readouterr().out)
+    assert lines[0].startswith("label=") and lines[1] == lines[0]
+    assert [m.emb.shape[0] for m in run] == [len(ids)] * 2
+    assert not np.isnan(run[1].emb).any()
+
+
+@pytest.mark.parametrize("index", [-1, "vocab_size"])
+def test_an_index_outside_the_model_is_refused_before_a_row_is_read(index, trained, tmp_path,
+                                                                     caplog, monkeypatch):
+    """A dictionary that maps a report word outside the model's vocabulary,
+    and that the model was trained with, gives the forward pass's error."""
+    cfg, _ = nnet.read_header(trained / "model.bin")
+    index = cfg.vocab_size if index == "vocab_size" else index
+    dictionary = textprep.Dictionary({"crash": index})
+    dictionary.save(tmp_path / "dictionary.tsv")
+    nnet.save_model(dataclasses.replace(nnet.load_model(trained / "model.bin"),
+                                        dict_hash=dictionary.content_hash()),
+                    tmp_path / "model.bin")
+    loads = []
+    monkeypatch.setattr(nnet, "load_model", lambda *a, **kw: loads.append(a))
+    rc = cli.main(["--paths.model", str(tmp_path / "model.bin"), "--paths.dictionary",
+                   str(tmp_path / "dictionary.tsv"), "predict", "--summary", "crash"])
+    assert rc == EXIT_FATAL and loads == []
+    assert _errors(caplog) == [f"index {index} not in [0, vocab size {cfg.vocab_size}) "
+                               f"at position 0"]
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_calls(trained, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    rc, prob = _predict(trained, "crash in parser", "", capsys)
+    assert rc == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--nope", "1", "predict"])
+    assert exc.value.code == EXIT_FATAL
+    assert _predict(trained, "crash in parser", "", capsys) == (rc, prob)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_train", lambda cfg: seen.append(cfg.model.epochs) or EXIT_OK)
+    monkeypatch.setattr(cli, "cmd_predict", lambda cfg, summary, description:
+                        seen.append((cfg.paths.model, summary)) or EXIT_OK)
+    for argv in (["--model.epochs", "1", "train"], ["train"],
+                 ["--paths.model", "m", "predict", "--summary", "x"], ["predict"]):
+        assert cli.main(argv) == EXIT_OK
+    assert seen == [1, 20, ("m", "x"), (None, "")]
 
 
 @pytest.mark.parametrize("command,key", [

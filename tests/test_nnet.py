@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nnet_oracle as oracle
 from smelltriage import nnet
@@ -527,10 +527,13 @@ def saved_model(tmp_path_factory):
     return model, path.read_bytes(), path.with_name("mutated.bin")
 
 
+@pytest.mark.parametrize("rows", [None, [0, 3, 4]])
 @settings(max_examples=400)
 @given(kind=st.sampled_from(["truncate", "flip", "append"]), at=st.integers(min_value=0),
        xor=st.integers(1, 255), extra=st.binary(min_size=1, max_size=8))
-def test_load_rejects_or_reproduces_a_mutated_file(saved_model, kind, at, xor, extra):
+def test_load_rejects_or_reproduces_a_mutated_file(saved_model, rows, kind, at, xor, extra):
+    """With `rows` too, the size checks come from the header and the file's
+    size, so a truncated or extended file is refused before any row is read."""
     model, data, path = saved_model
     i = at % len(data)
     if kind == "truncate":
@@ -542,20 +545,69 @@ def test_load_rejects_or_reproduces_a_mutated_file(saved_model, kind, at, xor, e
     path.unlink(missing_ok=True)  # truncating a file in place is slow on some file systems
     path.write_bytes(mutated)
     try:
-        loaded = load_model(path)
+        loaded = load_model(path, rows=rows)
     except ModelFormatError:
         return
     assert kind == "flip"
     payload = len(data) - sum(getattr(model, n).nbytes for n in nnet.PARAM_NAMES)
+    if i >= payload:  # the tensor bytes carry no checksum: the flipped byte loads as written
+        model = _model_of_bytes(model, mutated[payload:])
+    if rows is not None:
+        model = dataclasses.replace(model, emb=model.emb[rows])
     for name in nnet.PARAM_NAMES:
         a, b = getattr(model, name), getattr(loaded, name)
-        assert a.shape == b.shape and a.dtype == b.dtype
-    if i < payload:
-        for name in nnet.PARAM_NAMES:
-            np.testing.assert_array_equal(getattr(model, name), getattr(loaded, name))
-    else:  # the tensor bytes carry no checksum: the flipped byte loads as written
-        assert b"".join(getattr(loaded, n).tobytes() for n in nnet.PARAM_NAMES) == \
-            mutated[payload:]
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def _model_of_bytes(model, payload):
+    """`model` with its tensors read from `payload`, their bytes in order."""
+    arrays, pos = {}, 0
+    for name in nnet.PARAM_NAMES:
+        a = getattr(model, name)
+        arrays[name] = np.frombuffer(payload[pos:pos + a.nbytes], a.dtype).reshape(a.shape)
+        pos += a.nbytes
+    return dataclasses.replace(model, **arrays)
+
+
+@pytest.mark.parametrize("row", [-1, 5])
+def test_load_refuses_an_embedding_row_outside_the_vocabulary(saved_model, row):
+    """Row -1 or V would read the header or w1 bytes as an embedding row."""
+    _, data, path = saved_model
+    path.write_bytes(data)
+    with pytest.raises(ModelFormatError, match=rf"embedding row {row} not in \[0, vocab size 5\)"):
+        load_model(path, rows=[0, row])
+
+
+@pytest.fixture(scope="module", params=["float32", "float64"])
+def saved_for_rows(request, tmp_path_factory):
+    """A saved model whose stages compose at a short length, and its path."""
+    cfg = ModelConfig(vocab_size=40, seq_len=16, embed_dim=5, conv1_filters=3, conv1_width=3,
+                      conv2_filters=2, conv2_width=2, pool_size=2, dtype=request.param)
+    model = init_model(cfg, 7)
+    model.b1 += np.linspace(-0.1, 0.1, cfg.conv1_filters).astype(cfg.dtype)
+    path = tmp_path_factory.mktemp("rows") / "model.bin"
+    save_model(model, path)
+    return model, path
+
+
+@settings(max_examples=60, deadline=None)
+@example(reports=[list(range(2, 18))])  # no padding
+@example(reports=[[]])  # an empty report
+@given(reports=st.lists(st.lists(st.integers(1, 39), max_size=16), min_size=1, max_size=3))
+def test_a_model_of_the_report_rows_gives_the_bytes_of_the_full_model(saved_for_rows, reports):
+    """`predict` loads only the rows of its inputs, with row 0 first, and maps
+    each index to its position among them."""
+    model, path = saved_for_rows
+    X = np.zeros((len(reports), model.cfg.seq_len), dtype=np.int64)
+    for row, report in zip(X, reports):
+        row[:len(report)] = report
+    ids = np.union1d(0, X)
+    compact = load_model(path, rows=ids)
+    assert compact.cfg == dataclasses.replace(model.cfg, vocab_size=len(ids))
+    assert compact.emb.tobytes() == model.emb[ids].tobytes()
+    _, want = nnet.predict_batch(model, X)
+    _, got = nnet.predict_batch(compact, np.searchsorted(ids, X))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _rewrite_meta(data, path, edit):
