@@ -2,10 +2,10 @@
 
 Applied here to padded word-index sequences: synthetic samples are linear
 interpolations between a minority sample and one of its k nearest minority
-neighbours, optionally rounded back to valid integer indices so they stay
-feedable to the embedding layer. Neighbours are computed only for the minority
-samples SMOTE visits, one distance row at a time, so memory is O(n*L) for n
-minority samples of length L.
+neighbours, rounded back to integer indices so they stay feedable to the
+embedding layer. Neighbours are computed only for the minority samples SMOTE
+visits, one distance row at a time, so memory is O(n*L) for n minority
+samples of length L.
 """
 
 from __future__ import annotations
@@ -56,14 +56,13 @@ def k_nearest_minority(X_minority: np.ndarray, index: int, k: int) -> list[int]:
     return np.argsort(d, kind="stable")[:min(k, n - 1)].tolist()
 
 
-def smote(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
-          rounding: bool = True, max_index: int | None = None) -> SmoteResult:
+def smote(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0) -> SmoteResult:
     """Oversample the minority class until class counts are equal.
 
     Minority samples are visited round-robin; the neighbour is drawn uniformly
-    among the k nearest minority samples and the gap g ~ U[0, 1]. With
-    rounding on, coordinates are rounded to the nearest integer and clipped to
-    [0, max_index]. Deterministic per seed.
+    among the k nearest minority samples and the gap g ~ U[0, 1]. Coordinates
+    are rounded to the nearest integer, which lies between the two endpoints'
+    values: a synthetic index is valid wherever X's are. Deterministic per seed.
     """
     X = np.asarray(X)
     y = np.asarray(y).astype(int)
@@ -97,14 +96,8 @@ def smote(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
         synth[i] = Xm[base] + g * (Xm[nb] - Xm[base])
         records.append(SmoteRecord(int(minority_idx[base]), int(minority_idx[nb]),
                                    float(g), synth[i]))
-    if rounding:  # np.rint makes a new array: the records keep the values before rounding
-        synth = np.rint(synth)
-        if max_index is not None:
-            synth = np.clip(synth, 0, max_index)
-        synth = synth.astype(X.dtype)
-        out_X = np.concatenate([X, synth])
-    else:
-        out_X = np.concatenate([X.astype(np.float64), synth])
+    # np.rint makes a new array: the records keep the values before rounding
+    out_X = np.concatenate([X, np.rint(synth).astype(X.dtype)])
     out_y = np.concatenate([y, np.full(deficit, minority, dtype=y.dtype)])
     flags = np.concatenate([np.zeros(len(y), dtype=bool), np.ones(deficit, dtype=bool)])
     return SmoteResult(out_X, out_y, flags, records, diagnostics)

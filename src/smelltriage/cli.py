@@ -92,7 +92,8 @@ def _required(cfg: config.RunConfig, key: str) -> str:
 def _load_store(cfg: config.RunConfig) -> tuple[corpus.CorpusStore, list[str]]:
     store = corpus.CorpusStore(source_extensions=cfg.source_extensions)
     diagnostics: list[str] = []
-    for kind in corpus.RecordKind:  # each kind is read from the paths key of its name
+    # each kind is read from the paths key of its name; changed files come from git
+    for kind in (corpus.RecordKind.ISSUES, corpus.RecordKind.COMMITS, corpus.RecordKind.LINKS):
         result = store.ingest_records(_required(cfg, kind.value), kind)
         diagnostics.extend(result.diagnostics)
         log.info("ingested %d %s records", result.accepted, kind.value)
@@ -184,8 +185,7 @@ def cmd_train(cfg: config.RunConfig) -> int:
     diagnostics: list[str] = []
     if cfg.balance.enabled:
         try:
-            res = balance.smote(X, y, k=cfg.balance.k, seed=cfg.seed,
-                                max_index=model_cfg.vocab_size - 1)
+            res = balance.smote(X, y, k=cfg.balance.k, seed=cfg.seed)
         except balance.TooFewMinorityError as exc:
             raise _too_few_samples(ds_path, "balance.enabled=true", exc) from None
         X, y, diagnostics = res.X, res.y, res.diagnostics

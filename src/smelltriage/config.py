@@ -25,7 +25,6 @@ _DERIVED = frozenset({"model.vocab_size"})
 class PathsConfig:
     issues: str | None = None
     commits: str | None = None
-    changes: str | None = None
     links: str | None = None
     repo: str | None = None
     smell_vectors: str | None = None

@@ -207,7 +207,7 @@ class CorpusStore:
         text = datafiles.read_text(path)
         result = IngestResult()
         cls = _KIND_CLASSES[kind]
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(datafiles.split_lines(text), start=1):
             if not line.strip():
                 continue
             try:

@@ -34,12 +34,21 @@ def read_text(path: str | Path) -> str:
         raise DataFileError(f"{path}: not UTF-8: {exc}") from None
 
 
+def split_lines(text: str) -> list[str]:
+    """`text` split at its line ends, LF, CRLF and CR, only. str.splitlines
+    also splits at U+0085, U+2028 and U+2029, which JSON allows raw inside a
+    string."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def read_jsonl(path: str | Path) -> tuple[dict | None, list]:
     """Returns (header or None, records); header lines carry a `_header` key.
     A line that is not JSON raises DataFileError naming the file and line."""
     header = None
     records = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
         if not line.strip():
             continue
         try:

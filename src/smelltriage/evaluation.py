@@ -144,8 +144,7 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
     if balance_cfg.enabled:
         sampling = f"SMOTE/{balance_cfg.scope}"
     if balance_cfg.enabled and balance_cfg.scope == "all":
-        res = balance.smote(X, y, k=balance_cfg.k, seed=seed,
-                            max_index=model_cfg.vocab_size - 1)
+        res = balance.smote(X, y, k=balance_cfg.k, seed=seed)
         diagnostics.extend(res.diagnostics)
         X, y = res.X, res.y
 
@@ -158,8 +157,7 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
         X_test, y_test = X[test_idx], y[test_idx]
         try:
             if balance_cfg.enabled and balance_cfg.scope == "train":
-                res = balance.smote(X_train, y_train, k=balance_cfg.k, seed=child_seed,
-                                    max_index=model_cfg.vocab_size - 1)
+                res = balance.smote(X_train, y_train, k=balance_cfg.k, seed=child_seed)
                 diagnostics.extend(f"fold {fold}: {d}" for d in res.diagnostics)
                 X_train, y_train = res.X, res.y
             model = nnet.init_model(model_cfg, seed=child_seed)

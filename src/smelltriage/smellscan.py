@@ -102,7 +102,6 @@ class ClassMetrics:
 
 @dataclass
 class FileMetrics:
-    file_path: str
     import_count: int = 0
     imported_packages: set[str] = field(default_factory=set)
     classes: list[ClassMetrics] = field(default_factory=list)
@@ -535,7 +534,7 @@ def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
     return cm
 
 
-def scan_metrics(cleaned_source: str, file_path: str = "<memory>") -> FileMetrics:
+def scan_metrics(cleaned_source: str) -> FileMetrics:
     """Discover classes/methods in comment-stripped source and compute counts:
     one lexer pass, then one walk over each class body that jumps over blocks.
     A class that declares classes is walked over a copy of its body in which
@@ -543,7 +542,7 @@ def scan_metrics(cleaned_source: str, file_path: str = "<memory>") -> FileMetric
     the lexer reads each other character at most twice, however deep the nest."""
     text, n = cleaned_source, len(cleaned_source)
     imports = _IMPORT_RE.findall(text)
-    fm = FileMetrics(file_path, len(imports), {_package_of(p) for p in imports})
+    fm = FileMetrics(len(imports), {_package_of(p) for p in imports})
     pairs, decls = _lex(text)
     for name, start, brace, nested in decls:
         body, body_pairs, lo, hi = text, pairs, brace + 1, pairs.get(brace, n)
@@ -622,7 +621,6 @@ def evaluate_rules(metrics: FileMetrics, thresholds: RuleThresholds | None = Non
     return SmellVector(flags=tuple(flags), raw_cyclomatic_max=raw_cyclo, raw_npath_max=raw_npath)
 
 
-def scan_source(source: str, file_path: str = "<memory>",
-                thresholds: RuleThresholds | None = None) -> SmellVector:
+def scan_source(source: str, thresholds: RuleThresholds | None = None) -> SmellVector:
     """strip -> scan -> evaluate, in one call."""
-    return evaluate_rules(scan_metrics(strip_comments_and_strings(source), file_path), thresholds)
+    return evaluate_rules(scan_metrics(strip_comments_and_strings(source)), thresholds)

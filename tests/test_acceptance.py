@@ -86,7 +86,7 @@ def test_criterion_2_smell_golden_fixtures():
         if "allowed_package_prefixes" in overrides:
             overrides["allowed_package_prefixes"] = tuple(
                 overrides["allowed_package_prefixes"])
-        vec = scan_source(src, entry["file"], RuleThresholds(**overrides))
+        vec = scan_source(src, RuleThresholds(**overrides))
         fired = {SmellRule(i).name for i, f in enumerate(vec.flags) if f}
         expected = set() if entry["rule"] is None else {entry["rule"]}
         if fired != expected:
@@ -133,7 +133,7 @@ def test_criterion_4_end_to_end_fixture(bug_repo, tmp_path):
     p = bug_repo["record_paths"]
     rc = cli.main([
         "--paths.issues", str(p["issues"]), "--paths.commits", str(p["commits"]),
-        "--paths.changes", str(p["changes"]), "--paths.links", str(p["links"]),
+        "--paths.links", str(p["links"]),
         "--paths.repo", str(bug_repo["repo"]), "--out", str(tmp_path),
         "build-dataset"])
     _, records = datafiles.read_jsonl(tmp_path / "dataset.jsonl")
@@ -150,7 +150,7 @@ def test_criterion_5_smote_geometry():
     rng = np.random.default_rng(3)
     X = rng.integers(0, 50, size=(100, 20))
     y = np.array([0] * 80 + [1] * 20)
-    res = balance.smote(X, y, k=5, seed=3, rounding=True, max_index=49)
+    res = balance.smote(X, y, k=5, seed=3)
     problems = []
     counts = np.bincount(res.y)
     if counts[0] != counts[1]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smelltriage.balance import BalanceError, k_nearest_minority, smote
 
@@ -23,7 +24,7 @@ def _dataset(n_major=80, n_minor=20, dim=10, seed=0, max_index=50):
 
 def test_smote_equalizes_class_counts():
     X, y = _dataset()
-    res = smote(X, y, seed=1, max_index=50)
+    res = smote(X, y, seed=1)
     values, counts = np.unique(res.y, return_counts=True)
     assert counts[0] == counts[1] == 80
     assert len(res.X) == 160
@@ -31,7 +32,7 @@ def test_smote_equalizes_class_counts():
 
 def test_smote_preserves_originals_as_prefix():
     X, y = _dataset()
-    res = smote(X, y, seed=1, max_index=50)
+    res = smote(X, y, seed=1)
     np.testing.assert_array_equal(res.X[: len(X)], X)
     np.testing.assert_array_equal(res.y[: len(y)], y)
     assert not res.synthetic[: len(y)].any()
@@ -40,20 +41,17 @@ def test_smote_preserves_originals_as_prefix():
 
 def test_smote_synthetics_lie_on_recorded_segments():
     X, y = _dataset()
-    res = smote(X, y, seed=1, max_index=50, rounding=False)
-    minority = X[y == 1].astype(float)
-    synth = res.X[len(X):]
-    for rec, s in zip(res.records, synth):
+    res = smote(X, y, seed=1)
+    for rec in res.records:
         assert 0.0 <= rec.gap <= 1.0
         base = X[rec.base_index].astype(float)
         nb = X[rec.neighbor_index].astype(float)
-        np.testing.assert_allclose(s, base + rec.gap * (nb - base), atol=1e-9)
-        np.testing.assert_allclose(rec.pre_rounding, s, atol=1e-9)
+        np.testing.assert_allclose(rec.pre_rounding, base + rec.gap * (nb - base), atol=1e-9)
 
 
 def test_smote_rounding_deviation_at_most_half():
     X, y = _dataset()
-    res = smote(X, y, seed=1, max_index=50, rounding=True)
+    res = smote(X, y, seed=1)
     synth = res.X[len(X):].astype(float)
     pre = np.array([r.pre_rounding for r in res.records])
     assert np.max(np.abs(synth - pre)) <= 0.5 + 1e-9
@@ -62,16 +60,16 @@ def test_smote_rounding_deviation_at_most_half():
 
 def test_smote_rounded_output_keeps_integer_dtype():
     X, y = _dataset()
-    res = smote(X, y, seed=1, max_index=50)
+    res = smote(X, y, seed=1)
     assert res.X.dtype == X.dtype
 
 
 def test_smote_deterministic_per_seed():
     X, y = _dataset()
-    a = smote(X, y, seed=9, max_index=50)
-    b = smote(X, y, seed=9, max_index=50)
+    a = smote(X, y, seed=9)
+    b = smote(X, y, seed=9)
     np.testing.assert_array_equal(a.X, b.X)
-    c = smote(X, y, seed=10, max_index=50)
+    c = smote(X, y, seed=10)
     assert not np.array_equal(a.X, c.X)
 
 
@@ -84,14 +82,14 @@ def test_smote_balanced_input_is_noop():
 
 def test_smote_oversamples_class_zero_when_minority():
     X, y = _dataset(n_major=5, n_minor=20)  # class 0 is now the minority
-    res = smote(X, y, seed=0, max_index=50)
+    res = smote(X, y, seed=0)
     assert int(np.sum(res.y == 0)) == int(np.sum(res.y == 1))
     assert set(res.y[res.synthetic]) == {0}
 
 
 def test_smote_shrinks_k_with_diagnostic():
     X, y = _dataset(n_major=20, n_minor=3)
-    res = smote(X, y, k=5, seed=0, max_index=50)
+    res = smote(X, y, k=5, seed=0)
     assert any("k shrunk" in d for d in res.diagnostics)
 
 
@@ -126,9 +124,36 @@ def test_smote_counts_property(minor, major, seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 20, size=(minor + major, 5))
     y = np.array([1] * minor + [0] * major)
-    res = smote(X, y, seed=seed, max_index=19)
+    res = smote(X, y, seed=seed)
     assert int(np.sum(res.y == 0)) == int(np.sum(res.y == 1)) == major
     assert len(res.records) == major - minor
+
+
+@st.composite
+def _index_matrices(draw):
+    """An index matrix in [0, V) with two to five minority rows first, then
+    the label vector."""
+    vocab = draw(st.one_of(st.integers(1, 60), st.integers(1, 2**31 - 1)))
+    minor, major = draw(st.integers(2, 5)), draw(st.integers(6, 12))
+    shape = (minor + major, draw(st.integers(1, 6)))
+    X = draw(hnp.arrays(draw(st.sampled_from([np.int32, np.int64])), shape,
+                        elements=st.integers(0, vocab - 1)))
+    return X, np.array([1] * minor + [0] * major)
+
+
+@settings(max_examples=100)
+@given(_index_matrices(), st.integers(0, 2**32 - 1))
+def test_smote_synthetics_are_rounded_points_between_their_endpoints(data, seed):
+    """Each synthetic row is its segment point rounded, and each coordinate
+    lies between its base's and its neighbour's, so it is an index in [0, V)
+    like theirs."""
+    X, y = data
+    res = smote(X, y, k=3, seed=seed)
+    assert res.X.dtype == X.dtype
+    for rec, s in zip(res.records, res.X[len(X):]):
+        np.testing.assert_array_equal(s, np.rint(rec.pre_rounding))
+        ends = X[[rec.base_index, rec.neighbor_index]]
+        assert (ends.min(axis=0) <= s).all() and (s <= ends.max(axis=0)).all()
 
 
 @st.composite
@@ -153,7 +178,7 @@ def test_k_nearest_matches_all_pairs_oracle(X):
 
 def test_smote_deficit_above_minority_reuses_bases_round_robin():
     X, y = _dataset(n_major=11, n_minor=3)
-    res = smote(X, y, k=2, seed=4, max_index=50)
+    res = smote(X, y, k=2, seed=4)
     minority_idx = np.flatnonzero(y == 1)
     table = _all_pairs_table(X[minority_idx])
     rng = np.random.default_rng(4)  # replay smote's draws: neighbour slot, then gap

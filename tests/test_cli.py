@@ -18,7 +18,6 @@ def _base_args(bug_repo, out_dir):
     return [
         "--paths.issues", str(p["issues"]),
         "--paths.commits", str(p["commits"]),
-        "--paths.changes", str(p["changes"]),
         "--paths.links", str(p["links"]),
         "--paths.repo", str(bug_repo["repo"]),
         "--out", str(out_dir),
@@ -106,8 +105,7 @@ def test_label_rejects_old_format_vectors_in_one_line(bug_repo, tmp_path, caplog
 
 def _record_args(root, issues, commits, links, repo):
     args = []
-    for name, records in [("issues", issues), ("commits", commits),
-                          ("changes", []), ("links", links)]:
+    for name, records in [("issues", issues), ("commits", commits), ("links", links)]:
         path = root / f"{name}.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         args += [f"--paths.{name}", str(path)]
@@ -235,6 +233,7 @@ def test_missing_input_file_is_a_one_line_error(command, bug_repo, tmp_path, cap
 @pytest.mark.parametrize("argv,flag", [
     (["--nope", "1", "train"], "--nope"), (["--verbose", "train"], "--verbose"),
     (["--paths.pmd_report", "x", "scan-smells"], "--paths.pmd_report"),
+    (["--paths.changes", "x", "build-dataset"], "--paths.changes"),
     (["--seed=3", "--nope=1", "train"], "--nope"),
     # a prefix of a known flag is not that flag
     (["--paths.mod", "m", "predict"], "--paths.mod"), (["--conf", "x", "train"], "--conf"),
@@ -630,7 +629,7 @@ def test_config_file_plus_flag_override(bug_repo, tmp_path):
     p = bug_repo["record_paths"]
     cfg_file.write_text(json.dumps({
         "paths": {"issues": str(p["issues"]), "commits": str(p["commits"]),
-                  "changes": str(p["changes"]), "links": str(p["links"]),
+                  "links": str(p["links"]),
                   "repo": str(bug_repo["repo"]), "out_dir": str(tmp_path)},
         "project": "demo",
     }))
@@ -648,7 +647,7 @@ def test_unknown_config_key_is_fatal(tmp_path):
 
 @pytest.mark.parametrize("dotted", ["balance.rounding", "textprep.remove_stopwords",
                                     "textprep.seq_len", "model.vocab_size",
-                                    "paths.pmd_report", "verbose"])
+                                    "paths.pmd_report", "paths.changes", "verbose"])
 def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
     section, _, key = dotted.rpartition(".")
     cfg_file = tmp_path / "run.json"
@@ -855,12 +854,12 @@ _ARBITRARY_TEXT = st.one_of(
 ])
 @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_ARBITRARY_TEXT,
-       record_kind=st.sampled_from(["issues", "commits", "changes", "links"]))
+       record_kind=st.sampled_from(["issues", "commits", "links"]))
 def test_any_text_as_an_input_exits_with_a_code_and_at_most_one_error(
         command, key, text, record_kind, bug_repo, trained, tmp_path, caplog):
     """Exit 1 comes with one ERROR line that names the file; the other exits
     with none. Nothing raises. `build-dataset` reads the text as one of its
-    four record files."""
+    three record files."""
     key = record_kind if key == "records" else key
     path = tmp_path / f"{key}.input"
     path.write_text(text, encoding="utf-8")

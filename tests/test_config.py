@@ -104,7 +104,7 @@ def test_flat_keys_cover_nested_tree():
     assert "smell.cyclo_npath_threshold" in keys
     assert "paths.issues" in keys
     assert "project" in keys
-    assert len(keys) == 46
+    assert len(keys) == 45
 
 
 def test_readme_names_every_setting():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import _git
 from corpus_oracle import OracleStore
-from smelltriage import corpus
+from smelltriage import corpus, datafiles
 from smelltriage.corpus import (
     ChangedFile, ChangeLink, CommitRecord, CorpusError, CorpusStore, DanglingLinkError,
     FileChange, IngestResult, IssueRecord, IssueType, RecordKind,
@@ -112,6 +112,28 @@ def test_ingest_reports_mistyped_dates_and_deep_nesting_as_line_diagnostics(tmp_
     assert result.accepted == 1
     assert [d.split(":")[:2] for d in result.diagnostics] == [
         ["commits.jsonl", "1"], ["commits.jsonl", "2"], ["commits.jsonl", "3"]]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
+def test_readers_split_records_only_at_line_ends(char, end, tmp_path):
+    """JSON allows U+0085, U+2028 and U+2029 raw in a string, and
+    json.dumps(ensure_ascii=False) writes them raw; str.splitlines broke a
+    record at each. Line numbers count only LF, CRLF and CR."""
+    issue = {"Issue_id": "X-1", "Issue_type": "Bug", "Create_date": "2020-01-01T00:00:00Z",
+             "Summary_raw": f"a{char}b", "Description_raw": f"NEL{char}here"}
+    line = json.dumps(issue, ensure_ascii=False)
+    p = tmp_path / "issues.jsonl"
+    p.write_bytes(end.join([line, "not json", line, ""]).encode("utf-8"))
+    store = CorpusStore()
+    result = store.ingest_records(p, RecordKind.ISSUES)
+    assert result.accepted == 1 and store.issues["X-1"].description_raw == f"NEL{char}here"
+    assert [d.split(":")[:2] for d in result.diagnostics] == [
+        ["issues.jsonl", "2"], ["issues.jsonl", "3"]]
+    with pytest.raises(DataFileError, match=f"^{p}:2: "):
+        datafiles.read_jsonl(p)
+    p.write_bytes(end.join([line, line, ""]).encode("utf-8"))
+    assert datafiles.read_jsonl(p) == (None, [issue, issue])
 
 
 def test_ingest_non_utf8_file_raises_naming_it(tmp_path):

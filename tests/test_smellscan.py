@@ -216,7 +216,7 @@ def test_fixture_triggers_exactly_its_rule(entry):
     if "allowed_package_prefixes" in overrides:
         overrides = dict(overrides,
                          allowed_package_prefixes=tuple(overrides["allowed_package_prefixes"]))
-    vec = scan_source(src, entry["file"], RuleThresholds(**overrides))
+    vec = scan_source(src, RuleThresholds(**overrides))
     fired = {SmellRule(i).name for i, f in enumerate(vec.flags) if f}
     expected = set() if entry["rule"] is None else {entry["rule"]}
     assert fired == expected
@@ -226,7 +226,7 @@ def test_fixture_triggers_exactly_its_rule(entry):
 def test_fixture_metrics_match_hand_counts(entry):
     src = (SMELL_FIXTURE_DIR / entry["file"]).read_text(encoding="utf-8")
     cleaned = strip_comments_and_strings(src)
-    fm = scan_metrics(cleaned, entry["file"])
+    fm = scan_metrics(cleaned)
     c = fm.classes[0]
     vec = evaluate_rules(fm)
     observed = {
@@ -365,7 +365,7 @@ def _metrics_record(fm) -> dict:
     """Every metric of a scan, without the outputs the old scanner had and
     nothing read."""
     rec = asdict(fm)
-    for key in ("package_name", "diagnostics"):
+    for key in ("file_path", "package_name", "diagnostics"):
         rec.pop(key, None)
     for c in rec["classes"]:
         for m in c["methods"]:
