@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import balance, config, corpus, datafiles, evaluation, labeler, nnet, textprep
+from . import config, datafiles, nnet, textprep  # each command imports the other stages it runs
 
 log = logging.getLogger("smelltriage")
 
@@ -90,6 +90,7 @@ def _required(cfg: config.RunConfig, key: str) -> str:
 
 
 def _load_store(cfg: config.RunConfig) -> tuple[corpus.CorpusStore, list[str]]:
+    from . import corpus
     store = corpus.CorpusStore(source_extensions=cfg.source_extensions)
     diagnostics: list[str] = []
     # each kind is read from the paths key of its name; changed files come from git
@@ -102,6 +103,7 @@ def _load_store(cfg: config.RunConfig) -> tuple[corpus.CorpusStore, list[str]]:
 
 def _git_source(cfg: config.RunConfig, store: corpus.CorpusStore) -> labeler.GitScanSource:
     """The built-in scanner over the checkout at `paths.repo`."""
+    from . import corpus, labeler
     store.repo_path = Path(_required(cfg, "repo"))
     try:
         store._git("rev-parse", "--git-dir")
@@ -111,6 +113,7 @@ def _git_source(cfg: config.RunConfig, store: corpus.CorpusStore) -> labeler.Git
 
 
 def _smell_source(cfg: config.RunConfig, store: corpus.CorpusStore):
+    from . import labeler
     if path := cfg.paths.smell_vectors:
         return labeler.VectorTableSource.from_records(datafiles.read_jsonl(path)[1], path)
     return _git_source(cfg, store)
@@ -131,6 +134,7 @@ def _write_dataset(cfg: config.RunConfig, dataset: labeler.LabeledDataset) -> Pa
 
 
 def cmd_build_dataset(cfg: config.RunConfig) -> int:
+    from . import labeler
     store, diagnostics = _load_store(cfg)
     source = _smell_source(cfg, store)
     dataset = labeler.build_labeled_dataset(store, source, project=cfg.project)
@@ -144,6 +148,7 @@ def cmd_build_dataset(cfg: config.RunConfig) -> int:
 
 
 def cmd_scan_smells(cfg: config.RunConfig) -> int:
+    from . import labeler
     store, diagnostics = _load_store(cfg)
     records = labeler.scan_fix_commits(store, _git_source(cfg, store), diagnostics)
     datafiles.write_jsonl(Path(cfg.paths.out_dir) / "smell_vectors.jsonl", records,
@@ -178,6 +183,7 @@ def _too_few_samples(ds_path: str, setting: str, exc: ValueError) -> ValueError:
 
 
 def cmd_train(cfg: config.RunConfig) -> int:
+    from . import balance, labeler
     ds_path = _required(cfg, "dataset")
     samples = labeler.load_dataset(ds_path)
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
@@ -204,6 +210,7 @@ def cmd_train(cfg: config.RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: config.RunConfig) -> int:
+    from . import balance, evaluation, labeler
     ds_path = _required(cfg, "dataset")
     samples = labeler.load_dataset(ds_path)
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
@@ -242,6 +249,8 @@ def cmd_predict(cfg: config.RunConfig, summary: str, description: str) -> int:
     if dictionary is None:  # each file is valid; the pair is not
         raise config.ConfigError(f"{model_path}: trained with dictionary "
                                  f"{dict_hash!r}, not with {dict_path}")
+    if not text:  # build-dataset skips such a report: no model learned from one
+        raise ValueError("empty report text: no letter or digit in the summary or description")
     X, _ = textprep.featurize([text], model_cfg.seq_len, dictionary)
     nnet.check_indices(X, model_cfg.vocab_size)
     # only the report's embedding rows, with the padding row first
@@ -267,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
                 "predict": lambda cfg: cmd_predict(cfg, args.summary, args.description)}
     try:
         return commands[args.command](cfg)
-    except (ValueError, OSError, corpus.CorpusError) as exc:  # the package's errors are these
+    except (ValueError, OSError) as exc:  # the package's errors are these
         log.error("%s", exc)
         return EXIT_FATAL
 

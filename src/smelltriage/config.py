@@ -1,6 +1,6 @@
-"""Run configuration: one JSON file, dataclass-backed, with strict keys
-(unknown keys are errors) and one-to-one command-line overrides. A file's
-value and a flag's string go through one coercion, keyed on the key's type."""
+"""Run configuration: every setting's dataclass, which the stages import from
+here, one JSON file with strict keys and one-to-one command-line overrides. A
+file's value and a flag's string go through one coercion, keyed on its type."""
 
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
 
-from .evaluation import BalanceConfig
-from .nnet import ConfigError, ModelConfig
-from .smellscan import RuleThresholds
+
+class ConfigError(ValueError):
+    pass
 
 
 # fields that are not settings: the model's vocabulary size is its dictionary's
@@ -35,8 +35,75 @@ class PathsConfig:
 
 
 @dataclass
+class RuleThresholds:
+    """Per-rule numeric thresholds. Each comparison is strict greater-than,
+    except DataClass's: an accessor ratio >= `dataclass_accessor_ratio`."""
+
+    cyclo_npath_threshold: int = 40
+    coupling_threshold: int = 20
+    class_length_threshold: int = 1000
+    import_threshold: int = 30
+    method_length_threshold: int = 100
+    parameter_threshold: int = 10
+    public_count_threshold: int = 45
+    godclass_wmc_threshold: int = 47
+    godclass_member_threshold: int = 20
+    dataclass_accessor_ratio: float = 0.8
+    ncss_method_threshold: int = 60
+    ncss_class_threshold: int = 1500
+    switch_density_threshold: float = 10.0
+    field_threshold: int = 15
+    method_threshold: int = 10
+    # LoosePackageCoupling is inert unless prefixes are configured
+    allowed_package_prefixes: tuple[str, ...] = ()
+
+
+@dataclass
 class TextPrepConfig:
     max_vocab: int | None = None
+
+
+@dataclass
+class ModelConfig:
+    vocab_size: int = 2
+    seq_len: int = 200          # padded input length
+    embed_dim: int = 128        # embedding dimension
+    conv1_filters: int = 64
+    conv1_width: int = 5
+    conv2_filters: int = 32
+    conv2_width: int = 5
+    pool_size: int = 8
+    dropout_rate: float = 0.5
+    learning_rate: float = 1e-3
+    batch_size: int = 32
+    epochs: int = 20
+    dtype: Literal["float32", "float64"] = "float32"  # float64: gradient checks; float16 NaNs
+
+    def stage_lengths(self) -> tuple[int, int, int, int, int]:
+        """(conv1_out, pool1_out, conv2_out, pool2_out, flatten) lengths.
+        Raises ConfigError naming the first stage that fails to compose."""
+        if self.pool_size < 1:
+            raise ConfigError(f"pool: size {self.pool_size} must be at least 1")
+        t1 = self.seq_len - self.conv1_width + 1
+        if t1 < 1:
+            raise ConfigError(f"conv1: width {self.conv1_width} exceeds input length {self.seq_len}")
+        p1 = t1 // self.pool_size
+        if p1 < 1:
+            raise ConfigError(f"pool1: pool size {self.pool_size} exceeds conv1 output length {t1}")
+        t2 = p1 - self.conv2_width + 1
+        if t2 < 1:
+            raise ConfigError(f"conv2: width {self.conv2_width} exceeds pool1 output length {p1}")
+        p2 = t2 // self.pool_size
+        if p2 < 1:
+            raise ConfigError(f"pool2: pool size {self.pool_size} exceeds conv2 output length {t2}")
+        return t1, p1, t2, p2, p2 * self.conv2_filters
+
+
+@dataclass
+class BalanceConfig:
+    k: int = 5
+    scope: Literal["train", "all", "both"] = "train"  # "train" is leak-free
+    enabled: bool = True
 
 
 @dataclass

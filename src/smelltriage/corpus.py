@@ -24,7 +24,7 @@ _HASH_RE = re.compile(r"^[0-9a-f]{40}$")
 _NULL_SHA = "0" * 40
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     pass
 
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
 from . import balance, nnet
+from .config import BalanceConfig
 
 
 class EvalError(ValueError):
@@ -103,13 +103,6 @@ def compute_metrics(y_true, y_pred) -> MetricsRow:
         undefined.append("f1")
     return MetricsRow(accuracy=accuracy, precision=precision, recall=recall,
                       f1=f1, undefined=tuple(undefined))
-
-
-@dataclass
-class BalanceConfig:
-    k: int = 5
-    scope: Literal["train", "all", "both"] = "train"  # "train" is leak-free
-    enabled: bool = True
 
 
 @dataclass

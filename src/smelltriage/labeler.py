@@ -39,14 +39,14 @@ class LabeledSample:
 
     @classmethod
     def from_record(cls, rec: dict) -> "LabeledSample":
-        label = int(rec["label"])
-        if label not in (0, 1):
-            raise ValueError(f"label {label} is not 0 or 1")
+        label = rec["label"]
+        if label not in (0, 1):  # True and 1.0 are 1; int() would truncate 0.7 to 0
+            raise ValueError(f"label {label!r} is not 0 or 1")
         return cls(
             issue_id=str(rec["issue_id"]),
             commit_hash=str(rec.get("commit_hash", "")),
             text=str(rec["text"]),
-            label=label,
+            label=int(label),
             total_added_smells=int(rec.get("total_added_smells", 0)),
             raw_signed_delta=int(rec.get("raw_signed_delta", 0)),
             synthetic=bool(rec.get("synthetic", False)),

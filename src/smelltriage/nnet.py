@@ -10,58 +10,20 @@ import math
 import os
 from dataclasses import dataclass, fields, asdict, replace
 from pathlib import Path
-from typing import Literal, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .config import ConfigError, ModelConfig
 
 FORMAT_VERSION = 1
 _MAGIC = b"STMODEL1\n"
 _LOSS_EPS = 1e-7
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class ModelFormatError(ValueError):
     pass
-
-
-@dataclass
-class ModelConfig:
-    vocab_size: int = 2
-    seq_len: int = 200          # padded input length
-    embed_dim: int = 128        # embedding dimension
-    conv1_filters: int = 64
-    conv1_width: int = 5
-    conv2_filters: int = 32
-    conv2_width: int = 5
-    pool_size: int = 8
-    dropout_rate: float = 0.5
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 20
-    dtype: Literal["float32", "float64"] = "float32"  # float64: gradient checks; float16 NaNs
-
-    def stage_lengths(self) -> tuple[int, int, int, int, int]:
-        """(conv1_out, pool1_out, conv2_out, pool2_out, flatten) lengths.
-        Raises ConfigError naming the first stage that fails to compose."""
-        if self.pool_size < 1:
-            raise ConfigError(f"pool: size {self.pool_size} must be at least 1")
-        t1 = self.seq_len - self.conv1_width + 1
-        if t1 < 1:
-            raise ConfigError(f"conv1: width {self.conv1_width} exceeds input length {self.seq_len}")
-        p1 = t1 // self.pool_size
-        if p1 < 1:
-            raise ConfigError(f"pool1: pool size {self.pool_size} exceeds conv1 output length {t1}")
-        t2 = p1 - self.conv2_width + 1
-        if t2 < 1:
-            raise ConfigError(f"conv2: width {self.conv2_width} exceeds pool1 output length {p1}")
-        p2 = t2 // self.pool_size
-        if p2 < 1:
-            raise ConfigError(f"pool2: pool size {self.pool_size} exceeds conv2 output length {t2}")
-        return t1, p1, t2, p2, p2 * self.conv2_filters
 
 
 PARAM_NAMES = ("emb", "w1", "b1", "w2", "b2", "wd", "bd")

@@ -14,6 +14,8 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from .config import RuleThresholds
+
 
 class SmellRule(enum.IntEnum):
     """The 16 per-file smell flags, in canonical storage order."""
@@ -37,30 +39,6 @@ class SmellRule(enum.IntEnum):
 
 
 RULE_NAMES = [r.name for r in SmellRule]
-
-
-@dataclass
-class RuleThresholds:
-    """Per-rule numeric thresholds. Each comparison is strict greater-than,
-    except DataClass's: an accessor ratio >= `dataclass_accessor_ratio`."""
-
-    cyclo_npath_threshold: int = 40
-    coupling_threshold: int = 20
-    class_length_threshold: int = 1000
-    import_threshold: int = 30
-    method_length_threshold: int = 100
-    parameter_threshold: int = 10
-    public_count_threshold: int = 45
-    godclass_wmc_threshold: int = 47
-    godclass_member_threshold: int = 20
-    dataclass_accessor_ratio: float = 0.8
-    ncss_method_threshold: int = 60
-    ncss_class_threshold: int = 1500
-    switch_density_threshold: float = 10.0
-    field_threshold: int = 15
-    method_threshold: int = 10
-    # LoosePackageCoupling is inert unless prefixes are configured
-    allowed_package_prefixes: tuple[str, ...] = ()
 
 
 @dataclass

@@ -1,10 +1,13 @@
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+import smelltriage
 
 # Example run times follow the machine's load, so a per-example deadline would
 # fail tests for the load, not for the code.
@@ -18,6 +21,17 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if "synthetic_experiments" in getattr(item, "fixturenames", ()):
             item.add_marker(pytest.mark.slow)
+
+
+def modules_after(code: str) -> set[str]:
+    """The names in `sys.modules` after a fresh interpreter runs `code`, with
+    this package importable."""
+    path = [str(Path(smelltriage.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                          capture_output=True, text=True, env=env, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 SMELL_FIXTURE_DIR = FIXTURE_DIR / "smells"

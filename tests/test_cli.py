@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import textprep_oracle
-from conftest import SMELL_FIXTURE_DIR, _git
+from conftest import SMELL_FIXTURE_DIR, _git, modules_after
 from smelltriage import cli, datafiles, nnet, textprep
 from smelltriage.cli import EXIT_DIAGNOSTICS, EXIT_FATAL, EXIT_OK
 
@@ -713,6 +713,29 @@ def trained(tmp_path_factory):
     assert cli.main(["--paths.dataset", str(ds), "--out", str(d)]
                     + _TINY_MODEL_FLAGS + ["train"]) == EXIT_OK
     return d
+
+
+@pytest.mark.parametrize("argv", [[], ["--summary", "!!! ---", "--description", " "]])
+def test_predict_refuses_an_empty_report(argv, trained, capsys, caplog):
+    """Such a report printed a label from the model's biases alone and exited 0."""
+    capsys.readouterr()
+    rc = cli.main(["--paths.model", str(trained / "model.bin"),
+                   "--paths.dictionary", str(trained / "dictionary.tsv"), "predict"] + argv)
+    assert rc == EXIT_FATAL and capsys.readouterr().out == ""
+    assert _errors(caplog) == ["empty report text: no letter or digit in the summary or "
+                               "description"]
+
+
+def test_predict_loads_no_stage_it_does_not_run(trained):
+    """A one-shot `predict` imports neither the scanner, the corpus and the
+    labeler nor the evaluation and SMOTE."""
+    argv = ["--paths.model", str(trained / "model.bin"),
+            "--paths.dictionary", str(trained / "dictionary.tsv"),
+            "predict", "--summary", "crash in parser"]
+    loaded = modules_after(f"from smelltriage import cli\nassert cli.main({argv!r}) == 0")
+    assert "smelltriage.cli" in loaded
+    assert loaded.isdisjoint({f"smelltriage.{m}" for m in (
+        "smellscan", "corpus", "labeler", "evaluation", "balance")})
 
 
 def test_predict_stems_a_long_run_of_y(trained, capsys):

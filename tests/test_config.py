@@ -8,6 +8,7 @@ from typing import Literal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import modules_after
 from smelltriage.config import (
     ConfigError, RunConfig, apply_override, flat_keys, load_config,
 )
@@ -105,6 +106,14 @@ def test_flat_keys_cover_nested_tree():
     assert "paths.issues" in keys
     assert "project" in keys
     assert len(keys) == 45
+
+
+def test_config_imports_no_stage_and_no_numpy():
+    """Every setting is declared here, so reading a config loads no stage."""
+    loaded = modules_after("import smelltriage.config")
+    assert {m for m in loaded if m.startswith("smelltriage")} == {"smelltriage",
+                                                                  "smelltriage.config"}
+    assert "numpy" not in loaded
 
 
 def test_readme_names_every_setting():

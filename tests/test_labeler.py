@@ -89,6 +89,12 @@ def test_labeled_sample_record_roundtrip():
     assert LabeledSample.from_record(s.to_record()) == s
 
 
+@pytest.mark.parametrize("label", [0, 1, 0.0, 1.0, False, True])
+def test_a_label_equal_to_0_or_1_loads_as_that_integer(label):
+    sample = LabeledSample.from_record({"issue_id": "A", "text": "t", "label": label})
+    assert type(sample.label) is int and sample.label == label
+
+
 @pytest.mark.parametrize("records, message", [
     ([], "0 samples labelled []; learning needs both labels 0 and 1"),
     ([{"issue_id": "A", "text": "t", "label": 1}] * 2,
@@ -97,6 +103,12 @@ def test_labeled_sample_record_roundtrip():
      "record 2: missing or malformed field label 2 is not 0 or 1"),
     ([{"issue_id": "A", "text": "t", "label": 0}, ["A", "t", 1]],
      "record 2: missing or malformed field "),
+    ([{"issue_id": "A", "text": "t", "label": 0}, {"issue_id": "B", "text": "t", "label": 0.7}],
+     "record 2: missing or malformed field label 0.7 is not 0 or 1"),
+    ([{"issue_id": "A", "text": "t", "label": 1.9}, {"issue_id": "B", "text": "t", "label": 0}],
+     "record 1: missing or malformed field label 1.9 is not 0 or 1"),
+    ([{"issue_id": "A", "text": "t", "label": "1"}, {"issue_id": "B", "text": "t", "label": 0}],
+     "record 1: missing or malformed field label '1' is not 0 or 1"),
 ])
 def test_load_dataset_refuses_what_cannot_be_learned_from(records, message, tmp_path):
     path = tmp_path / "dataset.jsonl"

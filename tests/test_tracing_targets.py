@@ -5,7 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import smelltriage.cli  # noqa: F401  (imports every module the tracer wraps)
+from smelltriage import corpus, evaluation, labeler, smellscan  # noqa: F401  (the tracer wraps them)
 from smelltriage import cli, nnet, textprep
 from smelltriage.labeler import GitScanSource, build_labeled_dataset
 from test_labeler import _history_store
