@@ -3,7 +3,14 @@ tabular experiment report."""
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import dataclasses
+import os
+import pickle
+import signal
+import subprocess
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,13 +126,138 @@ def _mean_row(rows: list[MetricsRow]) -> MetricsRow:
                                undefined=tuple(sorted({u for r in rows for u in r.undefined})))
 
 
+def _run_fold(job) -> tuple[MetricsRow, list[str]]:
+    """One fold of run_kfold_experiment: balance the training rows if the
+    scope is `train`, train a fresh model on the fold's child seed (seed XOR
+    fold id), score the test rows. Returns the fold's row and diagnostics."""
+    X_train, y_train, X_test, y_test, model_cfg, balance_cfg, meta = job
+    fold, child_seed = meta["fold"], meta["seed"] ^ meta["fold"]
+    diagnostics: list[str] = []
+    try:
+        if balance_cfg.enabled and balance_cfg.scope == "train":
+            res = balance.smote(X_train, y_train, k=balance_cfg.k, seed=child_seed)
+            diagnostics = [f"fold {fold}: {d}" for d in res.diagnostics]
+            X_train, y_train = res.X, res.y
+        model = nnet.init_model(model_cfg, seed=child_seed)
+        model, epochs = nnet.train(model, X_train, y_train, seed=child_seed)
+    except balance.TooFewMinorityError as exc:
+        raise TooFewSamplesError(f"fold {fold}: {exc}") from exc
+    except ValueError as exc:  # BalanceError and ConfigError are ValueErrors
+        raise EvalError(f"fold {fold}: {exc}") from exc
+    y_pred, _ = nnet.predict_batch(model, X_test)
+    last = epochs[-1] if epochs else {"accuracy": 0.0, "loss": 0.0}
+    row = dataclasses.replace(compute_metrics(y_test, y_pred), train_accuracy=last["accuracy"],
+                              train_loss=last["loss"], **meta)
+    return row, diagnostics
+
+
+# Folds run in worker processes that start on the first experiment and live
+# as long as this process. Each runs BLAS on one thread: two workers with two
+# threads each on two CPUs spin against each other and train several times
+# slower than one process does.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_workers: list[subprocess.Popen] = []
+
+
+def _serve() -> None:
+    """A worker's loop: read pickled jobs from stdin until EOF, write each
+    (ok, `_run_fold` result or its exception) pickled to the original stdout.
+    File descriptor 1 then points at stderr, so that nothing else printed can
+    corrupt the replies."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    jobs = sys.stdin.buffer
+    while True:
+        try:
+            job = pickle.load(jobs)
+        except (EOFError, pickle.UnpicklingError):  # the parent closed stdin or died
+            return
+        try:
+            reply = (True, _run_fold(job))
+        except Exception as exc:  # raised again in the parent
+            reply = (False, exc)
+        try:
+            replies.write(pickle.dumps(reply))
+            replies.flush()
+        except BrokenPipeError:  # the parent died
+            return
+
+
+def _start_worker() -> subprocess.Popen:
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    return subprocess.Popen(
+        [sys.executable, "-c", "from smelltriage.evaluation import _serve; _serve()"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+
+
+def _stop_workers(kill: bool = False) -> None:
+    """End every worker, at once with `kill`, else by closing its stdin."""
+    while _workers:
+        worker = _workers.pop()
+        if kill:
+            worker.kill()
+        with contextlib.suppress(OSError):
+            worker.stdin.close()
+        worker.wait()
+        worker.stdout.close()
+
+
+atexit.register(_stop_workers)
+
+
+def _map_folds(jobs: list) -> list[tuple[MetricsRow, list[str]]]:
+    """`_run_fold` of every job, job i on worker i mod n, with n the smaller
+    of the job count and the usable CPUs; results in job order. The error of
+    the lowest failing job is raised; a worker that died is an EvalError
+    naming its fold. After any error the workers are ended, and the next call
+    starts new ones."""
+    n = min(len(jobs), len(os.sched_getaffinity(0)))
+    while len(_workers) < n:
+        _workers.append(_start_worker())
+    workers = _workers[:n]
+
+    def send(i: int) -> None:
+        workers[i % n].stdin.write(pickle.dumps(jobs[i]))
+        workers[i % n].stdin.flush()
+
+    replies = []
+    fold = 0  # the fold whose job is being sent or whose reply is being read
+    try:
+        for fold in range(n):
+            send(fold)
+        for i in range(len(jobs)):
+            fold = i
+            replies.append(pickle.load(workers[i % n].stdout))
+            if not replies[-1][0]:
+                break
+            if i + n < len(jobs):
+                fold = i + n
+                send(fold)
+    except BaseException as exc:
+        _stop_workers(kill=True)
+        if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
+            code = workers[fold % n].returncode
+            message = f"fold {fold}: its worker process ended with exit code {code}"
+            raise EvalError(message) from None
+        raise
+    ok, value = replies[-1]
+    if not ok:
+        _stop_workers(kill=True)
+        raise value
+    return [value for _, value in replies]
+
+
 def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
                          balance_cfg: BalanceConfig | None = None,
                          k: int = 5, seed: int = 0,
                          project: str = "project") -> ExperimentReport:
     """Per fold: hold out as test, balance per the configured scope, train a
     fresh model, evaluate. Each fold derives its own child seed as seed XOR
-    fold id, so results do not depend on execution order."""
+    fold id, so results do not depend on execution order: the folds run in
+    `_map_folds`'s worker processes, one BLAS thread each."""
     X = np.asarray(X)
     y = np.asarray(y).astype(int)
     balance_cfg = balance_cfg or BalanceConfig()
@@ -142,30 +274,17 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
         X, y = res.X, res.y
 
     plan = stratified_folds(y, k, seed)
-    rows: list[MetricsRow] = []
+    jobs = []
     for fold in range(k):
-        child_seed = seed ^ fold
         train_idx, test_idx = plan.fold_indices(fold)
-        X_train, y_train = X[train_idx], y[train_idx]
-        X_test, y_test = X[test_idx], y[test_idx]
-        try:
-            if balance_cfg.enabled and balance_cfg.scope == "train":
-                res = balance.smote(X_train, y_train, k=balance_cfg.k, seed=child_seed)
-                diagnostics.extend(f"fold {fold}: {d}" for d in res.diagnostics)
-                X_train, y_train = res.X, res.y
-            model = nnet.init_model(model_cfg, seed=child_seed)
-            model, epochs = nnet.train(model, X_train, y_train, seed=child_seed)
-        except balance.TooFewMinorityError as exc:
-            raise TooFewSamplesError(f"fold {fold}: {exc}") from exc
-        except ValueError as exc:  # BalanceError and ConfigError are ValueErrors
-            raise EvalError(f"fold {fold}: {exc}") from exc
-        y_pred, _ = nnet.predict_batch(model, X_test)
-        last = epochs[-1] if epochs else {"accuracy": 0.0, "loss": 0.0}
-        rows.append(dataclasses.replace(
-            compute_metrics(y_test, y_pred),
-            train_accuracy=last["accuracy"], train_loss=last["loss"], project=project,
-            sampling=sampling, test_percent=100.0 / k, epochs=model_cfg.epochs, seed=seed,
-            fold=fold))
+        meta = dict(project=project, sampling=sampling, test_percent=100.0 / k,
+                    epochs=model_cfg.epochs, seed=seed, fold=fold)
+        jobs.append((X[train_idx], y[train_idx], X[test_idx], y[test_idx],
+                     model_cfg, balance_cfg, meta))
+    rows: list[MetricsRow] = []
+    for row, fold_diagnostics in _map_folds(jobs):
+        rows.append(row)
+        diagnostics.extend(fold_diagnostics)
     return ExperimentReport(mean=_mean_row(rows), folds=rows, diagnostics=diagnostics)
 
 

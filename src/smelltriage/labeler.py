@@ -42,15 +42,27 @@ class LabeledSample:
         label = rec["label"]
         if label not in (0, 1):  # True and 1.0 are 1; int() would truncate 0.7 to 0
             raise ValueError(f"label {label!r} is not 0 or 1")
+        synthetic = rec.get("synthetic", False)
+        if not isinstance(synthetic, bool):  # bool("false") is True
+            raise ValueError(f"synthetic {synthetic!r} is not true or false")
         return cls(
             issue_id=str(rec["issue_id"]),
             commit_hash=str(rec.get("commit_hash", "")),
             text=str(rec["text"]),
             label=int(label),
-            total_added_smells=int(rec.get("total_added_smells", 0)),
-            raw_signed_delta=int(rec.get("raw_signed_delta", 0)),
-            synthetic=bool(rec.get("synthetic", False)),
+            total_added_smells=_whole(rec, "total_added_smells"),
+            raw_signed_delta=_whole(rec, "raw_signed_delta"),
+            synthetic=synthetic,
         )
+
+
+def _whole(rec: dict, key: str) -> int:
+    """The record's integer `key`, 0 if absent; int() alone would truncate
+    2.9 to 2 and read "2" as 2."""
+    value = rec.get(key, 0)
+    if value != int(value):
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return int(value)
 
 
 def load_dataset(path: str) -> list[LabeledSample]:

@@ -1,10 +1,17 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smelltriage import nnet
+import smelltriage
+from smelltriage import evaluation, nnet
 from smelltriage.evaluation import (
     BalanceConfig, EvalError, MetricsRow, compute_metrics, format_report,
     run_kfold_experiment, stratified_folds,
@@ -158,3 +165,105 @@ def test_format_report_layout():
     assert len(lines) == 1 + 3 + 1  # header + folds + mean
     assert lines[1].startswith("CNN\tdemo/fold0\t")
     assert lines[-1].startswith("CNN\tdemo/mean\t")
+
+
+@pytest.mark.parametrize("scope", ["train", "all"])
+def test_the_number_of_workers_does_not_change_the_report(scope, monkeypatch):
+    X, y = _tiny_data()
+    cfg = BalanceConfig(scope=scope)
+    reports = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        report = run_kfold_experiment(X, y, _tiny_model_cfg(20), cfg, k=3, seed=5)
+        reports.append(([r.to_record() for r in report.folds + [report.mean]],
+                        report.diagnostics))
+    assert reports[0] == reports[1]
+
+
+def _alive(pid: int) -> bool:
+    """Whether `pid` runs; a zombie that no process has reaped yet does not."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# Runs one experiment, prints each worker's pid and BLAS thread variables,
+# then waits for stdin to close if asked to.
+_CHILD = """
+import sys
+import numpy as np
+from smelltriage import evaluation, nnet
+X = np.random.default_rng(0).integers(0, 20, size=(40, 12))
+cfg = nnet.ModelConfig(vocab_size=20, seq_len=12, embed_dim=4, conv1_filters=2, conv1_width=3,
+                       conv2_filters=2, conv2_width=2, pool_size=2, epochs=1, batch_size=8)
+evaluation.run_kfold_experiment(X, (X[:, 0] > 10).astype(int), cfg, k=3)
+for w in evaluation._workers:
+    env = dict(v.split("=", 1) for v in open(f"/proc/{w.pid}/environ").read().split("\\0") if v)
+    print(w.pid, *(env.get(v) for v in evaluation._BLAS_THREAD_VARS))
+print("ready", flush=True)
+if sys.argv[1] == "wait":
+    sys.stdin.read()
+"""
+
+
+def _start_child(how: str) -> tuple[subprocess.Popen, list[int]]:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(smelltriage.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, "-c", _CHILD, how], stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, text=True, env=env)
+    pids = []
+    for line in child.stdout:
+        if line == "ready\n":
+            break
+        pid, *threads = line.split()
+        assert threads == ["1", "1", "1"], line
+        pids.append(int(pid))
+    assert 1 <= len(pids) <= min(3, len(os.sched_getaffinity(0)))
+    return child, pids
+
+
+def test_workers_run_one_blas_thread_and_end_with_their_parent():
+    child, pids = _start_child("exit")
+    assert child.wait(timeout=60) == 0
+    child.stdout.close()
+    child.stdin.close()
+    assert not any(_alive(pid) for pid in pids)
+
+    child, pids = _start_child("wait")
+    assert all(_alive(pid) for pid in pids)
+    child.send_signal(signal.SIGKILL)  # no atexit hook runs: the workers see EOF
+    child.wait(timeout=10)
+    child.stdout.close()
+    child.stdin.close()
+    deadline = time.monotonic() + 10
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_alive(pid) for pid in pids)
+
+
+def test_a_dead_worker_is_an_error_naming_its_fold_and_the_next_call_starts_afresh():
+    X, y = _tiny_data()
+    first = run_kfold_experiment(X, y, _tiny_model_cfg(20), k=3, seed=5)
+    dead = evaluation._workers[0]
+    dead.kill()
+    dead.wait()
+    with pytest.raises(EvalError, match=r"^fold 0: its worker process ended with exit code -9$"):
+        run_kfold_experiment(X, y, _tiny_model_cfg(20), k=3, seed=5)
+    assert evaluation._workers == [] and dead.stdin.closed
+    again = run_kfold_experiment(X, y, _tiny_model_cfg(20), k=3, seed=5)
+    assert dead not in evaluation._workers
+    assert [r.to_record() for r in again.folds] == [r.to_record() for r in first.folds]
+
+
+def test_a_fold_error_is_raised_as_the_lowest_failing_fold_raised_it():
+    """Every training fold holds one positive sample, too few to oversample;
+    fold 0's error is raised, with its type, as an in-process loop raised it."""
+    X, y = _tiny_data()
+    y = np.zeros_like(y)
+    y[:2] = 1
+    with pytest.raises(evaluation.TooFewSamplesError,
+                       match=r"^fold 0: minority class has <= 1 sample, cannot oversample$"):
+        run_kfold_experiment(X, y, _tiny_model_cfg(20), k=2, seed=5)
+    assert evaluation._workers == []

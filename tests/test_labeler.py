@@ -95,6 +95,14 @@ def test_a_label_equal_to_0_or_1_loads_as_that_integer(label):
     assert type(sample.label) is int and sample.label == label
 
 
+def test_whole_counts_and_a_boolean_synthetic_flag_load_as_they_are():
+    sample = LabeledSample.from_record({"issue_id": "A", "text": "t", "label": 1,
+                                        "total_added_smells": 2.0, "raw_signed_delta": -3,
+                                        "synthetic": True})
+    assert (sample.total_added_smells, sample.raw_signed_delta, sample.synthetic) == (2, -3, True)
+    assert type(sample.total_added_smells) is int
+
+
 @pytest.mark.parametrize("records, message", [
     ([], "0 samples labelled []; learning needs both labels 0 and 1"),
     ([{"issue_id": "A", "text": "t", "label": 1}] * 2,
@@ -109,6 +117,21 @@ def test_a_label_equal_to_0_or_1_loads_as_that_integer(label):
      "record 1: missing or malformed field label 1.9 is not 0 or 1"),
     ([{"issue_id": "A", "text": "t", "label": "1"}, {"issue_id": "B", "text": "t", "label": 0}],
      "record 1: missing or malformed field label '1' is not 0 or 1"),
+    ([{"issue_id": "A", "text": "t", "label": 1, "synthetic": "false"},
+      {"issue_id": "B", "text": "t", "label": 0}],
+     "record 1: missing or malformed field synthetic 'false' is not true or false"),
+    ([{"issue_id": "A", "text": "t", "label": 1},
+      {"issue_id": "B", "text": "t", "label": 0, "synthetic": 0}],
+     "record 2: missing or malformed field synthetic 0 is not true or false"),
+    ([{"issue_id": "A", "text": "t", "label": 1, "total_added_smells": 2.9},
+      {"issue_id": "B", "text": "t", "label": 0}],
+     "record 1: missing or malformed field total_added_smells 2.9 is not an integer"),
+    ([{"issue_id": "A", "text": "t", "label": 1, "total_added_smells": "2"},
+      {"issue_id": "B", "text": "t", "label": 0}],
+     "record 1: missing or malformed field total_added_smells '2' is not an integer"),
+    ([{"issue_id": "A", "text": "t", "label": 1},
+      {"issue_id": "B", "text": "t", "label": 0, "raw_signed_delta": -0.5}],
+     "record 2: missing or malformed field raw_signed_delta -0.5 is not an integer"),
 ])
 def test_load_dataset_refuses_what_cannot_be_learned_from(records, message, tmp_path):
     path = tmp_path / "dataset.jsonl"
