@@ -159,6 +159,10 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         apply_override(cfg, dotted, raw)
     if cfg.seed < 0:  # numpy's generators take no negative seed
         raise ConfigError(f"seed: expected an integer >= 0, got {cfg.seed}")
+    if cfg.textprep.max_vocab is not None and cfg.textprep.max_vocab < 3:
+        # indices 0 and 1 are reserved, so a smaller limit keeps no word
+        raise ConfigError("textprep.max_vocab: expected an integer >= 3 or null, "
+                          f"got {cfg.textprep.max_vocab}")
     return cfg
 
 

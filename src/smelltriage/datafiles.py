@@ -62,6 +62,15 @@ def read_jsonl(path: str | Path) -> tuple[dict | None, list]:
     return header, records
 
 
+def whole(rec: dict, key: str) -> int:
+    """The record's integer `key`, 0 if absent; int() alone would truncate
+    2.9 to 2 and read "2" as 2."""
+    value = rec.get(key, 0)
+    if value != int(value):
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return int(value)
+
+
 def parse_records(records: list, parse, name: str | Path, hint: str = "") -> list:
     """`parse(record)` of each record read from the file `name`. A record it
     cannot read raises DataFileError naming the file and the record, then `hint`."""

@@ -50,19 +50,10 @@ class LabeledSample:
             commit_hash=str(rec.get("commit_hash", "")),
             text=str(rec["text"]),
             label=int(label),
-            total_added_smells=_whole(rec, "total_added_smells"),
-            raw_signed_delta=_whole(rec, "raw_signed_delta"),
+            total_added_smells=datafiles.whole(rec, "total_added_smells"),
+            raw_signed_delta=datafiles.whole(rec, "raw_signed_delta"),
             synthetic=synthetic,
         )
-
-
-def _whole(rec: dict, key: str) -> int:
-    """The record's integer `key`, 0 if absent; int() alone would truncate
-    2.9 to 2 and read "2" as 2."""
-    value = rec.get(key, 0)
-    if value != int(value):
-        raise ValueError(f"{key} {value!r} is not an integer")
-    return int(value)
 
 
 def load_dataset(path: str) -> list[LabeledSample]:

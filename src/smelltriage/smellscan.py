@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from . import datafiles
 from .config import RuleThresholds
 
 
@@ -106,10 +106,14 @@ class SmellVector:
 
     @classmethod
     def from_record(cls, rec: dict) -> "SmellVector":
+        flags = [rec.get(name, 0) for name in RULE_NAMES]
+        for name, flag in zip(RULE_NAMES, flags):
+            if flag not in (0, 1):  # bool(int()) would read "1", 2 and 1.9 as set
+                raise ValueError(f"{name} {flag!r} is not 0 or 1")
         return cls(
-            flags=tuple(bool(int(rec.get(name, 0))) for name in RULE_NAMES),
-            raw_cyclomatic_max=int(rec.get("raw_cyclomatic_max", 0)),
-            raw_npath_max=int(rec.get("raw_npath_max", 0)),
+            flags=tuple(flag == 1 for flag in flags),
+            raw_cyclomatic_max=datafiles.whole(rec, "raw_cyclomatic_max"),
+            raw_npath_max=datafiles.whole(rec, "raw_npath_max"),
         )
 
 
@@ -254,10 +258,11 @@ def _after_parens(text: str, pairs: dict[int, int], pos: int, end: int) -> int:
 
 def _case_groups(text: str, pairs: dict[int, int], start: int, end: int):
     """The case groups of the switch body text[start:end] as [start, end] spans,
-    last first, and whether a `default` label is among them. Labels in nested
-    blocks are not the switch's own. Labels with only blanks between them share
-    a group, which runs from the end of its first label to the next group."""
-    groups, has_default = [], False
+    last first, whether a `default` label is among them, and the number of
+    labels. Labels in nested blocks are not the switch's own. Labels with only
+    blanks between them share a group, which runs from the end of its first
+    label to the next group."""
+    groups, has_default, labels = [], False, 0
     pos = prev = start
     while m := _SWITCH_BODY_RE.search(text, pos, end):
         if m.lastindex is None:  # '{': the labels inside are not the switch's
@@ -266,12 +271,13 @@ def _case_groups(text: str, pairs: dict[int, int], start: int, end: int):
                 break
             continue
         has_default = has_default or m.group(1).startswith("default")
+        labels += 1
         if not groups or _BLANKS_RE.match(text, prev, m.start()).end() < m.start():
             if groups:
                 groups[-1][1] = m.start()
             groups.append([m.end(), end])
         pos = prev = m.end()
-    return groups[::-1], has_default
+    return groups[::-1], has_default, labels
 
 
 def npath_of_block(text: str, start: int = 0, end: int | None = None,
@@ -350,7 +356,7 @@ def npath_of_block(text: str, start: int = 0, end: int | None = None,
             value = 1
             continue
         close = _close(pairs, pos, e)
-        groups, has_default = _case_groups(text, pairs, pos + 1, close)
+        groups, has_default, _ = _case_groups(text, pairs, pos + 1, close)
         stack.append([_SWITCH, e, 0 if has_default else 1, groups, close + 1])
         value = 0  # starts the first group
     return value
@@ -420,15 +426,15 @@ def _method_name(header: str) -> str | None:
 
 
 def _switch_label_count(text: str, pairs: dict[int, int], start: int, end: int) -> int:
-    """Case labels in each switch block of text[start:end], once per switch."""
-    labels = [m.start() for m in _CASE_LABEL_RE.finditer(text, start, end)]
-    count, brace = 0, -1
+    """The case labels of the switches in text[start:end], each counted for
+    the switch it belongs to, as NPath reads them: a switch in a case of
+    another adds its labels, not the outer switch."""
+    count = 0
     for sm in _SWITCH_RE.finditer(text, start, end):
-        if brace < sm.end():  # the first '{' after this keyword
-            brace = text.find("{", sm.end(), end)
-            if brace < 0:
-                break
-        count += bisect_left(labels, _close(pairs, brace, end)) - bisect_left(labels, brace + 1)
+        brace = text.find("{", sm.end(), end)  # the first '{' after the keyword
+        if brace < 0:
+            break
+        count += _case_groups(text, pairs, brace + 1, _close(pairs, brace, end))[2]
     return count
 
 

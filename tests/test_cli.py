@@ -662,14 +662,18 @@ def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
     ([], ["model"], "train", 'expected an object, got ["model"]'),
     (["--textprep.max_vocab", "abc"], None, "train",
      'textprep.max_vocab: expected an integer or null, got "abc"'),
+    (["--textprep.max_vocab", "1"], None, "train",
+     "textprep.max_vocab: expected an integer >= 3 or null, got 1"),
+    ([], {"textprep": {"max_vocab": 0}}, "train",
+     "textprep.max_vocab: expected an integer >= 3 or null, got 0"),
     (["--balance.scope", "bogus"], None, "evaluate",
      'balance.scope: expected one of "train", "all", "both", got "bogus"'),
     (["--model.dtype", "float16"], None, "train",
      'model.dtype: expected one of "float32", "float64", got "float16"'),
     (["--seed", "-1"], None, "train", "seed: expected an integer >= 0, got -1"),
     ([], {"seed": -1}, "evaluate", "seed: expected an integer >= 0, got -1"),
-], ids=["flag-int", "file-int", "file-list", "flag-optional-int", "flag-scope", "flag-dtype",
-        "flag-seed", "file-seed"])
+], ids=["flag-int", "file-int", "file-list", "flag-optional-int", "flag-max-vocab",
+        "file-max-vocab", "flag-scope", "flag-dtype", "flag-seed", "file-seed"])
 def test_mistyped_setting_is_a_one_line_error(flags, config_doc, command, message,
                                               tmp_path, capsys):
     """Each of these used to end in a traceback, or to run with a value no

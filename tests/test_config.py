@@ -205,6 +205,10 @@ def _well_typed(hint):
     return parts.map(lambda p: (p, ",".join(p), tuple(s.strip() for s in p if s.strip())))
 
 
+# the settings whose range the config checks, and the least value of each
+_LEAST = {"seed": 0, "textprep.max_vocab": 3}
+
+
 # Each example writes a fresh file: truncating an existing one costs tens of
 # milliseconds on some filesystems.
 @settings(max_examples=60)
@@ -213,8 +217,8 @@ def test_every_setting_means_the_same_from_a_file_and_from_a_flag(data, tmp_path
     doc, flags, expected = {}, {}, {}
     for key, hint in flat_keys():
         values = _well_typed(hint)
-        if key == "seed":  # the one setting whose range the config checks
-            values = values.filter(lambda v: v[2] >= 0)
+        if key in _LEAST:
+            values = values.filter(lambda v, least=_LEAST[key]: v[2] >= least)
         json_value, flags[key], expected[key] = data.draw(values, label=key)
         section, _, leaf = key.rpartition(".")
         (doc.setdefault(section, {}) if section else doc)[leaf] = json_value
@@ -270,8 +274,8 @@ def test_a_mistyped_setting_raises_config_error_and_nothing_else(key_hint, value
     for load, fits, given in ((lambda: load_config(p), _file_may_give(hint, value), value),
                               (lambda: load_config(None, {key: text}),
                                _flag_may_give(hint, text), text)):
-        if fits and key == "seed":
-            fits = int(given) >= 0  # a negative seed is refused too
+        if fits and key in _LEAST and given is not None:
+            fits = int(given) >= _LEAST[key]  # a value out of range is refused too
         if fits:
             load()
         else:

@@ -17,7 +17,7 @@ from smelltriage.labeler import (
     GitScanSource, LabeledSample, VectorTableSource, build_labeled_dataset,
     fix_commits, label_commit, smell_delta, vectors_record,
 )
-from smelltriage.smellscan import SmellVector
+from smelltriage.smellscan import SmellRule, SmellVector
 
 
 def _vec(flags16):
@@ -181,15 +181,38 @@ def test_vector_table_source_unknown_commit_raises():
         source.file_vectors("b" * 40, [])
 
 
+def _file_with(key, value):
+    return {"Commit_Hash": "a" * 40,
+            "Files": [{"File_path": "A.java", "Previous": None, key: value}]}
+
+
 @pytest.mark.parametrize("record, field", [
     ({"Commit_Hash": "a" * 40, "File_path": "A.java", "GodClass": 1,
       "Parent_Hash": "b" * 40}, "'Files'"),
     ({"Commit_Hash": "a" * 40, "Files": [{"File_path": "A.java", "GodClass": 1}]},
      "'Previous'"),
+    # bool(int(flag)) read these as set or clear, and int() truncated the counts
+    (_file_with("GodClass", "1"), "GodClass '1' is not 0 or 1"),
+    (_file_with("GodClass", 2), "GodClass 2 is not 0 or 1"),
+    (_file_with("GodClass", -1), "GodClass -1 is not 0 or 1"),
+    (_file_with("GodClass", 1.9), "GodClass 1.9 is not 0 or 1"),
+    (_file_with("DataClass", 0.5), "DataClass 0.5 is not 0 or 1"),
+    (_file_with("raw_npath_max", 2.9), "raw_npath_max 2.9 is not an integer"),
+    (_file_with("raw_npath_max", "7"), "raw_npath_max '7' is not an integer"),
+    (_file_with("raw_cyclomatic_max", -0.5), "raw_cyclomatic_max -0.5 is not an integer"),
 ])
-def test_from_records_rejects_a_record_without_files_or_previous(record, field):
-    with pytest.raises(DataFileError, match=f"record 1: missing or malformed field {field}"):
+def test_from_records_rejects_a_malformed_record(record, field):
+    message = f"record 1: missing or malformed field {re.escape(field)}"
+    with pytest.raises(DataFileError, match=message):
         VectorTableSource.from_records([record])
+
+
+def test_whole_flags_and_counts_of_a_vector_load_as_they_are():
+    record = _file_with("GodClass", True)
+    record["Files"][0].update(DataClass=1.0, raw_npath_max=7.0)
+    (_, vec, _), = VectorTableSource.from_records([record]).file_vectors("a" * 40, [])
+    assert vec == SmellVector(tuple(i in (SmellRule.GodClass, SmellRule.DataClass)
+                                    for i in range(16)), raw_npath_max=7)
 
 
 # -- end-to-end against the scripted repository ------------------------------
