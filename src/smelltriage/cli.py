@@ -183,19 +183,16 @@ def _too_few_samples(ds_path: str, setting: str, exc: ValueError) -> ValueError:
 
 
 def cmd_train(cfg: config.RunConfig) -> int:
-    from . import balance, labeler
+    from . import balance, evaluation, labeler
     ds_path = _required(cfg, "dataset")
     samples = labeler.load_dataset(ds_path)
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
-    model = nnet.init_model(model_cfg, seed=cfg.seed, dict_hash=dictionary.content_hash())
-    diagnostics: list[str] = []
-    if cfg.balance.enabled:
-        try:
-            res = balance.smote(X, y, k=cfg.balance.k, seed=cfg.seed)
-        except balance.TooFewMinorityError as exc:
-            raise _too_few_samples(ds_path, "balance.enabled=true", exc) from None
-        X, y, diagnostics = res.X, res.y, res.diagnostics
-    model, epochs = nnet.train(model, X, y, seed=cfg.seed)
+    k = cfg.balance.k if cfg.balance.enabled else None
+    jobs = {"training": (X, y, model_cfg, k, cfg.seed, dictionary.content_hash())}
+    try:  # in a one-thread worker, as a fold: no bit depends on the BLAS thread count
+        [(model, epochs, diagnostics)] = evaluation.run_in_workers(evaluation.fit, jobs)
+    except balance.TooFewMinorityError as exc:
+        raise _too_few_samples(ds_path, "balance.enabled=true", exc) from None
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = Path(cfg.paths.model) if cfg.paths.model else out_dir / "model.bin"

@@ -1,5 +1,5 @@
-"""Stratified k-fold cross-validation, confusion-matrix metrics, and the
-tabular experiment report."""
+"""Stratified k-fold cross-validation, confusion-matrix metrics, the tabular
+experiment report, and the one-thread worker processes every model trains in."""
 
 from __future__ import annotations
 
@@ -126,20 +126,26 @@ def _mean_row(rows: list[MetricsRow]) -> MetricsRow:
                                undefined=tuple(sorted({u for r in rows for u in r.undefined})))
 
 
-def _run_fold(job) -> tuple[MetricsRow, list[str]]:
-    """One fold of run_kfold_experiment: balance the training rows if the
-    scope is `train`, train a fresh model on the fold's child seed (seed XOR
-    fold id), score the test rows. Returns the fold's row and diagnostics."""
-    X_train, y_train, X_test, y_test, model_cfg, balance_cfg, meta = job
-    fold, child_seed = meta["fold"], meta["seed"] ^ meta["fold"]
+def fit(X, y, model_cfg: nnet.ModelConfig, k: int | None, seed: int, dict_hash: str = ""):
+    """(model, per-epoch history, SMOTE diagnostics) of training from `seed` on
+    (X, y), balanced by SMOTE with k neighbours unless k is None."""
+    model = nnet.init_model(model_cfg, seed=seed, dict_hash=dict_hash)
     diagnostics: list[str] = []
+    if k is not None:
+        res = balance.smote(X, y, k=k, seed=seed)
+        X, y, diagnostics = res.X, res.y, res.diagnostics
+    model, epochs = nnet.train(model, X, y, seed=seed)
+    return model, epochs, diagnostics
+
+
+def _run_fold(X_train, y_train, X_test, y_test, model_cfg, balance_cfg, meta):
+    """One fold of run_kfold_experiment: `fit` the training rows, balanced if
+    the scope is `train`, on the fold's child seed (seed XOR fold id), score
+    the test rows. Returns the fold's row and diagnostics."""
+    fold, child_seed = meta["fold"], meta["seed"] ^ meta["fold"]
+    k = balance_cfg.k if balance_cfg.enabled and balance_cfg.scope == "train" else None
     try:
-        if balance_cfg.enabled and balance_cfg.scope == "train":
-            res = balance.smote(X_train, y_train, k=balance_cfg.k, seed=child_seed)
-            diagnostics = [f"fold {fold}: {d}" for d in res.diagnostics]
-            X_train, y_train = res.X, res.y
-        model = nnet.init_model(model_cfg, seed=child_seed)
-        model, epochs = nnet.train(model, X_train, y_train, seed=child_seed)
+        model, epochs, diagnostics = fit(X_train, y_train, model_cfg, k, child_seed)
     except balance.TooFewMinorityError as exc:
         raise TooFewSamplesError(f"fold {fold}: {exc}") from exc
     except ValueError as exc:  # BalanceError and ConfigError are ValueErrors
@@ -148,11 +154,11 @@ def _run_fold(job) -> tuple[MetricsRow, list[str]]:
     last = epochs[-1] if epochs else {"accuracy": 0.0, "loss": 0.0}
     row = dataclasses.replace(compute_metrics(y_test, y_pred), train_accuracy=last["accuracy"],
                               train_loss=last["loss"], **meta)
-    return row, diagnostics
+    return row, [f"fold {fold}: {d}" for d in diagnostics]
 
 
-# Folds run in worker processes that start on the first experiment and live
-# as long as this process. Each runs BLAS on one thread: two workers with two
+# Models train in worker processes that start on the first job and live as
+# long as this process. Each runs BLAS on one thread: two workers with two
 # threads each on two CPUs spin against each other and train several times
 # slower than one process does.
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -161,21 +167,20 @@ _workers: list[subprocess.Popen] = []
 
 
 def _serve() -> None:
-    """A worker's loop: read pickled jobs from stdin until EOF, write each
-    (ok, `_run_fold` result or its exception) pickled to the original stdout.
+    """A worker's loop: read pickled (function, arguments) jobs from stdin
+    until EOF, write each (ok, result or exception) pickled to the original stdout.
     File descriptor 1 then points at stderr, so that nothing else printed can
     corrupt the replies."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
-    jobs = sys.stdin.buffer
     while True:
         try:
-            job = pickle.load(jobs)
+            fn, args = pickle.load(sys.stdin.buffer)
         except (EOFError, pickle.UnpicklingError):  # the parent closed stdin or died
             return
         try:
-            reply = (True, _run_fold(job))
+            reply = (True, fn(*args))
         except Exception as exc:  # raised again in the parent
             reply = (False, exc)
         try:
@@ -208,39 +213,40 @@ def _stop_workers(kill: bool = False) -> None:
 atexit.register(_stop_workers)
 
 
-def _map_folds(jobs: list) -> list[tuple[MetricsRow, list[str]]]:
-    """`_run_fold` of every job, job i on worker i mod n, with n the smaller
-    of the job count and the usable CPUs; results in job order. The error of
-    the lowest failing job is raised; a worker that died is an EvalError
-    naming its fold. After any error the workers are ended, and the next call
-    starts new ones."""
+def run_in_workers(fn, jobs: dict[str, tuple]) -> list:
+    """`fn(*args)` for the args of every named job, job i on worker i mod n,
+    with n the smaller of the job count and the usable CPUs; results in job
+    order. `fn` is pickled by name. The error of the lowest failing job is
+    raised; a worker that died is an EvalError naming its job. After any
+    error the workers are ended, and the next call starts new ones."""
+    names, args = list(jobs), list(jobs.values())
     n = min(len(jobs), len(os.sched_getaffinity(0)))
     while len(_workers) < n:
         _workers.append(_start_worker())
     workers = _workers[:n]
 
     def send(i: int) -> None:
-        workers[i % n].stdin.write(pickle.dumps(jobs[i]))
+        workers[i % n].stdin.write(pickle.dumps((fn, args[i])))
         workers[i % n].stdin.flush()
 
     replies = []
-    fold = 0  # the fold whose job is being sent or whose reply is being read
+    job = 0  # the job being sent or whose reply is being read
     try:
-        for fold in range(n):
-            send(fold)
+        for job in range(n):
+            send(job)
         for i in range(len(jobs)):
-            fold = i
+            job = i
             replies.append(pickle.load(workers[i % n].stdout))
             if not replies[-1][0]:
                 break
             if i + n < len(jobs):
-                fold = i + n
-                send(fold)
+                job = i + n
+                send(job)
     except BaseException as exc:
         _stop_workers(kill=True)
         if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
-            code = workers[fold % n].returncode
-            message = f"fold {fold}: its worker process ended with exit code {code}"
+            code = workers[job % n].returncode
+            message = f"{names[job]}: its worker process ended with exit code {code}"
             raise EvalError(message) from None
         raise
     ok, value = replies[-1]
@@ -257,7 +263,7 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
     """Per fold: hold out as test, balance per the configured scope, train a
     fresh model, evaluate. Each fold derives its own child seed as seed XOR
     fold id, so results do not depend on execution order: the folds run in
-    `_map_folds`'s worker processes, one BLAS thread each."""
+    `run_in_workers`'s worker processes, one BLAS thread each."""
     X = np.asarray(X)
     y = np.asarray(y).astype(int)
     balance_cfg = balance_cfg or BalanceConfig()
@@ -265,26 +271,23 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
         raise EvalError(f"balance scope {balance_cfg.scope!r}: an experiment balances "
                         f"either the training folds ('train') or all samples ('all')")
     diagnostics: list[str] = []
-    sampling = "none"
-    if balance_cfg.enabled:
-        sampling = f"SMOTE/{balance_cfg.scope}"
+    sampling = f"SMOTE/{balance_cfg.scope}" if balance_cfg.enabled else "none"
     if balance_cfg.enabled and balance_cfg.scope == "all":
         res = balance.smote(X, y, k=balance_cfg.k, seed=seed)
         diagnostics.extend(res.diagnostics)
         X, y = res.X, res.y
 
     plan = stratified_folds(y, k, seed)
-    jobs = []
+    jobs = {}
     for fold in range(k):
         train_idx, test_idx = plan.fold_indices(fold)
         meta = dict(project=project, sampling=sampling, test_percent=100.0 / k,
                     epochs=model_cfg.epochs, seed=seed, fold=fold)
-        jobs.append((X[train_idx], y[train_idx], X[test_idx], y[test_idx],
-                     model_cfg, balance_cfg, meta))
-    rows: list[MetricsRow] = []
-    for row, fold_diagnostics in _map_folds(jobs):
-        rows.append(row)
-        diagnostics.extend(fold_diagnostics)
+        jobs[f"fold {fold}"] = (X[train_idx], y[train_idx], X[test_idx], y[test_idx],
+                                model_cfg, balance_cfg, meta)
+    results = run_in_workers(_run_fold, jobs)
+    rows = [row for row, _ in results]
+    diagnostics += [d for _, fold_diagnostics in results for d in fold_diagnostics]
     return ExperimentReport(mean=_mean_row(rows), folds=rows, diagnostics=diagnostics)
 
 

@@ -190,7 +190,7 @@ _IMPORT_RE = re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;"
 # literal character, so the regex engine can skip to the next candidate offset.
 # `record` declares a class (group 3) only where '(' or '<' follows the name, so
 # `return record instanceof R` and a method named `record` stay code
-_LEX_RE = re.compile(r"[(){};]|(\.\s*(?:class|interface|enum)\s+\w+)"
+_LEX_RE = re.compile(r"[(){};:]|(\.\s*(?:class|interface|enum)\s+\w+)"
                      r"|(?:c(?<!\wc)lass|i(?<!\wi)nterface|e(?<!\we)num)\s+(\w+)"
                      r"|r(?<!\wr)ecord\s+(\w+)(?=\s*[(<])")
 _CONTROL_KEYWORDS = frozenset(
@@ -203,8 +203,8 @@ def _lex(text: str) -> tuple[dict[int, int], list[list]]:
     """The bracket table of cleaned source, mapping each matched '{' and '(' to
     its partner (braces and parentheses pair independently), and its class
     declarations as [name, header start, brace, declarations directly inside]:
-    a header starts after the last ';', '{' or '}' before its keyword, and its
-    brace is the first '{' after the name."""
+    a header starts after the last ';', ':', '{' or '}' before its keyword (a
+    case label is not in it), and its brace is the first '{' after the name."""
     pairs, braces, parens, decls, waiting, open_classes = {}, [], [], [], [], []
     boundary = 0
     for m in _LEX_RE.finditer(text):

@@ -23,13 +23,18 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.slow)
 
 
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment, plus `extra`, for a fresh interpreter that
+    imports this package."""
+    path = [str(Path(smelltriage.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
 def modules_after(code: str) -> set[str]:
     """The names in `sys.modules` after a fresh interpreter runs `code`, with
     this package importable."""
-    path = [str(Path(smelltriage.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=child_env(), check=True)
     return set(proc.stdout.splitlines()[-1].split())
 
 

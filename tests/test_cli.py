@@ -2,14 +2,18 @@ import dataclasses
 import hashlib
 import json
 import logging
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import textprep_oracle
-from conftest import SMELL_FIXTURE_DIR, _git, modules_after
-from smelltriage import cli, datafiles, nnet, textprep
+from conftest import SMELL_FIXTURE_DIR, _git, child_env, modules_after
+from smelltriage import cli, datafiles, evaluation, nnet, synthetic, textprep
 from smelltriage.cli import EXIT_DIAGNOSTICS, EXIT_FATAL, EXIT_OK
 
 
@@ -558,6 +562,53 @@ def test_train_is_byte_deterministic(tmp_path):
         (tmp_path / "b" / "model.bin").read_bytes()
     assert (tmp_path / "a" / "dictionary.tsv").read_bytes() == \
         (tmp_path / "b" / "dictionary.tsv").read_bytes()
+
+
+def test_train_writes_the_same_files_at_one_and_two_blas_threads(tmp_path):
+    """`train` trained in the calling process, at its BLAS thread count, and
+    wrote another model.bin at 2 threads than at 1 for this dataset."""
+    ds = tmp_path / "dataset.jsonl"
+    samples = synthetic.generate_reports(synthetic.SyntheticConfig(n_samples=120), seed=0)
+    datafiles.write_jsonl(ds, [s.to_record() for s in samples])
+    written = []
+    for threads in ("1", "2"):
+        argv = ["--paths.dataset", str(ds), "--out", str(tmp_path / threads),
+                "--model.epochs", "1", "train"]
+        subprocess.run([sys.executable, "-c",
+                        f"from smelltriage import cli\nraise SystemExit(cli.main({argv!r}))"],
+                       env=child_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True)
+        written.append([(tmp_path / threads / name).read_bytes()
+                        for name in ("model.bin", "dictionary.tsv", "history.jsonl")])
+    assert written[0] == written[1]
+
+
+def test_a_worker_killed_during_train_is_a_one_line_error_and_the_next_train_starts_afresh(
+        tmp_path, caplog):
+    """The worker is killed as soon as it starts, before it replies. `train`
+    exits 1 with one line that names the training job, writes no model and
+    leaves no worker; the next `train` starts a new one."""
+    ds = _tiny_dataset(tmp_path / "dataset.jsonl")
+    argv = ["--paths.dataset", str(ds), "--out", str(tmp_path)] + _TINY_MODEL_FLAGS + ["train"]
+    evaluation._stop_workers()
+    returned = threading.Event()
+
+    def kill_the_worker_once_it_starts():
+        while not (evaluation._workers or returned.is_set()):
+            time.sleep(0.001)
+        if evaluation._workers:
+            evaluation._workers[0].kill()
+
+    killer = threading.Thread(target=kill_the_worker_once_it_starts)
+    killer.start()
+    rc = cli.main(argv)
+    returned.set()
+    killer.join(timeout=10)
+    assert not killer.is_alive() and rc == EXIT_FATAL
+    assert _errors(caplog) == ["training: its worker process ended with exit code -9"]
+    assert evaluation._workers == [] and not (tmp_path / "model.bin").exists()
+    assert cli.main(argv) == EXIT_OK
+    assert len(evaluation._workers) == 1 and (tmp_path / "model.bin").exists()
 
 
 def test_evaluate_writes_reports_for_both_scopes(tmp_path):

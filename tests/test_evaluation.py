@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import smelltriage
+from conftest import child_env
 from smelltriage import evaluation, nnet
 from smelltriage.evaluation import (
     BalanceConfig, EvalError, MetricsRow, compute_metrics, format_report,
@@ -208,9 +208,8 @@ if sys.argv[1] == "wait":
 
 
 def _start_child(how: str) -> tuple[subprocess.Popen, list[int]]:
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(smelltriage.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
     child = subprocess.Popen([sys.executable, "-c", _CHILD, how], stdin=subprocess.PIPE,
                              stdout=subprocess.PIPE, text=True, env=env)
     pids = []

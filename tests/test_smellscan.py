@@ -595,8 +595,7 @@ def _nest(kind, depth, flat=False):
             "member": "x = 1;",
             "anonymous": "Runnable r = new Runnable() {\n            public void run() "
                          f"{{ if (a) {{ go(); }} {held} }}\n        }};",
-            # not right after the label: a class header would take the label in
-            "switch": f"switch (k) {{\n        case 1: go(); {held} break;\n"
+            "switch": f"switch (k) {{\n        case 1: {held} break;\n"
                       "        default: go();\n        }",
         }[kind]
         member = held if kind == "member" else ""
@@ -696,8 +695,7 @@ def test_the_labels_of_a_sequence_add_up(a, b):
     f"switch (k) {{ case 1: {statement} break; default: go(); }}"))
 def test_a_switch_in_a_case_adds_its_own_labels(body):
     own = _labels(body)
-    # `go();` first: a class header would take in a label right before it
-    outer = f"switch (j) {{ case 1: go(); {body} break; case 2: default: go(); }}"
+    outer = f"switch (j) {{ case 1: {body} break; case 2: default: go(); }}"
     assert _labels(outer) == own + 3
     assert _labels(f"switch (j) {{ case 1 -> {{ {body} }} default -> go(); }}") == own + 2
 
@@ -705,6 +703,17 @@ def test_a_switch_in_a_case_adds_its_own_labels(body):
 def test_a_switch_counts_only_its_own_labels():
     nested = "switch (k) { case 1: switch (j) { case 2: a(); case 3: b(); } case 4: c(); }"
     assert _methods(f"class A {{ void m(int k, int j) {{ {nested} }} }}") == [("m", 2, 5, 4)]
+
+
+def test_a_class_right_after_a_case_label_leaves_the_label_to_its_method():
+    """The class header took in the label, and the method's copy was cut from
+    there: decision points 0, NPath 1 and one label."""
+    src = ("class A { void m(int k) { switch (k) { case 1: class L { } break; "
+           "default: go(); } } }")
+    a, local = scan_metrics(strip_comments_and_strings(src)).classes
+    (m,) = a.methods
+    assert (m.decision_points, m.npath, m.switch_label_count) == (1, 2, 2)
+    assert local.name == "L" and local.methods == []
 
 
 # -- hand-written sources --------------------------------------------------------
