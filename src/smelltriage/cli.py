@@ -253,7 +253,7 @@ def cmd_predict(cfg: config.RunConfig, summary: str, description: str) -> int:
     # only the report's embedding rows, with the padding row first
     ids = np.union1d(0, X)
     model = nnet.load_model(model_path, rows=ids)
-    label, prob = nnet.predict(model, np.searchsorted(ids, X[0]))
+    [label], [prob] = nnet.predict_batch(model, np.searchsorted(ids, X))
     verdict = "refer to designer" if label == 1 else "assign to programmer"
     print(f"label={label} probability={prob:.6f}")
     print(verdict)

@@ -157,8 +157,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         _load_object(cfg, data, f"config {path}", "")
     for dotted, raw in (overrides or {}).items():
         apply_override(cfg, dotted, raw)
-    if cfg.seed < 0:  # numpy's generators take no negative seed
-        raise ConfigError(f"seed: expected an integer >= 0, got {cfg.seed}")
+    # numpy takes no negative seed; k-fold needs two folds, SMOTE one neighbour
+    for dotted, value, least in (("seed", cfg.seed, 0), ("eval.folds", cfg.eval.folds, 2),
+                                 ("balance.k", cfg.balance.k, 1)):
+        if value < least:
+            raise ConfigError(f"{dotted}: expected an integer >= {least}, got {value}")
     if cfg.textprep.max_vocab is not None and cfg.textprep.max_vocab < 3:
         # indices 0 and 1 are reserved, so a smaller limit keeps no word
         raise ConfigError("textprep.max_vocab: expected an integer >= 3 or null, "

@@ -215,12 +215,14 @@ atexit.register(_stop_workers)
 
 def run_in_workers(fn, jobs: dict[str, tuple]) -> list:
     """`fn(*args)` for the args of every named job, job i on worker i mod n,
-    with n the smaller of the job count and the usable CPUs; results in job
-    order. `fn` is pickled by name. The error of the lowest failing job is
-    raised; a worker that died is an EvalError naming its job. After any
-    error the workers are ended, and the next call starts new ones."""
+    with n the smaller of the job count and the usable CPUs (`os.cpu_count()`
+    without an affinity set, as on macOS and Windows); results in job order.
+    `fn` is pickled by name. The error of the lowest failing job is raised; a
+    worker that died is an EvalError naming its job. After any error the
+    workers are ended, and the next call starts new ones."""
     names, args = list(jobs), list(jobs.values())
-    n = min(len(jobs), len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = min(len(jobs), cpus or 1)
     while len(_workers) < n:
         _workers.append(_start_worker())
     workers = _workers[:n]

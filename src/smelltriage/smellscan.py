@@ -186,13 +186,13 @@ def _blank_annotation_arguments(text: str) -> str:
 _IMPORT_RE = re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;",
                         re.MULTILINE)
 # a class keyword after '.' (`Foo.class`) is a literal (group 1), not a
-# declaration (group 2). `c(?<!\wc)lass` is `\bclass` written to start with a
-# literal character, so the regex engine can skip to the next candidate offset.
+# declaration (group 2). `c(?<![\w$]c)lass` is `\bclass` for names that may hold
+# `$`, written to start with a literal character, so the engine can skip ahead.
 # `record` declares a class (group 3) only where '(' or '<' follows the name, so
 # `return record instanceof R` and a method named `record` stay code
-_LEX_RE = re.compile(r"[(){};:]|(\.\s*(?:class|interface|enum)\s+\w+)"
-                     r"|(?:c(?<!\wc)lass|i(?<!\wi)nterface|e(?<!\we)num)\s+(\w+)"
-                     r"|r(?<!\wr)ecord\s+(\w+)(?=\s*[(<])")
+_LEX_RE = re.compile(r"[(){};:]|(\.\s*(?:class|interface|enum)\s+[\w$]+)"
+                     r"|(?:c(?<![\w$]c)lass|i(?<![\w$]i)nterface|e(?<![\w$]e)num)\s+([\w$]+)"
+                     r"|r(?<![\w$]r)ecord\s+([\w$]+)(?=\s*[(<])")
 _CONTROL_KEYWORDS = frozenset(
     "if else for while do switch case default try catch finally return "
     "throw new synchronized".split()
@@ -374,7 +374,7 @@ _CONDITIONAL_RE = re.compile(r"\?(?!\s*(?:[>,]|(?:extends|super)\s+[\w$]))")
 _NCSS_HEADER_RE = re.compile(r"\b(?:if|else|for|while|do|switch|try|catch|finally)\b")
 _GETTER_RE = re.compile(r"\s*return\s+(?:this\s*\.\s*)?[\w$]+\s*;\s*")
 _SETTER_RE = re.compile(r"\s*(?:this\s*\.\s*)?[\w$]+\s*=\s*[\w$]+\s*;\s*")
-_TYPE_TOKEN_RE = re.compile(r"\b[A-Z][A-Za-z0-9_]*\b")
+_TYPE_TOKEN_RE = re.compile(r"(?<![\w$])[A-Z][\w$]*")
 _SWITCH_RE = re.compile(r"\bswitch\b")
 _PUBLIC_RE = re.compile(r"\bpublic\b")
 _ENUM_RE = re.compile(r"\benum\b")

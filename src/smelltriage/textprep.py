@@ -57,8 +57,8 @@ class Dictionary:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def content_hash(self) -> str:
-        """The SHA-256 of export_text(): a model's `dict_hash`, and the one
-        rule by which a dictionary fits a model."""
+        """The SHA-256 of export_text(), which `save` writes: a model's
+        `dict_hash`, which `load_words` checks a dictionary file against."""
         return hashlib.sha256(self.export_text().encode("utf-8")).hexdigest()
 
     def save(self, path: str | Path) -> None:
@@ -86,33 +86,25 @@ class Dictionary:
         return cls(mapping)
 
 
-# the bytes of a saved dictionary's line other than its tab and line end, for
-# the words of `tokenize` and their indices
-_WORD_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789-"
-
-
 def load_words(path: str | Path, digest: str, text: str, seq_len: int) -> Dictionary | None:
     """The dictionary file at `path`, for `featurize` of `text`: it maps the
-    first `seq_len` distinct words of `text` as the file does. None when the
-    `content_hash` of the file's words is not `digest`, a model's `dict_hash`.
+    first `seq_len` distinct words of `text` as the file does. None unless the
+    SHA-256 of the file's bytes, CRLF and CR read as LF, is `digest`, a
+    model's `dict_hash`: the one rule by which a dictionary fits a model.
 
-    Bytes that hash to `digest` are the `export_text` of the dictionary the
-    model was trained with. When they also hold only [a-z0-9-] words and
-    indices between one tab and one LF per line, `load` would read that
-    dictionary back, so they need no parse: one regex over the bytes finds
-    the lines that start with a report word and a tab. Its words form a trie,
-    so a line costs a few character checks however many words there are. Any
-    other file is read in full by `load` and re-exported."""
+    Such bytes are the `export_text` of the model's dictionary, so they need no
+    parse: one regex finds the lines of a report word, one tab and an index.
+    Its words form a trie, so a line costs a few character checks however many
+    words there are."""
     data = Path(path).read_bytes()
-    separators = data.translate(None, _WORD_BYTES)
-    if (hashlib.sha256(data).hexdigest() != digest
-            or separators != b"\t\n" * (len(separators) // 2)):
-        dictionary = Dictionary.load(path)
-        return dictionary if dictionary.content_hash() == digest else None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if hashlib.sha256(data).hexdigest() != digest:
+        return None
     keys = sorted(_first_distinct(tokenize(text), seq_len))
     if not keys:
         return Dictionary()
-    lines = re.compile(f"\n({_trie(keys)})\t([^\n]*)".encode())
+    lines = re.compile(f"\n({_trie(keys)})\t(-?[0-9]+)(?=\n)".encode())
     re.purge()  # a pattern for one report: re's cache would keep 512 of them, about 5 MB
     return Dictionary({m[1].decode(): int(m[2]) for m in lines.finditer(b"\n" + data)})
 

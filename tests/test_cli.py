@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import logging
 import subprocess
@@ -11,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import textprep_oracle
 from conftest import SMELL_FIXTURE_DIR, _git, child_env, modules_after
+from test_textprep import _edit, _inserts, _lf, _write
 from smelltriage import cli, datafiles, evaluation, nnet, synthetic, textprep
 from smelltriage.cli import EXIT_DIAGNOSTICS, EXIT_FATAL, EXIT_OK
 
@@ -369,46 +368,52 @@ def test_predict_refuses_a_dictionary_the_model_was_not_trained_with(tmp_path, c
     assert len(errors) == 1 and "trained with dictionary" in errors[0]
 
 
-def test_predict_checks_the_dictionary_by_its_bytes_then_by_its_words(trained, tmp_path,
-                                                                      capsys, caplog,
-                                                                      monkeypatch):
-    """The dictionary `train` wrote matches by the hash of its bytes; a CRLF copy
-    of it by a re-export of its words, and prints the same line; another
-    dictionary is refused, naming both files."""
+def test_predict_checks_the_dictionary_by_the_hash_of_its_bytes(trained, tmp_path, capsys,
+                                                               caplog, monkeypatch):
+    """The dictionary `train` wrote, and its CRLF and CR copies, match by the
+    hash of their bytes and print the same line, with neither a parse nor a
+    re-export. A respelled copy and another dictionary are refused, naming
+    both files."""
     model_path, dict_path = trained / "model.bin", trained / "dictionary.tsv"
-    words = textprep_oracle.load(dict_path)  # read as before the hash of the bytes
+    words = textprep.Dictionary.load(dict_path).word_to_index
     model = nnet.load_model(model_path)
     X, _ = textprep.featurize([textprep.report_text("crash in parser", "")],
                               model.cfg.seq_len, textprep.Dictionary(words))
-    label, prob = nnet.predict(model, X[0])
+    [label], [prob] = nnet.predict_batch(model, X)
     expected = [f"label={label} probability={prob:.6f}",
                 "refer to designer" if label == 1 else "assign to programmer"]
-    crlf, other = tmp_path / "crlf.tsv", tmp_path / "other.tsv"
-    crlf.write_bytes(dict_path.read_bytes().replace(b"\n", b"\r\n"))
-    textprep.Dictionary({**words, "unseen": max(words.values()) + 1}).save(other)
-    re_exports = []
-    content_hash = textprep.Dictionary.content_hash
-    monkeypatch.setattr(textprep.Dictionary, "content_hash",
-                        lambda self: re_exports.append(1) or content_hash(self))
+    saved = dict_path.read_bytes()
+    first, rest = saved.split(b"\n", 1)
+    copies = {name: tmp_path / f"{name}.tsv" for name in (
+        "crlf", "cr", "blank-line", "signed-index", "reordered", "other")}
+    for name, data in (("crlf", saved.replace(b"\n", b"\r\n")),
+                       ("cr", saved.replace(b"\n", b"\r")), ("blank-line", saved + b"\n"),
+                       ("signed-index", first.replace(b"\t", b"\t+") + b"\n" + rest),
+                       ("reordered", rest + first + b"\n")):
+        copies[name].write_bytes(data)
+    textprep.Dictionary({**words, "unseen": max(words.values()) + 1}).save(copies["other"])
+    calls = []
+    monkeypatch.setattr(textprep.Dictionary, "content_hash", lambda self: calls.append("export"))
+    monkeypatch.setattr(textprep.Dictionary, "load", lambda path: calls.append("parse"))
 
     def predict(dictionary):
         capsys.readouterr()
-        re_exports.clear()
+        caplog.clear()
         rc = cli.main(["--paths.model", str(model_path), "--paths.dictionary", str(dictionary),
                        "predict", "--summary", "crash in parser"])
-        return rc, capsys.readouterr().out.splitlines(), len(re_exports)
+        return rc, capsys.readouterr().out.splitlines(), _errors(caplog)
 
-    assert predict(dict_path) == (EXIT_OK, expected, 0)
-    assert predict(crlf) == (EXIT_OK, expected, 1)
-    caplog.clear()
-    assert predict(other) == (EXIT_FATAL, [], 1)
-    assert _errors(caplog) == [f"{model_path}: trained with dictionary {model.dict_hash!r}, "
-                               f"not with {other}"]
+    for dictionary in (dict_path, copies["crlf"], copies["cr"]):
+        assert predict(dictionary) == (EXIT_OK, expected, [])
+    for name in ("blank-line", "signed-index", "reordered", "other"):
+        assert predict(copies[name]) == (EXIT_FATAL, [], [
+            f"{model_path}: trained with dictionary {model.dict_hash!r}, not with {copies[name]}"])
+    assert calls == []
 
 
 def test_predict_refuses_saved_words_that_read_back_as_other_words(tmp_path, caplog):
     """The file `save` wrote for {"": 0, "\\r": 0, "1": 0} hashes to the
-    model's `dict_hash`, but `load` reads {"": 0, "1": 0} from it."""
+    model's `dict_hash`, but its `\\r` reads as a line end, so it does not fit."""
     saved = textprep.Dictionary({"": 0, "\r": 0, "1": 0})
     saved.save(tmp_path / "dictionary.tsv")
     cfg = nnet.ModelConfig(vocab_size=4, seq_len=8, embed_dim=4, conv1_filters=2,
@@ -422,11 +427,12 @@ def test_predict_refuses_saved_words_that_read_back_as_other_words(tmp_path, cap
                                f"{saved.content_hash()!r}, not with {tmp_path / 'dictionary.tsv'}"]
 
 
-# dictionary words of the bytes a saved line may hold, the empty one included,
-# and in some dictionaries one word with a tab, a line break or a non-ASCII
-# letter between two such words
+# dictionary words of the bytes of `tokenize`'s words, the empty one included,
+# and in some dictionaries one word with a tab, a CR, a U+2028 or a non-ASCII
+# letter between two such words. No word holds an LF, as no word of `tokenize`
+# does: the lookup would read it as two lines.
 _saved_words = st.text(alphabet="ab1-", max_size=2)
-_odd_words = st.tuples(_saved_words, st.sampled_from(["\t", "\n", "\r", "\u2028", "\u00e9"]),
+_odd_words = st.tuples(_saved_words, st.sampled_from(["\t", "\r", "\u2028", "\u00e9"]),
                        _saved_words).map("".join)
 _saved_dicts = st.builds(lambda words, odd: {**words, **odd},
                          st.dictionaries(_saved_words, st.integers(-2, 20), max_size=8),
@@ -435,34 +441,28 @@ _saved_dicts = st.builds(lambda words, odd: {**words, **odd},
 
 @st.composite
 def _predict_dictionary_files(draw):
-    """The bytes of a dictionary file: what `save` writes, that with CRLF line
-    ends, or lines that are blank, without a tab or with a bad index."""
-    kind = draw(st.sampled_from(["saved", "saved", "crlf", "lines"]))
-    if kind == "lines":
-        lines = draw(st.lists(st.one_of(
-            st.tuples(st.one_of(_saved_words, _odd_words),
-                      st.sampled_from(["2", "+3", "x", ""])).map("\t".join),
-            st.sampled_from(["", " ", "ab"])), max_size=6))
-        return "".join(line + "\n" for line in lines).encode("utf-8")
-    text = textprep.Dictionary(draw(_saved_dicts)).export_text()
-    return (text.replace("\n", "\r\n") if kind == "crlf" else text).encode("utf-8")
+    """Some words, and the bytes of a file for them: what `save` writes, with
+    LF, CRLF or CR line ends, and at times an edit of that."""
+    words = draw(_saved_dicts)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = textprep.Dictionary(words).export_text().replace("\n", end).encode("utf-8")
+    if draw(st.booleans()):
+        data = _edit(data, draw(st.tuples(st.integers(0, 9), st.integers(0, 9))),
+                     draw(st.integers(0, 99)), draw(st.integers(0, 3)), draw(_inserts))
+    return words, data
 
 
-def _old_predict(model, model_path, dict_path, summary):
-    """Exit code and output or error line of `predict` as it read the whole
-    dictionary with the old parse, and accepted it when the hash of its
-    re-export was the model's `dict_hash`."""
-    try:
-        words = textprep_oracle.load(dict_path)
-    except datafiles.DataFileError as exc:
-        return EXIT_FATAL, str(exc)
-    if model.dict_hash != textprep_oracle.content_hash(words):
+def _expected_predict(model, model_words, model_path, data, dict_path, summary):
+    """Exit code and output or error line of `predict` by the rule: a file fits
+    the model when its text, CRLF and CR read as LF, is what `save` writes for
+    the model's words, and then the report is scored on the row they give it."""
+    if _lf(data) != textprep.Dictionary(model_words).export_text().encode("utf-8"):
         return EXIT_FATAL, (f"{model_path}: trained with dictionary {model.dict_hash!r}, "
                             f"not with {dict_path}")
     row = textprep.doc2indices(textprep.TokenDocument("", textprep.preprocess(summary)),
-                               textprep.Dictionary(words), model.cfg.seq_len)
+                               textprep.Dictionary(model_words), model.cfg.seq_len)
     try:
-        label, prob = nnet.predict(model, row)
+        [label], [prob] = nnet.predict_batch(model, np.array([row]))
     except ValueError as exc:  # an index outside the model's vocabulary
         return EXIT_FATAL, str(exc)
     return EXIT_OK, f"label={label} probability={prob:.6f}"
@@ -470,33 +470,32 @@ def _old_predict(model, model_path, dict_path, summary):
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 # "b" is the second distinct word but the tenth token
-@example(data=b"a\t2\nb\t3\n", trained_with_file=True, other={}, report=["a"] * 9 + ["b"])
+@example(file=({"a": 2, "b": 3}, b"a\t2\nb\t3\n"), trained_with_file=True, other={},
+         report=["a"] * 9 + ["b"])
 # a word with a tab starts with a report word and a tab
-@example(data=b"a\tb\t2\n", trained_with_file=True, other={}, report=["a", "b"])
-# the bytes `save` wrote hash to the model's `dict_hash`, but "\r" breaks a line
-@example(data=b"\t0\n\r\t0\n1\t0\n", trained_with_file=False, other={"": 0, "\r": 0, "1": 0},
-         report=["1"] * 4)
+@example(file=({"a\tb": 2}, b"a\tb\t2\n"), trained_with_file=True, other={}, report=["a", "b"])
+# the bytes `save` wrote, but "\r" breaks a line
+@example(file=({"": 0, "\r": 0, "1": 0}, b"\t0\n\r\t0\n1\t0\n"), trained_with_file=True,
+         other={}, report=["1"] * 4)
+# the same words, respelled
+@example(file=({"a": 2}, b"a\t+2\n"), trained_with_file=True, other={}, report=["a"] * 4)
+@example(file=({"a": 2}, b"\na\t2\n"), trained_with_file=True, other={}, report=["a"] * 4)
 # an index outside the model is refused before any embedding row is read
-@example(data=b"1\t-1\n", trained_with_file=True, other={}, report=["1"] * 4)
-@example(data=b"1\t16\n", trained_with_file=True, other={}, report=["1"] * 4)
-@given(data=_predict_dictionary_files(), trained_with_file=st.booleans(), other=_saved_dicts,
+@example(file=({"1": -1}, b"1\t-1\n"), trained_with_file=True, other={}, report=["1"] * 4)
+@example(file=({"1": 16}, b"1\t16\n"), trained_with_file=True, other={}, report=["1"] * 4)
+@given(file=_predict_dictionary_files(), trained_with_file=st.booleans(), other=_saved_dicts,
        report=st.lists(st.text(alphabet="ab1", min_size=1, max_size=2), min_size=4,
                        max_size=24))
-def test_predict_resolves_the_report_words_as_the_old_full_parse(
-        data, trained_with_file, other, report, tmp_path, capsys, caplog):
-    """`predict` looks up only the report's words when the dictionary hashes to
-    the model's `dict_hash`; its exit code, output and errors are those of the
-    old full parse and re-export check, for any dictionary file. Report words
-    of at most two letters are their own stems, and they repeat, so a report
+def test_predict_scores_the_report_on_a_file_that_fits_and_refuses_any_other(
+        file, trained_with_file, other, report, tmp_path, capsys, caplog):
+    """`predict`'s exit code, output and errors are those of the one rule, for
+    a model trained with the file's words or with other words. Report words of
+    at most two letters are their own stems, and they repeat, so a report
     often has fewer distinct words than seq_len."""
-    path = tmp_path / f"{hashlib.sha256(data).hexdigest()}.tsv"
-    if not path.exists():
-        path.write_bytes(data)
-    try:  # a model trained with the words the old parse reads from the file
-        digest = textprep_oracle.content_hash(
-            textprep_oracle.load(path) if trained_with_file else other)
-    except datafiles.DataFileError:
-        digest = textprep_oracle.content_hash(other)
+    words, data = file
+    path = _write(tmp_path, data)
+    model_words = words if trained_with_file else other
+    digest = textprep.Dictionary(model_words).content_hash()
     cfg = nnet.ModelConfig(vocab_size=16, seq_len=8, embed_dim=4, conv1_filters=2,
                            conv1_width=3, conv2_filters=2, conv2_width=2, pool_size=2)
     model = nnet.init_model(cfg, 0, dict_hash=digest)
@@ -509,7 +508,7 @@ def test_predict_resolves_the_report_words_as_the_old_full_parse(
     rc = cli.main(["--paths.model", str(model_path), "--paths.dictionary", str(path),
                    "predict", "--summary", summary])
     got = capsys.readouterr().out.splitlines()[:1] if rc == EXIT_OK else _errors(caplog)
-    expected_rc, line = _old_predict(model, model_path, path, summary)
+    expected_rc, line = _expected_predict(model, model_words, model_path, data, path, summary)
     assert (rc, got) == (expected_rc, [line])
 
 
@@ -625,13 +624,14 @@ def test_evaluate_writes_reports_for_both_scopes(tmp_path):
         assert len(rows) == 4  # 3 folds + mean
 
 
-def test_evaluate_with_one_fold_is_a_one_line_error(tmp_path, caplog):
+def test_evaluate_with_one_fold_is_a_one_line_error(tmp_path, capsys):
+    """It used to log `k must be >= 2, got 1`, which names no setting."""
     ds = _tiny_dataset(tmp_path / "dataset.jsonl", n=40)
     rc = cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path),
                    "--eval.folds", "1"] + _TINY_MODEL_FLAGS + ["evaluate"])
     assert rc == EXIT_FATAL
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert errors == ["k must be >= 2, got 1"]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: eval.folds: expected an integer >= 2, got 1"]
 
 
 @pytest.mark.parametrize("folds,message", [
@@ -723,14 +723,20 @@ def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
      'model.dtype: expected one of "float32", "float64", got "float16"'),
     (["--seed", "-1"], None, "train", "seed: expected an integer >= 0, got -1"),
     ([], {"seed": -1}, "evaluate", "seed: expected an integer >= 0, got -1"),
+    (["--eval.folds", "1"], None, "evaluate", "eval.folds: expected an integer >= 2, got 1"),
+    ([], {"eval": {"folds": 0}}, "evaluate", "eval.folds: expected an integer >= 2, got 0"),
+    (["--balance.k", "0"], None, "train", "balance.k: expected an integer >= 1, got 0"),
+    ([], {"balance": {"k": -2}}, "evaluate", "balance.k: expected an integer >= 1, got -2"),
 ], ids=["flag-int", "file-int", "file-list", "flag-optional-int", "flag-max-vocab",
-        "file-max-vocab", "flag-scope", "flag-dtype", "flag-seed", "file-seed"])
+        "file-max-vocab", "flag-scope", "flag-dtype", "flag-seed", "file-seed", "flag-folds",
+        "file-folds", "flag-k", "file-k"])
 def test_mistyped_setting_is_a_one_line_error(flags, config_doc, command, message,
                                               tmp_path, capsys):
     """Each of these used to end in a traceback, or to run with a value no
-    stage can use (SMOTE skipped for an unknown scope, NaN weights in float16)."""
+    stage can use (SMOTE skipped for an unknown scope, NaN weights in float16,
+    SMOTE's `balance.k` 0 unused on a balanced dataset)."""
     ds = _tiny_dataset(tmp_path / "dataset.jsonl", n=40)
-    args = ["--paths.dataset", str(ds), "--out", str(tmp_path), "--eval.folds", "2"]
+    args = ["--paths.dataset", str(ds), "--out", str(tmp_path)]
     if config_doc is not None:
         (tmp_path / "run.json").write_text(json.dumps(config_doc))
         args += ["--config", str(tmp_path / "run.json")]
@@ -823,8 +829,8 @@ def test_predict_reads_only_the_embedding_rows_of_the_report(trained, tmp_path, 
     poisoned = nnet.load_model(tmp_path / "model.bin")
     assert np.isnan(poisoned.emb).any(axis=1).sum() == model.cfg.vocab_size - len(ids)
     run, lines = [], []
-    predict = nnet.predict
-    monkeypatch.setattr(nnet, "predict", lambda m, seq: run.append(m) or predict(m, seq))
+    predict_batch = nnet.predict_batch
+    monkeypatch.setattr(nnet, "predict_batch", lambda m, X: run.append(m) or predict_batch(m, X))
     for model_dir in (trained, tmp_path):
         capsys.readouterr()
         assert cli.main(["--paths.model", str(model_dir / "model.bin"), "--paths.dictionary",
@@ -894,7 +900,8 @@ def test_missing_path_setting_is_a_one_line_error(command, key, bug_repo, traine
 
 
 def test_malformed_inputs_name_their_file_and_line_or_record(trained, tmp_path, caplog):
-    """Each of these failed without naming the file, or in a traceback."""
+    """Each of these failed without naming the file, or in a traceback. A
+    dictionary is not parsed: one that is not the model's is named as such."""
     ds = tmp_path / "dataset.jsonl"
     good = json.dumps({"issue_id": "T-1", "text": "crash", "label": 1})
     cases = [
@@ -905,7 +912,7 @@ def test_malformed_inputs_name_their_file_and_line_or_record(trained, tmp_path, 
         ("dataset", f"{good}\n\nnot json\n", "evaluate",
          f"{ds}:3: Expecting value: line 1 column 1 (char 0)"),
         ("dictionary", "crash\t2\nno index here\n", "predict",
-         f"{tmp_path / 'dictionary.tsv'}:2: expected <word><tab><index>"),
+         f"{trained / 'model.bin'}: trained with dictionary "),
     ]
     for key, text, command, message in cases:
         path = ds if key == "dataset" else tmp_path / "dictionary.tsv"

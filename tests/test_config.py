@@ -206,7 +206,7 @@ def _well_typed(hint):
 
 
 # the settings whose range the config checks, and the least value of each
-_LEAST = {"seed": 0, "textprep.max_vocab": 3}
+_LEAST = {"seed": 0, "textprep.max_vocab": 3, "eval.folds": 2, "balance.k": 1}
 
 
 # Each example writes a fresh file: truncating an existing one costs tens of

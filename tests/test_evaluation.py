@@ -180,6 +180,24 @@ def test_the_number_of_workers_does_not_change_the_report(scope, monkeypatch):
     assert reports[0] == reports[1]
 
 
+def test_a_platform_without_an_affinity_set_runs_a_worker_per_cpu(monkeypatch):
+    """macOS and Windows have no `os.sched_getaffinity`. There the workers are
+    as many as `os.cpu_count()`, or one when it is unknown, and the report is
+    the same."""
+    X, y = _tiny_data()
+
+    def run():
+        report = run_kfold_experiment(X, y, _tiny_model_cfg(20), k=3, seed=5)
+        return [r.to_record() for r in report.folds + [report.mean]], report.diagnostics
+
+    expected = run()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, workers in ((None, 1), (2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+        evaluation._stop_workers()
+        assert run() == expected and len(evaluation._workers) == workers
+
+
 def _alive(pid: int) -> bool:
     """Whether `pid` runs; a zombie that no process has reaped yet does not."""
     try:

@@ -216,6 +216,16 @@ def test_a_member_record_is_not_a_method_and_record_as_a_name_declares_nothing()
     assert _members_of(src) == [("A", ["f", "record"], 1), ("R", ["twice"], 0)]
 
 
+def test_a_name_that_holds_a_dollar_is_one_name():
+    """A Java name may hold `$`: a class or record so named is one class, and
+    it couples neither to itself nor to the parts of its name."""
+    src = ("class Foo$Bar { record x$1(int a) { int m$() { return a; } } "
+           "Foo$Bar next; Outer$Inner other; $Hidden h; void $record(int b) { } }")
+    assert _members_of(src) == [("Foo$Bar", ["$record"], 3), ("x$1", ["m$"], 0)]
+    # Outer$Inner only: no part of a name is a type of its own
+    assert [c.unique_coupled_types for c in scan_metrics(src).classes] == [1, 0]
+
+
 # -- golden fixtures ---------------------------------------------------------
 
 def _manifest():
@@ -320,9 +330,8 @@ def _fill(template, fills=_TRICKY):
     return _HOLE_RE.sub(lambda m: next(texts[m.group()]), template)
 
 
-_NAMES = st.sampled_from(["a", "b", "count", "total", "Item", "x$1"])
-# the lexer reads a class name as \w+, so `x$1` would name a class `x`
-_CLASS_NAMES = st.sampled_from(["a", "Item", "Node", "total"])
+_NAMES = st.sampled_from(["a", "b", "count", "total", "Item", "x$1", "$v", "Item$"])
+_CLASS_NAMES = st.sampled_from(["a", "Item", "Node", "total", "x$1", "Node$Leaf", "$Q"])
 _TYPES = st.sampled_from(["int", "String", "List<Item>", "Map<String, List<Integer>>",
                           "int[]", "T", "Object"])
 _COND = st.sampled_from([
@@ -547,6 +556,8 @@ _LOWER_NAME_RE = re.compile(r"(?<![\w$])[a-z][\w$]*")
            lambda s: s not in _KEYWORDS), unique=True, max_size=30))
 @_for_each_construct(src=lambda member, statement: _fill(_host(member, statement)),
                      names=lambda *_: ["zz", "q9", "item", "counted"])
+# a record member whose name holds `$` is a class, renamed as a whole
+@example(src="class Host { record x$1(int a) { int m() { return a; } } }", names=["zz"])
 def test_renaming_lower_case_names_changes_only_the_names(src, names):
     """Each lower-case name that is not a keyword gets another, one to one;
     `_`-names past the drawn ones cannot meet them."""

@@ -4,7 +4,7 @@ import string
 import numpy as np
 import pytest
 import textprep_oracle as oracle
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from smelltriage import textprep
 from smelltriage.datafiles import DataFileError
@@ -108,11 +108,10 @@ _lines = st.one_of(
 
 @st.composite
 def _dictionary_files(draw):
-    """The bytes of a dictionary file, and the words `save` wrote to it or
-    None: what `save` writes for some words, at times one with a line break,
-    that with CRLF line ends, or lines of any kind between any line ends."""
+    """The bytes of a dictionary file: what `save` writes for some words, at
+    times one with a line break, that with CRLF line ends, or lines of any
+    kind between any line ends."""
     kind = draw(st.sampled_from(["saved", "crlf", "lines"]))
-    saved = None
     if kind != "lines":
         saved = draw(st.dictionaries(_dict_words, st.integers(-3, 30)))
         if draw(st.booleans()):
@@ -128,7 +127,7 @@ def _dictionary_files(draw):
     if draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
-    return data, saved
+    return data
 
 
 def _outcome(load, path):
@@ -158,45 +157,102 @@ def test_dictionary_load_reads_each_line_as_the_old_parse(data, tmp_path):
         _outcome(oracle.load, path)
 
 
-_report_words = st.lists(st.text(alphabet="ab1", min_size=1, max_size=2), max_size=12)
-
-
-@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
-# the bytes `save` wrote hash to the saved words' content hash, but "\r" breaks a line
-@example(file=(b"\t0\n\r\t0\n1\t0\n", {"": 0, "\r": 0, "1": 0}), other={}, report=["1"],
-         seq_len=8)
-@given(file=_dictionary_files(), other=st.dictionaries(_dict_words, st.integers(-3, 30)),
-       report=_report_words, seq_len=st.integers(1, 8))
-def test_dictionary_load_and_predict_check_match_the_old_ones(file, other, report, seq_len,
-                                                              tmp_path):
-    """The one-pass parse reads the words, in the same order, that the old
-    line-by-line parse read, or fails with the same message; and `load_words`
-    accepts a model's dictionary hash exactly when the old `content_hash` of
-    the file's words equals it, then gives the report the row those words
-    give it. The model hashes are those of the file's
-    words, of the words saved to it and of other words."""
-    data, saved = file
+def _write(tmp_path, data: bytes):
+    """A file of `data`, named by its hash: a new file for new bytes, since
+    truncating one is slow on some file systems."""
     path = tmp_path / f"{hashlib.sha256(data).hexdigest()}.tsv"
-    if not path.exists():  # a new file: truncating one is slow on some file systems
+    if not path.exists():
         path.write_bytes(data)
-    outcome = _outcome(oracle.load, path)
-    assert _outcome(lambda p: Dictionary.load(p).word_to_index, path) == outcome
-    # a model's hash is the content hash of the dictionary it was trained with
-    digests = [oracle.content_hash(other)] + ([] if saved is None else [oracle.content_hash(saved)])
-    text = " ".join(report)
-    if outcome[0] == "error":
-        for digest in digests:
-            assert _outcome(lambda p: textprep.load_words(p, digest, text, seq_len).word_to_index,
-                            path) == outcome
-        return
-    words = dict(outcome[1])
-    assert Dictionary.load(path).content_hash() == oracle.content_hash(words)
-    for digest in digests + [oracle.content_hash(words)]:
+    return path
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_dictionary_files())
+def test_dictionary_load_reads_any_file_as_the_old_parse(data, tmp_path):
+    """The one-pass parse reads the words, in the same order, that the old
+    line-by-line parse read, or fails with the same message."""
+    path = _write(tmp_path, data)
+    assert _outcome(lambda p: Dictionary.load(p).word_to_index, path) == \
+        _outcome(oracle.load, path)
+
+
+# the words of a saved dictionary: without a line boundary, as every word of
+# `tokenize` is, but at times with a tab or a blank; some are report words
+_saved_words = st.dictionaries(st.text(alphabet="ab1 \t\u00e9", max_size=3),
+                               st.integers(-3, 30))
+_report_words = st.lists(st.text(alphabet="ab1", min_size=1, max_size=2), max_size=12)
+_line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _saved_bytes(words: dict[str, int], end: str) -> bytes:
+    """What `save` writes for `words`, with `end` for its line ends."""
+    return Dictionary(words).export_text().replace("\n", end).encode("utf-8")
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# words with a tab start with a report word and a tab
+@example(words={"a\tb": 2, "a\t": 3, "b": 4}, end="\n", report=["a", "b"], seq_len=8)
+# "b" is the second distinct word but the tenth token
+@example(words={"a": 2, "b": 3}, end="\r", report=["a"] * 9 + ["b"], seq_len=2)
+@given(words=_saved_words, end=_line_ends, report=_report_words, seq_len=st.integers(1, 8))
+def test_a_saved_dictionary_and_its_crlf_and_cr_copies_give_the_report_words(
+        words, end, report, seq_len, tmp_path, monkeypatch):
+    """`load_words` gives the `Dictionary.load` mapping of the report's first
+    `seq_len` distinct words, and so the row the whole dictionary gives. It
+    neither parses the file in full nor re-exports its words."""
+    path = _write(tmp_path, _saved_bytes(words, end))
+    loaded = Dictionary.load(path)
+    assert loaded.word_to_index == words
+    text, digest = " ".join(report), Dictionary(words).content_hash()
+    with monkeypatch.context() as m:
+        m.setattr(Dictionary, "content_hash", lambda self: pytest.fail("re-exported"))
+        m.setattr(Dictionary, "load", lambda path: pytest.fail("parsed"))
         got = textprep.load_words(path, digest, text, seq_len)
-        assert (got is not None) == (oracle.content_hash(words) == digest)
-        if got is not None:
-            assert textprep.featurize([text], seq_len, got)[0].tolist() == \
-                textprep.featurize([text], seq_len, Dictionary(words))[0].tolist()
+    first = list(dict.fromkeys(tokenize(text)))[:seq_len]
+    assert got.word_to_index == {w: words[w] for w in first if w in words}
+    assert textprep.featurize([text], seq_len, got)[0].tolist() == \
+        textprep.featurize([text], seq_len, loaded)[0].tolist()
+
+
+# what an edit puts in: line ends, a blank, a sign, a digit, a letter, a byte
+# that is not UTF-8, or any bytes
+_inserts = st.sampled_from([b"", b"\n", b"\r", b"\r\n", b" ", b"\t", b"+", b"0", b"a",
+                            b"\xff"]) | st.binary(max_size=3)
+
+
+def _edit(data: bytes, swap: tuple[int, int], at: int, cut: int, insert: bytes) -> bytes:
+    """`data` with two of its lines swapped, then `cut` bytes at `at` replaced
+    by `insert`; `swap` and `at` are taken modulo the lines and the bytes."""
+    lines = data.splitlines(keepends=True) or [b""]
+    i, j = (k % len(lines) for k in swap)
+    lines[i], lines[j] = lines[j], lines[i]
+    data = b"".join(lines)
+    at %= len(data) + 1
+    return data[:at] + insert + data[at + cut:]
+
+
+def _lf(data: bytes) -> bytes:
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(words={"a": 2}, end="\n", swap=(0, 0), at=0, cut=0, insert=b"\n")   # a blank line
+@example(words={"a": 5}, end="\n", swap=(0, 0), at=2, cut=0, insert=b"+")    # +5 for 5
+@example(words={"a": 2, "b": 3}, end="\r\n", swap=(0, 1), at=0, cut=0, insert=b"")  # reordered
+@example(words={"a": 2}, end="\r", swap=(0, 0), at=3, cut=0, insert=b" ")    # a trailing blank
+@example(words={"a": 2}, end="\n", swap=(0, 0), at=0, cut=1, insert=b"\xff")  # not UTF-8
+@given(words=_saved_words, end=_line_ends, swap=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+       at=st.integers(0, 99), cut=st.integers(0, 3), insert=_inserts)
+def test_any_edit_of_a_saved_dictionary_s_text_is_refused(words, end, swap, at, cut, insert,
+                                                           tmp_path):
+    """An edit that changes the text once CRLF and CR are read as LF gives
+    None for the model's hash, even where the edited file would read back as
+    the same words."""
+    saved = _saved_bytes(words, end)
+    edited = _edit(saved, swap, at, cut, insert)
+    assume(_lf(edited) != _lf(saved))
+    assert textprep.load_words(_write(tmp_path, edited), Dictionary(words).content_hash(),
+                               "a b 1 ab", 8) is None
 
 
 def test_saved_dictionary_matches_by_the_hash_of_its_bytes(tmp_path, monkeypatch):

@@ -1,28 +1,16 @@
-"""`Dictionary.load` and `content_hash` as they were before the one-pass parse
-and the check by the hash of the file's bytes, kept verbatim as the reference
-for the differential tests in test_textprep.py.
+"""`Dictionary.load` as it was before the one-pass parse, kept verbatim as the
+reference for the differential tests in test_textprep.py.
 
 `load` reads the file in text mode, as `datafiles.read_text` then did, so CRLF
 and CR line ends become LF before it splits the lines; it strips and splits
-every line. `predict` accepted a dictionary exactly when `content_hash`, a
-re-export sorted by index, equalled the model's hash.
+every line.
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 from smelltriage import datafiles
-
-
-def export_text(word_to_index: dict[str, int]) -> str:
-    lines = [f"{w}\t{i}" for w, i in sorted(word_to_index.items(), key=lambda kv: kv[1])]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def content_hash(word_to_index: dict[str, int]) -> str:
-    return hashlib.sha256(export_text(word_to_index).encode("utf-8")).hexdigest()
 
 
 def read_text(path: str | Path) -> str:
