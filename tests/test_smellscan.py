@@ -338,7 +338,9 @@ _COND = st.sampled_from([
     "a", "a && b", "a || b && !c", "x > 0", 's.equals("\x03")', "(a ? b : c)",
     "check(a, b) || ok", "x != '\x04'", "list.isEmpty()",
 ])
-_NOISE = st.sampled_from(["", "//\x01\n", "/*\x02*/ ", '"\x03"', "/**\x02*/\n", "'\x04'"])
+# a blank after a string: two empty strings would run together as `""""`,
+# which opens a text block, not two strings
+_NOISE = st.sampled_from(["", "//\x01\n", "/*\x02*/ ", '"\x03" ', "/**\x02*/\n", "'\x04'"])
 _AT = st.sampled_from(["", "@Ann§ ", "@a.b.Named§\n    ", "@Ann§ @Override "])
 _SIMPLE = st.sampled_from([
     "x = y + 1;", "call(a, b);", "return x;", "break;", "i++;", "x = a ? b : c;",
