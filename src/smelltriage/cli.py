@@ -185,6 +185,7 @@ def _too_few_samples(ds_path: str, setting: str, exc: ValueError) -> ValueError:
 def cmd_train(cfg: config.RunConfig) -> int:
     from . import balance, evaluation, labeler
     ds_path = _required(cfg, "dataset")
+    evaluation.start_workers(1)  # the worker starts up while the dataset is read
     samples = labeler.load_dataset(ds_path)
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
     k = cfg.balance.k if cfg.balance.enabled else None
@@ -209,6 +210,7 @@ def cmd_train(cfg: config.RunConfig) -> int:
 def cmd_evaluate(cfg: config.RunConfig) -> int:
     from . import balance, evaluation, labeler
     ds_path = _required(cfg, "dataset")
+    evaluation.start_workers(cfg.eval.folds)  # one per fold, as CPUs allow
     samples = labeler.load_dataset(ds_path)
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
     scopes = ["train", "all"] if cfg.balance.scope == "both" else [cfg.balance.scope]

@@ -157,8 +157,8 @@ def _run_fold(X_train, y_train, X_test, y_test, model_cfg, balance_cfg, meta):
     return row, [f"fold {fold}: {d}" for d in diagnostics]
 
 
-# Models train in worker processes that start on the first job and live as
-# long as this process. Each runs BLAS on one thread: two workers with two
+# Models train in worker processes that start before the first job and live
+# as long as this process. Each runs BLAS on one thread: two workers with two
 # threads each on two CPUs spin against each other and train several times
 # slower than one process does.
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -198,12 +198,12 @@ def _start_worker() -> subprocess.Popen:
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
 
 
-def _stop_workers(kill: bool = False) -> None:
-    """End every worker, at once with `kill`, else by closing its stdin."""
+def _stop_workers() -> None:
+    """End every worker at once. Whatever job it runs is abandoned, and a
+    worker that is still starting up need not finish its imports."""
     while _workers:
         worker = _workers.pop()
-        if kill:
-            worker.kill()
+        worker.kill()
         with contextlib.suppress(OSError):
             worker.stdin.close()
         worker.wait()
@@ -213,19 +213,27 @@ def _stop_workers(kill: bool = False) -> None:
 atexit.register(_stop_workers)
 
 
-def run_in_workers(fn, jobs: dict[str, tuple]) -> list:
-    """`fn(*args)` for the args of every named job, job i on worker i mod n,
-    with n the smaller of the job count and the usable CPUs (`os.cpu_count()`
-    without an affinity set, as on macOS and Windows); results in job order.
-    `fn` is pickled by name. The error of the lowest failing job is raised; a
-    worker that died is an EvalError naming its job. After any error the
-    workers are ended, and the next call starts new ones."""
-    names, args = list(jobs), list(jobs.values())
+def start_workers(jobs: int) -> list[subprocess.Popen]:
+    """The workers for `jobs` jobs, started unless they run: as many as the
+    smaller of `jobs` and the usable CPUs (`os.cpu_count()` without an affinity
+    set, as on macOS and Windows). A worker takes a while to import numpy and
+    this package, so a command starts its workers before it reads its input."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n = min(len(jobs), cpus or 1)
+    n = min(jobs, cpus or 1)
     while len(_workers) < n:
         _workers.append(_start_worker())
-    workers = _workers[:n]
+    return _workers[:n]
+
+
+def run_in_workers(fn, jobs: dict[str, tuple]) -> list:
+    """`fn(*args)` for the args of every named job, job i on worker i mod n,
+    with the n workers of `start_workers`; results in job order. `fn` is
+    pickled by name. The error of the lowest failing job is raised; a worker
+    that died is an EvalError naming its job and the worker's exit code. After
+    any error the workers are ended, and the next call starts new ones."""
+    names, args = list(jobs), list(jobs.values())
+    workers = start_workers(len(jobs))
+    n = len(workers)
 
     def send(i: int) -> None:
         workers[i % n].stdin.write(pickle.dumps((fn, args[i])))
@@ -245,15 +253,18 @@ def run_in_workers(fn, jobs: dict[str, tuple]) -> list:
                 job = i + n
                 send(job)
     except BaseException as exc:
-        _stop_workers(kill=True)
         if isinstance(exc, (OSError, EOFError, pickle.UnpicklingError)):
+            with contextlib.suppress(subprocess.TimeoutExpired):  # a dying worker's own code
+                workers[job % n].wait(timeout=1)
+            _stop_workers()
             code = workers[job % n].returncode
             message = f"{names[job]}: its worker process ended with exit code {code}"
             raise EvalError(message) from None
+        _stop_workers()
         raise
     ok, value = replies[-1]
     if not ok:
-        _stop_workers(kill=True)
+        _stop_workers()
         raise value
     return [value for _, value in replies]
 

@@ -121,16 +121,31 @@ class SmellVector:
 # Comment / string stripping
 # ---------------------------------------------------------------------------
 
-# a comment, a text block (interior: group 2), or a string or char literal
-# (interior: group 4). Without its closing delimiter a literal runs to the end
+# Every pattern that is searched for (by search, finditer, findall or sub)
+# starts with a literal, a character class, or alternatives that each start
+# with a literal. Only then does `re` skip ahead to a character that can start
+# a match; otherwise it tries the whole pattern at every position, and most of
+# a large file is blanked comment. So `\bif` is written `i(?<!\wi)f`, with the
+# look-behind after the letter it checks, and a name `[\w$][\w$]*`, since a
+# repeat such as `[\w$]+` is not a class.
+
+def _keyword_re(*words: str) -> re.Pattern:
+    r"""`\b(?:word|...)\b` for words that start with a letter, each alternative
+    written to start with its first letter, as `\bif` is `i(?<!\wi)f`."""
+    branches = "|".join(f"{w[0]}(?<!\\w{w[0]}){w[1:]}" for w in words)
+    return re.compile(f"(?:{branches})\\b")
+
+
+# a comment, a text block (interior: group 1), or a string (group 2) or char
+# (group 3) literal. Without its closing delimiter a literal runs to the end
 # of the text, and a string or char literal only to the end of its line. A
 # backslash escapes one character
 _LITERAL_RE = re.compile(
-    r'''//[^\n]*|/\*.*?(?:\*/|\Z)|(""")((?:\\.?|(?!""")[^\\])*)(?:""")?'''
-    r"""|(["'])((?:\\.?|(?!\3)[^\\\n])*)\3?""", re.DOTALL)
+    r'''//[^\n]*|/\*[^*]*(?:\*(?!/)[^*]*)*(?:\*/|\Z)|"""((?:\\.?|(?!""")[^\\])*)(?:""")?'''
+    r"""|"((?:\\.?|[^"\\\n])*)"?|'((?:\\.?|[^'\\\n])*)'?""", re.DOTALL)
 # an annotation's name and the `(` that opens its argument list
 _ANNOTATION_RE = re.compile(r"@\s*[\w$.]+\s*\(")
-_ANNOTATION_OR_PAREN_RE = re.compile(_ANNOTATION_RE.pattern + r"|[()]")
+_ANNOTATION_OR_PAREN_RE = re.compile(_ANNOTATION_RE.pattern + r"|\(|\)")
 
 
 def _blank(text: str) -> str:
@@ -151,8 +166,7 @@ def strip_comments_and_strings(source: str) -> str:
     Length, line breaks and column positions are all preserved; literal
     delimiters and annotation names are kept.
     """
-    text = _LITERAL_RE.sub(
-        lambda m: _blank_group(m, 2 if m.group(1) else 4 if m.group(3) else 0), source)
+    text = _LITERAL_RE.sub(lambda m: _blank_group(m, m.lastindex or 0), source)
     return _blank_annotation_arguments(text)
 
 
@@ -181,18 +195,20 @@ def _blank_annotation_arguments(text: str) -> str:
 # Structure: one lexer pass, then NPath and metrics by offsets into its text
 # ---------------------------------------------------------------------------
 
-# `[^\S\n]*` rather than `\s*` after `^`: the same matches, but a run of blank
-# lines is not rescanned from each of its line starts
-_IMPORT_RE = re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;",
-                        re.MULTILINE)
-# a class keyword after '.' (`Foo.class`) is a literal (group 1), not a
-# declaration (group 2). `c(?<![\w$]c)lass` is `\bclass` for names that may hold
-# `$`, written to start with a literal character, so the engine can skip ahead.
-# `record` declares a class (group 3) only where '(' or '<' follows the name, so
+# a line that starts with an import, searched for in "\n" + text: `\n` stands
+# for a MULTILINE `^`, which is not a character to skip ahead to. `[^\S\n]*`
+# rather than `\s*`: the same matches, but a run of blank lines is not
+# rescanned from each of its line starts
+_IMPORT_RE = re.compile(r"\n[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;")
+# a bracket, ';' or ':', or a class declaration whose name is its one group.
+# A class keyword after '.' (`Foo.class`) is a literal, not a declaration.
+# `c(?<![\w$]c)lass` is `\bclass` for names that may hold `$`. `record`
+# declares a class only where '(' or '<' follows the name, so
 # `return record instanceof R` and a method named `record` stay code
-_LEX_RE = re.compile(r"[(){};:]|(\.\s*(?:class|interface|enum)\s+[\w$]+)"
-                     r"|(?:c(?<![\w$]c)lass|i(?<![\w$]i)nterface|e(?<![\w$]e)num)\s+([\w$]+)"
-                     r"|r(?<![\w$]r)ecord\s+([\w$]+)(?=\s*[(<])")
+_LEX_RE = re.compile(
+    r"\(|\)|\{|\}|;|:|\.\s*(?:class|interface|enum)\s+[\w$]+"
+    r"|c(?<![\w$]c)lass\s+([\w$]+)|i(?<![\w$]i)nterface\s+([\w$]+)|e(?<![\w$]e)num\s+([\w$]+)"
+    r"|r(?<![\w$]r)ecord\s+([\w$]+)(?=\s*[(<])")
 _CONTROL_KEYWORDS = frozenset(
     "if else for while do switch case default try catch finally return "
     "throw new synchronized".split()
@@ -210,14 +226,13 @@ def _lex(text: str) -> tuple[dict[int, int], list[list]]:
     for m in _LEX_RE.finditer(text):
         c, pos = m.group(), m.start()
         if m.lastindex:
-            if m.group(1) is None:
-                waiting.append([m.group(2) or m.group(3), boundary, -1, []])
+            waiting.append([m[m.lastindex], boundary, -1, []])
         elif c == "(":
             parens.append(pos)
         elif c == ")":
             if parens:
                 pairs[parens.pop()] = pos
-        else:
+        elif c[0] != ".":  # not a class literal
             boundary = pos + 1
             if c == "{":
                 braces.append(pos)
@@ -241,10 +256,9 @@ def _close(pairs: dict[int, int], pos: int, end: int) -> int:
     return min(pairs.get(pos, end), end)
 
 
-_NPATH_KEYWORD_RE = re.compile(r"\b(if|for|while|do|switch)\b")
-# a label ends at its ':' or, in the arrow form, at its '->'
-_CASE_LABEL_RE = re.compile(r"\b(case\b[^:{};]*?|default\s*)(?::|->)")
-_SWITCH_BODY_RE = re.compile(r"\{|" + _CASE_LABEL_RE.pattern)
+_NPATH_KEYWORD_RE = _keyword_re("if", "for", "while", "do", "switch")
+# a '{' or a case label: a label ends at its ':' or, in the arrow form, at its '->'
+_SWITCH_BODY_RE = re.compile(r"\{|c(?<!\wc)ase\b[^:{};]*?(?::|->)|d(?<!\wd)efault\s*(?::|->)")
 _BLANKS_RE = re.compile(r"\s*")
 _ELSE_RE = re.compile(r"\s*else\b")
 _SEQ, _IF, _LOOP, _DO, _SWITCH = range(5)  # npath_of_block frame kinds
@@ -265,12 +279,12 @@ def _case_groups(text: str, pairs: dict[int, int], start: int, end: int):
     groups, has_default, labels = [], False, 0
     pos = prev = start
     while m := _SWITCH_BODY_RE.search(text, pos, end):
-        if m.lastindex is None:  # '{': the labels inside are not the switch's
+        if m.group() == "{":  # the labels inside are not the switch's
             pos = _close(pairs, m.start(), end) + 1
             if pos > end:
                 break
             continue
-        has_default = has_default or m.group(1).startswith("default")
+        has_default = has_default or m.group()[0] == "d"
         labels += 1
         if not groups or _BLANKS_RE.match(text, prev, m.start()).end() < m.start():
             if groups:
@@ -345,7 +359,7 @@ def npath_of_block(text: str, start: int = 0, end: int | None = None,
                 semi = text.find(";", pos, e)
                 pos, value = (semi + 1 if semi >= 0 else e), 1
                 continue
-        kw, pos = m.group(1), m.end()
+        kw, pos = m.group(), m.end()
         if kw != "do":
             pos = _after_parens(text, pairs, pos, e)
         if kw != "switch":
@@ -367,17 +381,22 @@ def npath_of_block(text: str, start: int = 0, end: int | None = None,
 # ---------------------------------------------------------------------------
 
 _MEMBER_END_RE = re.compile(r"[;{(]")
-_DECISION_KEYWORD_RE = re.compile(r"\b(?:if|while|for|case|catch)\b")
+_DECISION_KEYWORD_RE = _keyword_re("if", "while", "for", "case", "catch")
 # a '?' of a conditional expression, not a generic wildcard such as `<?>`,
 # `<?, T>` or `<? super T>`
 _CONDITIONAL_RE = re.compile(r"\?(?!\s*(?:[>,]|(?:extends|super)\s+[\w$]))")
-_NCSS_HEADER_RE = re.compile(r"\b(?:if|else|for|while|do|switch|try|catch|finally)\b")
+_NCSS_HEADER_RE = _keyword_re("if", "else", "for", "while", "do", "switch", "try", "catch",
+                              "finally")
 _GETTER_RE = re.compile(r"\s*return\s+(?:this\s*\.\s*)?[\w$]+\s*;\s*")
 _SETTER_RE = re.compile(r"\s*(?:this\s*\.\s*)?[\w$]+\s*=\s*[\w$]+\s*;\s*")
-_TYPE_TOKEN_RE = re.compile(r"(?<![\w$])[A-Z][\w$]*")
-_SWITCH_RE = re.compile(r"\bswitch\b")
-_PUBLIC_RE = re.compile(r"\bpublic\b")
-_ENUM_RE = re.compile(r"\benum\b")
+_TYPE_TOKEN_RE = re.compile(r"[A-Z](?<![\w$][A-Z])[\w$]*")
+_SWITCH_RE = _keyword_re("switch")
+_PUBLIC_RE = _keyword_re("public")
+_ENUM_RE = _keyword_re("enum")
+_ABSTRACT_RE = _keyword_re("abstract")
+_STATIC_RE = _keyword_re("static")
+_FINAL_RE = _keyword_re("final")
+_NAME_AT_END_RE = re.compile(r"([\w$][\w$]*)\s*$")
 
 
 def _package_of(import_path: str) -> str:
@@ -385,8 +404,9 @@ def _package_of(import_path: str) -> str:
     return ".".join(parts[:-1]) if len(parts) > 1 else import_path
 
 
-# a type name and the '<' that opens its arguments, or one bracket or comma
-_SPLIT_RE = re.compile(r"(?<![\w$])[A-Z][\w$]*\s*<|[()\[\]>,]")
+# one bracket or comma, or a type name and the '<' that opens its arguments:
+# one class of the characters that start a match, then what follows each
+_SPLIT_RE = re.compile(r"[A-Z()\[\]>,](?:(?<![A-Z])|(?<![\w$][A-Z])[\w$]*\s*<)")
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -419,7 +439,7 @@ def _method_name(header: str) -> str | None:
     when the header cannot be a method/constructor signature. A '=' before the
     '(' makes a field initializer, e.g. an anonymous class assignment."""
     paren = header.find("(")
-    m = re.search(r"([\w$]+)\s*$", header[:paren]) if paren >= 0 else None
+    m = _NAME_AT_END_RE.search(header[:paren]) if paren >= 0 else None
     if m is None or "=" in header[:paren] or m.group(1) in _CONTROL_KEYWORDS:
         return None
     return m.group(1)
@@ -480,7 +500,7 @@ def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
     and a record's components, which sit in its header, are neither fields nor
     parameters."""
     types = set(_TYPE_TOKEN_RE.findall(text, start, end))
-    cm = ClassMetrics(name=name, is_abstract=bool(re.search(r"\babstract\b", header)),
+    cm = ClassMetrics(name=name, is_abstract=bool(_ABSTRACT_RE.search(header)),
                       line_count=header.strip().count("\n") + text.count("\n", start, end) + 1,
                       unique_coupled_types=len(types - {name}))
     fields = 0
@@ -496,7 +516,7 @@ def _scan_class(text: str, pairs: dict[int, int], name: str, header: str,
                 cm.methods.append(_scan_method(segment, text, pairs, p, p))  # abstract
             elif segment:
                 count = max(len(_split_top_level(segment)), 1)
-                if not (re.search(r"\bstatic\b", segment) and re.search(r"\bfinal\b", segment)):
+                if not (_STATIC_RE.search(segment) and _FINAL_RE.search(segment)):
                     fields += count
                 if _PUBLIC_RE.search(segment):
                     cm.public_member_count += count
@@ -525,7 +545,7 @@ def scan_metrics(cleaned_source: str) -> FileMetrics:
     each of them, header to closing brace, is cut down to its line breaks, so
     the lexer reads each other character at most twice, however deep the nest."""
     text, n = cleaned_source, len(cleaned_source)
-    imports = _IMPORT_RE.findall(text)
+    imports = _IMPORT_RE.findall("\n" + text)
     fm = FileMetrics(len(imports), {_package_of(p) for p in imports})
     pairs, decls = _lex(text)
     for name, start, brace, nested in decls:

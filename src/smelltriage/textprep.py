@@ -53,8 +53,14 @@ class Dictionary:
         return max(self.word_to_index.values(), default=OOV_INDEX) + 1
 
     def export_text(self) -> str:
+        """One <word><tab><index> line per word, by index. A word that holds a
+        line break is refused: read back, it would be two lines."""
         lines = [f"{w}\t{i}" for w, i in sorted(self.word_to_index.items(), key=lambda kv: kv[1])]
-        return "\n".join(lines) + ("\n" if lines else "")
+        text = "\n".join(lines) + ("\n" if lines else "")
+        if "\r" in text or text.count("\n") != len(lines):
+            word = next(w for w in self.word_to_index if "\n" in w or "\r" in w)
+            raise ValueError(f"dictionary word {word!r} holds a line break")
+        return text
 
     def content_hash(self) -> str:
         """The SHA-256 of export_text(), which `save` writes: a model's

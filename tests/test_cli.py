@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import SMELL_FIXTURE_DIR, _git, child_env, modules_after
-from test_textprep import _edit, _inserts, _lf, _write
+from test_textprep import _edit, _inserts, _lf, _lines_of, _write
 from smelltriage import cli, datafiles, evaluation, nnet, synthetic, textprep
 from smelltriage.cli import EXIT_DIAGNOSTICS, EXIT_FATAL, EXIT_OK
 
@@ -412,19 +413,20 @@ def test_predict_checks_the_dictionary_by_the_hash_of_its_bytes(trained, tmp_pat
 
 
 def test_predict_refuses_saved_words_that_read_back_as_other_words(tmp_path, caplog):
-    """The file `save` wrote for {"": 0, "\\r": 0, "1": 0} hashes to the
-    model's `dict_hash`, but its `\\r` reads as a line end, so it does not fit."""
-    saved = textprep.Dictionary({"": 0, "\r": 0, "1": 0})
-    saved.save(tmp_path / "dictionary.tsv")
+    """The lines of {"": 0, "\\r": 0, "1": 0}, which `save` refuses to write,
+    hash to the model's `dict_hash`, but their `\\r` reads as a line end, so the
+    file does not fit."""
+    saved = _lines_of({"": 0, "\r": 0, "1": 0}).encode()
+    (tmp_path / "dictionary.tsv").write_bytes(saved)
+    digest = hashlib.sha256(saved).hexdigest()
     cfg = nnet.ModelConfig(vocab_size=4, seq_len=8, embed_dim=4, conv1_filters=2,
                            conv1_width=3, conv2_filters=2, conv2_width=2, pool_size=2)
-    nnet.save_model(nnet.init_model(cfg, 0, dict_hash=saved.content_hash()),
-                    tmp_path / "model.bin")
+    nnet.save_model(nnet.init_model(cfg, 0, dict_hash=digest), tmp_path / "model.bin")
     rc = cli.main(["--paths.model", str(tmp_path / "model.bin"), "--paths.dictionary",
                    str(tmp_path / "dictionary.tsv"), "predict", "--summary", "1"])
     assert rc == EXIT_FATAL
     assert _errors(caplog) == [f"{tmp_path / 'model.bin'}: trained with dictionary "
-                               f"{saved.content_hash()!r}, not with {tmp_path / 'dictionary.tsv'}"]
+                               f"{digest!r}, not with {tmp_path / 'dictionary.tsv'}"]
 
 
 # dictionary words of the bytes of `tokenize`'s words, the empty one included,
@@ -441,11 +443,12 @@ _saved_dicts = st.builds(lambda words, odd: {**words, **odd},
 
 @st.composite
 def _predict_dictionary_files(draw):
-    """Some words, and the bytes of a file for them: what `save` writes, with
-    LF, CRLF or CR line ends, and at times an edit of that."""
+    """Some words, and the bytes of a file for them: their lines, which `save`
+    writes unless a word holds a CR, with LF, CRLF or CR line ends, and at
+    times an edit of that."""
     words = draw(_saved_dicts)
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    data = textprep.Dictionary(words).export_text().replace("\n", end).encode("utf-8")
+    data = _lines_of(words).replace("\n", end).encode("utf-8")
     if draw(st.booleans()):
         data = _edit(data, draw(st.tuples(st.integers(0, 9), st.integers(0, 9))),
                      draw(st.integers(0, 99)), draw(st.integers(0, 3)), draw(_inserts))
@@ -454,9 +457,9 @@ def _predict_dictionary_files(draw):
 
 def _expected_predict(model, model_words, model_path, data, dict_path, summary):
     """Exit code and output or error line of `predict` by the rule: a file fits
-    the model when its text, CRLF and CR read as LF, is what `save` writes for
-    the model's words, and then the report is scored on the row they give it."""
-    if _lf(data) != textprep.Dictionary(model_words).export_text().encode("utf-8"):
+    the model when its text, CRLF and CR read as LF, is the lines of the
+    model's words, and then the report is scored on the row they give it."""
+    if _lf(data) != _lines_of(model_words).encode("utf-8"):
         return EXIT_FATAL, (f"{model_path}: trained with dictionary {model.dict_hash!r}, "
                             f"not with {dict_path}")
     row = textprep.doc2indices(textprep.TokenDocument("", textprep.preprocess(summary)),
@@ -495,7 +498,7 @@ def test_predict_scores_the_report_on_a_file_that_fits_and_refuses_any_other(
     words, data = file
     path = _write(tmp_path, data)
     model_words = words if trained_with_file else other
-    digest = textprep.Dictionary(model_words).content_hash()
+    digest = hashlib.sha256(_lines_of(model_words).encode("utf-8")).hexdigest()
     cfg = nnet.ModelConfig(vocab_size=16, seq_len=8, embed_dim=4, conv1_filters=2,
                            conv1_width=3, conv2_filters=2, conv2_width=2, pool_size=2)
     model = nnet.init_model(cfg, 0, dict_hash=digest)
@@ -608,6 +611,24 @@ def test_a_worker_killed_during_train_is_a_one_line_error_and_the_next_train_sta
     assert evaluation._workers == [] and not (tmp_path / "model.bin").exists()
     assert cli.main(argv) == EXIT_OK
     assert len(evaluation._workers) == 1 and (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_train_and_evaluate_start_their_workers_before_they_read_the_dataset(
+        command, tmp_path, monkeypatch):
+    from smelltriage import labeler
+    ds = _tiny_dataset(tmp_path / "dataset.jsonl", n=40)
+    read, running = labeler.load_dataset, []
+
+    def load_dataset(path):
+        running.append(len(evaluation._workers))
+        return read(path)
+
+    monkeypatch.setattr(labeler, "load_dataset", load_dataset)
+    evaluation._stop_workers()
+    assert cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path), "--eval.folds", "3"]
+                    + _TINY_MODEL_FLAGS + [command]) == EXIT_OK
+    assert running == [len(evaluation.start_workers(1 if command == "train" else 3))]
 
 
 def test_evaluate_writes_reports_for_both_scopes(tmp_path):

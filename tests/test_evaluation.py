@@ -274,6 +274,19 @@ def test_a_dead_worker_is_an_error_naming_its_fold_and_the_next_call_starts_afre
     assert [r.to_record() for r in again.folds] == [r.to_record() for r in first.folds]
 
 
+def test_a_worker_that_exits_on_its_own_is_reported_with_its_own_exit_code(monkeypatch):
+    """The worker cannot unpickle a job function that its own module lacks:
+    it exits with code 1, and the error names code 1, not the kill's -9."""
+    def job():
+        return 1
+    job.__module__, job.__qualname__ = evaluation.__name__, "_set_in_the_parent_only"
+    monkeypatch.setattr(evaluation, job.__qualname__, job, raising=False)
+    for _ in range(3):
+        with pytest.raises(EvalError, match=r"^job: its worker process ended with exit code 1$"):
+            evaluation.run_in_workers(job, {"job": ()})
+        assert evaluation._workers == []
+
+
 def test_a_fold_error_is_raised_as_the_lowest_failing_fold_raised_it():
     """Every training fold holds one positive sample, too few to oversample;
     fold 0's error is raised, with its type, as an in-process loop raised it."""

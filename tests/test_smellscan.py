@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import re
@@ -841,6 +842,120 @@ def test_line_anchored_patterns_match_the_old_ones(text):
     assert fm.import_count == len(old)
     # an import's package is all but its last name, or the name when it has one
     assert fm.imported_packages == {p.rpartition(".")[0] or p for p in old}
+
+
+# -- every searched pattern lets the engine skip ahead -------------------------
+
+# Each pattern as it was before it was rewritten to start with a literal, a
+# class or alternatives that each start with a literal, with how the scanner
+# read its matches and how it reads the new pattern's, and the text that the
+# new one is searched in before the old one's (`\n` stands for a MULTILINE `^`)
+def _span_and_groups(m):
+    return m.span(), m.groups()
+
+
+def _read_alike(old):
+    return old, _span_and_groups, _span_and_groups, ""
+
+
+_OLD_PATTERNS = {
+    "_LITERAL_RE": (re.compile(
+        r'''//[^\n]*|/\*.*?(?:\*/|\Z)|(""")((?:\\.?|(?!""")[^\\])*)(?:""")?'''
+        r"""|(["'])((?:\\.?|(?!\3)[^\\\n])*)\3?""", re.DOTALL),
+        lambda m: (m.span(), m.span(2 if m.group(1) else 4 if m.group(3) else 0)),
+        lambda m: (m.span(), m.span(m.lastindex or 0)), ""),
+    "_ANNOTATION_OR_PAREN_RE": _read_alike(re.compile(r"@\s*[\w$.]+\s*\(|[()]")),
+    "_IMPORT_RE": (re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;",
+                              re.MULTILINE),
+                   _span_and_groups, lambda m: ((m.start(), m.end() - 1), m.groups()), "\n"),
+    "_LEX_RE": (re.compile(
+        r"[(){};:]|(\.\s*(?:class|interface|enum)\s+[\w$]+)"
+        r"|(?:c(?<![\w$]c)lass|i(?<![\w$]i)nterface|e(?<![\w$]e)num)\s+([\w$]+)"
+        r"|r(?<![\w$]r)ecord\s+([\w$]+)(?=\s*[(<])"),
+        lambda m: (m.span(), None if m.group(1) else m.group(2) or m.group(3)),
+        lambda m: (m.span(), m[m.lastindex] if m.lastindex else None), ""),
+    "_NPATH_KEYWORD_RE": (re.compile(r"\b(if|for|while|do|switch)\b"),
+                          lambda m: (m.span(), m.group(1)), lambda m: (m.span(), m.group()), ""),
+    "_SWITCH_BODY_RE": (
+        re.compile(r"\{|\b(case\b[^:{};]*?|default\s*)(?::|->)"),
+        lambda m: (m.span(), m.lastindex is not None and m.group(1).startswith("default")),
+        lambda m: (m.span(), m.group() != "{" and m.group()[0] == "d"), ""),
+    "_DECISION_KEYWORD_RE": _read_alike(re.compile(r"\b(?:if|while|for|case|catch)\b")),
+    "_NCSS_HEADER_RE": _read_alike(
+        re.compile(r"\b(?:if|else|for|while|do|switch|try|catch|finally)\b")),
+    "_TYPE_TOKEN_RE": _read_alike(re.compile(r"(?<![\w$])[A-Z][\w$]*")),
+    "_NAME_AT_END_RE": _read_alike(re.compile(r"([\w$]+)\s*$")),
+    "_SPLIT_RE": _read_alike(re.compile(r"(?<![\w$])[A-Z][\w$]*\s*<|[()\[\]>,]")),
+    **{f"_{word.upper()}_RE": _read_alike(re.compile(rf"\b{word}\b"))
+       for word in ("switch", "public", "enum", "abstract", "static", "final")},
+}
+_PATTERN_TOKENS = ["{", "}", "(", ")", "[", "]", ";", ":", ",", " ", "\n", "\t", "x", "$", "a$b",
+                   "Foo", "Foo.class", ". class X", "class", "interface", "enum", "record",
+                   "if", "else", "for", "while", "do", "switch", "case", "default", "try",
+                   "catch", "finally", "public", "abstract", "static", "final", "->", "?", "<",
+                   ">", "//", "/*", "*/", "*", "/", '"', "'", '"""', "\\", "@A", "@ a.b (",
+                   "import", "import a.b;", "A<B>", "é", "_if", "if_", "$if", "Foo$1", "\r"]
+
+
+@settings(max_examples=200)
+@given(st.one_of(_filled(_JAVA_SOURCES), st.lists(_HEAD_LINE, max_size=8).map("\n".join),
+                 st.lists(st.sampled_from(_PATTERN_TOKENS), max_size=60).map("".join)),
+       st.tuples(st.integers(0, 2000), st.integers(0, 2000)))
+@example("if (a) { do { x(); } while (b); } enum E { A } class C {", (0, 9999))  # text start
+@example("$if a$class x$1; class $Q { case$: default$ -> $switch xdefault: _case 1: } "
+         "record R$1(int a) {", (0, 99))  # names that run into a keyword
+@example("Foo.class; x. class Y { int.enum z = Foo . interface I;", (0, 99))  # class literals
+@example("class A { /* if (a) { case 1: } ** / class B {", (0, 99))  # an unclosed comment
+@example('q = """\n a "" \\""" b \n""" + "\\"" + \'\\\'\' + """x', (0, 99))  # text blocks
+def test_each_rewritten_pattern_matches_as_its_old_one(text, window):
+    """The same matches, read as the scanner reads them, over the whole text
+    and between a start and an end, where look-behinds see the text before
+    the start."""
+    pos, endpos = sorted(window)
+    for name, (old, read_old, read_new, before) in _OLD_PATTERNS.items():
+        new = getattr(smellscan, name)
+        for start, end in ((0, len(text)), (pos, endpos)):
+            assert [read_old(m) for m in old.finditer(text, start, end)] == [
+                read_new(m) for m in new.finditer(before + text, start, end + len(before))], name
+
+
+try:
+    from re import _parser as sre_parse  # Python 3.11 and later
+except ImportError:
+    import sre_parse
+
+_MATCHED_ONLY = {"_BLANKS_RE", "_ELSE_RE", "_GETTER_RE", "_SETTER_RE"}  # never searched
+
+
+def _skips_ahead(pattern: re.Pattern) -> bool:
+    """Whether `re` searches for pattern by skipping ahead to a character that
+    can start a match: the pattern cannot match empty text, and its first
+    item, inside any groups, is a literal, a class, or alternatives that each
+    start with a literal. Otherwise it tries the pattern at every position."""
+    parsed = sre_parse.parse(pattern.pattern, pattern.flags)
+    items = parsed.data
+    while items and items[0][0] is sre_parse.SUBPATTERN:
+        items = items[0][1][-1].data
+    if parsed.getwidth()[0] == 0 or not items:
+        return False
+    op, av = items[0]
+    if op is sre_parse.BRANCH:
+        return all(b.data and b.data[0][0] is sre_parse.LITERAL for b in av[1])
+    return op is sre_parse.LITERAL or op is sre_parse.IN
+
+
+def test_every_searched_pattern_lets_the_engine_skip_ahead():
+    """So a search costs little in the blanked comments that make up most of
+    a large file, on every Python the project supports."""
+    source = inspect.getsource(smellscan)
+    assert not re.search(r"\bre\.(?:search|finditer|findall|sub|split)\(", source)
+    searched = {name: p for name, p in vars(smellscan).items()
+                if isinstance(p, re.Pattern) and name not in _MATCHED_ONLY}
+    for name in _MATCHED_ONLY:
+        assert not re.search(rf"{name}\.(?:search|finditer|findall|sub|split)\(", source)
+    assert set(_OLD_PATTERNS) <= set(searched)
+    assert [name for name, p in searched.items() if not _skips_ahead(p)] == []
+    assert [name for name, (old, *_) in _OLD_PATTERNS.items() if _skips_ahead(old)] == []
 
 
 # -- thresholds are strict ---------------------------------------------------

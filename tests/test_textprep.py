@@ -76,6 +76,29 @@ def test_dictionary_roundtrip(tmp_path):
     assert loaded.content_hash() == d.content_hash()
 
 
+def _lines_of(words: dict[str, int]) -> str:
+    """The <word><tab><index> lines of `words` by index, as `export_text`
+    writes them, for any words: `export_text` refuses a word with a line break."""
+    return "".join(f"{w}\t{i}\n" for w, i in sorted(words.items(), key=lambda kv: kv[1]))
+
+
+@example(words={"a\n1": 5, "b": 2})
+@given(words=st.dictionaries(st.text(alphabet="ab1 \t\u00e9\x85\r\n", max_size=3),
+                             st.integers(-3, 30)))
+def test_export_text_writes_a_line_per_word_and_refuses_a_word_with_a_line_break(words):
+    """A word with an LF or a CR would read back as two lines, so `save` would
+    write a file that maps other words. `train` cannot reach this: its words
+    are `tokenize`'s, which hold only a-z and 0-9."""
+    broken = [w for w in words if "\n" in w or "\r" in w]
+    if not broken:
+        assert Dictionary(words).export_text() == _lines_of(words)
+        return
+    with pytest.raises(ValueError) as raised:
+        Dictionary(words).export_text()
+    assert str(raised.value) == f"dictionary word {broken[0]!r} holds a line break"
+    assert len(str(raised.value).splitlines()) == 1
+
+
 def test_dictionary_load_names_the_first_bad_line(tmp_path):
     p = tmp_path / "dict.tsv"
     p.write_text("alpha\t2\n\nno tab\nbeta\t3\nno tab\n", encoding="utf-8")
@@ -108,15 +131,15 @@ _lines = st.one_of(
 
 @st.composite
 def _dictionary_files(draw):
-    """The bytes of a dictionary file: what `save` writes for some words, at
-    times one with a line break, that with CRLF line ends, or lines of any
-    kind between any line ends."""
+    """The bytes of a dictionary file: the lines of some words, at times one
+    with a line break (which `save` refuses), that with CRLF line ends, or
+    lines of any kind between any line ends."""
     kind = draw(st.sampled_from(["saved", "crlf", "lines"]))
     if kind != "lines":
         saved = draw(st.dictionaries(_dict_words, st.integers(-3, 30)))
         if draw(st.booleans()):
             saved.update(draw(st.dictionaries(_broken_words, st.integers(-3, 30), max_size=1)))
-        text = Dictionary(saved).export_text()
+        text = _lines_of(saved)
         text = text.replace("\n", "\r\n") if kind == "crlf" else text
     else:
         lines = draw(st.lists(st.tuples(_lines, st.sampled_from(_LINE_ENDS)), max_size=8))
