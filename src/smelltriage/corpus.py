@@ -7,7 +7,6 @@ of the originating issue-tracker/VCS tables (Issue_id, Commit_Hash, ...).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import re
 import subprocess
@@ -196,7 +195,6 @@ class CorpusStore:
     source_extensions: tuple[str, ...] = (".java",)
     # issue id -> its linked commits in link order: the links table indexed by issue
     _commits_by_issue: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
-    _pass: _GitPass | None = field(default=None, init=False, repr=False)  # see `reading`
 
     # -- ingest -------------------------------------------------------------
 
@@ -289,36 +287,112 @@ class CorpusStore:
             pos += size + 1
         return blobs
 
-    @contextlib.contextmanager
-    def reading(self, commits: Iterable[str]) -> Iterator[None]:
-        """Read `commits` as one pass for the `with` block: inside it,
-        `changed_files_with_contents` reads each of them from the pass. The
-        pass starts three git processes for up to `_CHUNK_COMMITS` commits,
-        not two per commit (see `_GitPass`)."""
-        outer, self._pass = self._pass, _GitPass(self, commits)
+    def changed_files(self, commits: Iterable[str], diagnostics: list[str]
+                      ) -> Iterator[tuple[str, list[ChangedFile] | CorpusError]]:
+        """Each distinct name of `commits` once, in order, with the changed
+        source files of its commit, or with the `CorpusError` it cannot be
+        read for: the name is unknown, or names a blob, tree or tag.
+
+        Contents are read at the commit and its first parent, as UTF-8 with
+        undecodable bytes replaced and LF line ends; renames surface as
+        delete+create. A commit's diagnostics are appended as it is yielded.
+        The stream starts its git processes as it is read:
+        - one `git cat-file --batch-check` resolves every name and tells commits
+          from missing objects and from blobs, trees and tags, all of which
+          `diff-tree --stdin` would skip without a word;
+        - one `git diff-tree --stdin` lists the parents and changed files of
+          every commit;
+        - one `git cat-file --batch` per `_CHUNK_COMMITS` commits that change a
+          source file reads their blobs, before the first of them is yielded.
+        So it holds one chunk's blobs at a time.
+        """
+        names = list(dict.fromkeys(commits))
         try:
-            yield
-        finally:
-            self._pass = outer
+            diffs = self._read_diffs(names)
+        except CorpusError as exc:
+            diffs = dict.fromkeys(names, exc)
+        changing = {n for n, d in diffs.items() if not isinstance(d, CorpusError) and d[1]}
+        chunk, held = [], 0  # `held` counts the commits of `chunk` that change a source file
+        for i, name in enumerate(names, start=1):
+            chunk.append(name)
+            held += name in changing
+            if held == _CHUNK_COMMITS or i == len(names):
+                yield from self._read_chunk(chunk, changing, diffs, diagnostics)
+                chunk, held = [], 0
 
     def changed_files_with_contents(self, commit_hash: str,
                                     diagnostics: list[str] | None = None) -> list[ChangedFile]:
-        """Changed source files of a commit with contents at the commit and
-        its first parent; renames surface as delete+create (no rename detection).
+        """The changed source files of one commit, read as `changed_files`
+        reads them; a commit it cannot read raises its `CorpusError`."""
+        [(_, files)] = self.changed_files([commit_hash], [] if diagnostics is None else diagnostics)
+        if isinstance(files, CorpusError):
+            raise files
+        return files
 
-        The commit is read from the pass that `reading` opened over it, or
-        else as a pass of its own. A hash that is unknown, or that names a
-        blob, tree or tag, raises `CorpusError`. Contents are read as UTF-8
-        with undecodable bytes replaced, and CRLF or CR line ends become LF.
-        Diagnostics are appended on every read of the commit.
-        """
-        git_pass = self._pass
-        if git_pass is None or commit_hash not in git_pass.names:
-            git_pass = _GitPass(self, [commit_hash])
-        return git_pass.read(commit_hash, diagnostics)
+    def _read_diffs(self, names: list[str]) -> dict[str, _Diff | CorpusError]:
+        """Per name, the parents and changed source files of its commit, or
+        why it names no commit."""
+        lines = [n for n in names if "\n" not in n]  # a line break splits a name on stdin
+        objects = {}
+        if lines:
+            out = self._git("cat-file", "--batch-check=%(objectname) %(objecttype)",
+                            input=_lines(lines))
+            # "<sha> <type>", or "<name> missing" / "<name> ambiguous"
+            objects = {n: line.rsplit(" ", 1) for n, line in zip(lines, out.decode().split("\n"))}
+        commits = list(dict.fromkeys(sha for sha, kind in objects.values() if kind == "commit"))
+        by_sha = self._parse_diffs(self._git(*_DIFF_ARGS, input=_lines(commits))) if commits else {}
+        diffs: dict[str, _Diff | CorpusError] = {}
+        for name in names:
+            sha, kind = objects.get(name, (name, "missing"))
+            if kind in ("blob", "tree", "tag"):
+                diffs[name] = CorpusError(f"{name} is a {kind}, not a commit")
+            elif kind != "commit":
+                diffs[name] = CorpusError(f"unknown commit hash {name}")
+            else:  # a commit with an empty diff has no entry: no files, and no merge diagnostic
+                diffs[name] = by_sha.get(sha, ([], []))
+        return diffs
+
+    def _parse_diffs(self, out: bytes) -> dict[str, _Diff]:
+        # per commit with a non-empty diff: "<sha> <parents>", then one
+        # (":<modes> <old sha> <new sha> <status>", <path>) pair per changed file
+        diffs: dict[str, _Diff] = {}
+        fields = out.split(b"\0")
+        i = 0
+        while i < len(fields) - 1:
+            field = fields[i].lstrip(b"\n")  # git starts a commit's file list on a new line
+            if field.startswith(b":"):
+                path = fields[i + 1].decode("utf-8", errors="replace")
+                if path.endswith(self.source_extensions):
+                    _, _, old, new, _ = field.split()
+                    files.append((path, new.decode(), old.decode()))
+                i += 2
+            else:
+                sha, *parents = field.decode().split()
+                files: list[tuple[str, str, str]] = []
+                diffs[sha] = (parents, files)
+                i += 1
+        return diffs
+
+    def _read_chunk(self, names: list[str], changing: set[str],
+                    diffs: dict[str, _Diff | CorpusError], diagnostics: list[str]
+                    ) -> Iterator[tuple[str, list[ChangedFile] | CorpusError]]:
+        """Each of `names` with its changed files, from one read of their blobs."""
+        changed = [n for n in names if n in changing]
+        shas = dict.fromkeys(s for n in changed for _, new, old in diffs[n][1]
+                             for s in (new, old) if s != _NULL_SHA)
+        blobs: dict[str, memoryview | None] = {}
+        if shas:
+            try:
+                blobs = self._read_blobs(list(shas))
+            except CorpusError as exc:
+                diffs.update(dict.fromkeys(changed, exc))
+        for name in names:
+            diff = diffs[name]
+            yield name, diff if isinstance(diff, CorpusError) else _changed_files(
+                name, *diff, blobs, diagnostics)
 
 
-# Commits whose changed blobs one `git cat-file --batch` reads. A pass keeps
+# Commits whose changed blobs one `git cat-file --batch` reads. A stream holds
 # one chunk's blobs at a time, so it holds the changed source files of at most
 # 128 commits, however long the history.
 _CHUNK_COMMITS = 128
@@ -326,116 +400,37 @@ _CHUNK_COMMITS = 128
 _DIFF_ARGS = ("diff-tree", "--stdin", "-r", "-z", "--raw", "--no-abbrev", "--no-renames",
               "--root", "--diff-merges=first-parent", "--format=%H %P")
 
+# a commit's parents, and (path, new blob sha, old blob sha) per changed source file
+_Diff = tuple[list[str], list[tuple[str, str, str]]]
+
 
 def _lines(names: Iterable[str]) -> bytes:
     return "".join(f"{n}\n" for n in names).encode()
 
 
-class _GitPass:
-    """The git data of a pass over some commits, read at the first `read`:
+def _changed_files(name: str, parents: list[str], changed: list[tuple[str, str, str]],
+                   blobs: dict[str, memoryview | None],
+                   diagnostics: list[str]) -> list[ChangedFile]:
+    parent = parents[0] if parents else None
+    if len(parents) > 1:
+        diagnostics.append(f"merge commit {name}: first-parent diff only")
 
-    - one `git cat-file --batch-check` resolves every name and tells commits
-      from missing objects and from blobs, trees and tags, all of which
-      `diff-tree --stdin` would skip without a word;
-    - one `git diff-tree --stdin` lists the parents and changed files of
-      every commit;
-    - one `git cat-file --batch` per `_CHUNK_COMMITS` commits that change a
-      source file reads their blobs. Only the last chunk read is kept; a
-      commit read again after its chunk was dropped reads the chunk again.
+    def content(rev: str | None, path: str, blob: str) -> str | None:
+        data = blobs.get(blob)
+        if data is None:
+            return None
+        try:
+            text = str(data, "utf-8")
+        except UnicodeDecodeError:
+            text = str(data, "utf-8", "replace")
+            diagnostics.append(f"{rev}:{path}: not valid UTF-8, undecodable bytes replaced")
+        return datafiles.to_lf(text)
 
-    So a pass starts three git processes for up to `_CHUNK_COMMITS` commits,
-    and one more per further chunk.
-    """
-
-    def __init__(self, store: CorpusStore, commits: Iterable[str]):
-        self.store = store
-        self.names = dict.fromkeys(commits)
-        self._objects: dict[str, list[str]] | None = None  # name -> [sha, type]
-        # commit -> (parents, [(path, new sha, old sha)] of its changed source files)
-        self._diffs: dict[str, tuple[list[str], list[tuple[str, str, str]]]] = {}
-        self._changing: list[str] = []  # the commits that change a source file, in pass order
-        self._chunk_of: dict[str, int] = {}
-        self._loaded: int = -1
-        self._blobs: dict[str, memoryview | None] = {}
-
-    def _open(self) -> dict[str, list[str]]:
-        names = [n for n in self.names if "\n" not in n]  # a line break splits a name on stdin
-        objects = {}
-        if names:
-            out = self.store._git("cat-file", "--batch-check=%(objectname) %(objecttype)",
-                                  input=_lines(names))
-            # "<sha> <type>", or "<name> missing" / "<name> ambiguous"
-            objects = {n: line.rsplit(" ", 1) for n, line in zip(names, out.decode().split("\n"))}
-        commits = list(dict.fromkeys(sha for sha, kind in objects.values() if kind == "commit"))
-        if commits:
-            self._parse_diffs(self.store._git(*_DIFF_ARGS, input=_lines(commits)))
-        self._changing = [c for c in commits if c in self._diffs and self._diffs[c][1]]
-        self._chunk_of = {c: i // _CHUNK_COMMITS for i, c in enumerate(self._changing)}
-        return objects
-
-    def _parse_diffs(self, out: bytes) -> None:
-        # per commit with a non-empty diff: "<sha> <parents>", then one
-        # (":<modes> <old sha> <new sha> <status>", <path>) pair per changed file
-        fields = out.split(b"\0")
-        i = 0
-        while i < len(fields) - 1:
-            field = fields[i].lstrip(b"\n")  # git starts a commit's file list on a new line
-            if field.startswith(b":"):
-                path = fields[i + 1].decode("utf-8", errors="replace")
-                if path.endswith(self.store.source_extensions):
-                    _, _, old, new, _ = field.split()
-                    files.append((path, new.decode(), old.decode()))
-                i += 2
-            else:
-                sha, *parents = field.decode().split()
-                files: list[tuple[str, str, str]] = []
-                self._diffs[sha] = (parents, files)
-                i += 1
-
-    def _chunk_blobs(self, sha: str) -> dict[str, memoryview | None]:
-        k = self._chunk_of.get(sha)
-        if k is None:
-            return {}
-        if k != self._loaded:
-            self._loaded, self._blobs = -1, {}  # drop the last chunk before reading the next
-            chunk = self._changing[k * _CHUNK_COMMITS:(k + 1) * _CHUNK_COMMITS]
-            shas = dict.fromkeys(s for c in chunk for _, new, old in self._diffs[c][1]
-                                 for s in (new, old) if s != _NULL_SHA)
-            self._blobs, self._loaded = self.store._read_blobs(list(shas)), k
-        return self._blobs
-
-    def read(self, name: str, diagnostics: list[str] | None) -> list[ChangedFile]:
-        if self._objects is None:
-            self._objects = self._open()
-        sha, kind = self._objects.get(name, (name, "missing"))
-        if kind in ("blob", "tree", "tag"):
-            raise CorpusError(f"{name} is a {kind}, not a commit")
-        if kind != "commit":
-            raise CorpusError(f"unknown commit hash {name}")
-        # a commit with an empty diff has no entry: no files, and no merge diagnostic
-        parents, changed = self._diffs.get(sha, ([], []))
-        parent = parents[0] if parents else None
-        if diagnostics is not None and len(parents) > 1:
-            diagnostics.append(f"merge commit {name}: first-parent diff only")
-        blobs = self._chunk_blobs(sha)
-
-        def content(rev: str, path: str, blob: str) -> str | None:
-            data = blobs.get(blob)
-            if data is None:
-                return None
-            try:
-                text = str(data, "utf-8")
-            except UnicodeDecodeError:
-                text = str(data, "utf-8", "replace")
-                if diagnostics is not None:
-                    diagnostics.append(f"{rev}:{path}: not valid UTF-8, undecodable bytes replaced")
-            return text.replace("\r\n", "\n").replace("\r", "\n")
-
-        entries: list[ChangedFile] = []
-        for path, new, old in sorted(changed):
-            cur = content(name, path, new)
-            prev = content(parent, path, old)
-            if cur is None and diagnostics is not None:
-                diagnostics.append(f"{name}:{path}: no content at commit (deleted?)")
-            entries.append(ChangedFile(path, cur, prev))
-        return entries
+    entries: list[ChangedFile] = []
+    for path, new, old in sorted(changed):
+        cur = content(name, path, new)
+        prev = content(parent, path, old)
+        if cur is None:
+            diagnostics.append(f"{name}:{path}: no content at commit (deleted?)")
+        entries.append(ChangedFile(path, cur, prev))
+    return entries

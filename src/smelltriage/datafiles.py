@@ -38,9 +38,12 @@ def split_lines(text: str) -> list[str]:
     """`text` split at its line ends, LF, CRLF and CR, only. str.splitlines
     also splits at U+0085, U+2028 and U+2029, which JSON allows raw inside a
     string."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    return to_lf(text).split("\n")
+
+
+def to_lf(text: str) -> str:
+    """`text` with its CRLF and CR line ends turned into LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def read_jsonl(path: str | Path) -> tuple[dict | None, list]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .corpus import CorpusStore, IssueType, UnlinkedIssueError, DanglingLinkError, CorpusError
 from .smellscan import RuleThresholds, SmellVector, scan_source
@@ -85,53 +85,51 @@ def label_commit(deltas: list[SmellDelta]) -> tuple[int, list[str]]:
     return (1 if total > 0 else 0), diagnostics
 
 
-class SmellSource(Protocol):
-    """Supplies (path, current vector, previous vector) triples for a commit.
-    Its readers call it inside a git pass of their store (`CorpusStore.reading`),
-    which starts no git process until a commit is read from it."""
+FileVectors = list[tuple[str, SmellVector, SmellVector | None]]
 
-    def file_vectors(self, commit_hash: str,
-                     diagnostics: list[str]) -> list[tuple[str, SmellVector, SmellVector | None]]:
+
+class SmellSource(Protocol):
+    """Streams each distinct commit once, in order, with its (path, current
+    vector, previous vector) triples or with the `CorpusError` it cannot be
+    read for; a commit's diagnostics are appended as it is yielded."""
+
+    def file_vectors(self, commits: Iterable[str], diagnostics: list[str]
+                     ) -> Iterator[tuple[str, FileVectors | CorpusError]]:
         ...
 
 
 @dataclass
 class GitScanSource:
-    """Scan changed file contents straight out of the repository.
+    """Scan changed file contents straight out of the repository, in one
+    `CorpusStore.changed_files` pass per `file_vectors` stream.
 
-    A commit is read from the store's git pass when one is open over it
-    (`CorpusStore.reading`), and on its own otherwise. Each content is scanned
-    once per source, whatever its path: a file's content at one fix is often
-    its parent content at the next. The memo keys on a digest of the content,
-    so it does not hold every scanned file in memory; build one source per
-    pass so no result outlives it.
+    Each content is scanned once per source, whatever its path: a file's
+    content at one fix is often its parent content at the next. The memo keys
+    on a digest of the content, so it does not hold every scanned file in
+    memory; build one source per pass so no result outlives it.
     """
 
     store: CorpusStore
     thresholds: RuleThresholds = field(default_factory=RuleThresholds)
     _scans: dict[bytes, SmellVector] = field(default_factory=dict, init=False, repr=False)
 
-    def _scan(self, content: str) -> SmellVector:
+    def _scan(self, content: str | None) -> SmellVector | None:
+        if content is None:
+            return None
         key = hashlib.blake2b(content.encode("utf-8"), digest_size=16).digest()
         if key not in self._scans:
             self._scans[key] = scan_source(content, thresholds=self.thresholds)
         return self._scans[key]
 
-    def file_vectors(self, commit_hash, diagnostics):
-        out = []
-        for cf in self.store.changed_files_with_contents(commit_hash, diagnostics):
-            if cf.content_at_commit is None:
-                continue  # deleted file: nothing can have been added to it
-            cur = self._scan(cf.content_at_commit)
-            prev = None
-            if cf.content_at_parent is not None:
-                prev = self._scan(cf.content_at_parent)
-            out.append((cf.file_path, cur, prev))
-        return out
+    def file_vectors(self, commits, diagnostics):
+        for commit, files in self.store.changed_files(commits, diagnostics):
+            # a deleted file is skipped: nothing can have been added to it
+            yield commit, files if isinstance(files, CorpusError) else [
+                (cf.file_path, self._scan(cf.content_at_commit), self._scan(cf.content_at_parent))
+                for cf in files if cf.content_at_commit is not None]
 
 
-def vectors_record(commit_hash: str,
-                   vectors: list[tuple[str, SmellVector, SmellVector | None]]) -> dict:
+def vectors_record(commit_hash: str, vectors: FileVectors) -> dict:
     """One `smell_vectors.jsonl` record: a commit's changed files, each with its
     vector at the commit and, under `Previous`, at the first parent (or null)."""
     return {"Commit_Hash": commit_hash, "Files": [
@@ -144,7 +142,7 @@ def vectors_record(commit_hash: str,
 class VectorTableSource:
     """Pre-computed smell vectors: commit -> [(path, current, previous)]."""
 
-    files: dict[str, list[tuple[str, SmellVector, SmellVector | None]]]
+    files: dict[str, FileVectors]
 
     @classmethod
     def from_records(cls, records: list[dict],
@@ -160,10 +158,10 @@ class VectorTableSource:
         datafiles.parse_records(records, add, name, "; rewrite the file with scan-smells")
         return cls(files)
 
-    def file_vectors(self, commit_hash, diagnostics):
-        if commit_hash not in self.files:
-            raise CorpusError(f"no smell vectors for commit {commit_hash}")
-        return self.files[commit_hash]
+    def file_vectors(self, commits, diagnostics):
+        for commit in dict.fromkeys(commits):
+            yield commit, (self.files[commit] if commit in self.files
+                           else CorpusError(f"no smell vectors for commit {commit}"))
 
 
 @dataclass
@@ -216,18 +214,19 @@ def scan_fix_commits(store: CorpusStore, source: SmellSource,
     first_issue: dict[str, str] = {}  # commit -> the first issue it fixes
     for issue_id, commit in fix_commits(store, []):
         first_issue.setdefault(commit, issue_id)
-    with store.reading(first_issue):
-        for commit, issue_id in first_issue.items():
-            try:
-                records.append(vectors_record(commit, source.file_vectors(commit, diagnostics)))
-            except CorpusError as exc:
-                diagnostics.append(f"{issue_id}: {exc}")
+    for commit, vectors in source.file_vectors(first_issue, diagnostics):
+        if isinstance(vectors, CorpusError):
+            diagnostics.append(f"{first_issue[commit]}: {vectors}")
+        else:
+            records.append(vectors_record(commit, vectors))
     return records
 
 
 def build_labeled_dataset(store: CorpusStore, source: SmellSource,
                           project: str = "project") -> LabeledDataset:
-    """One sample per Bug issue with a resolvable fix commit and nonempty text."""
+    """One sample per Bug issue with a resolvable fix commit and nonempty text.
+    Each fix commit is read once, when its first issue comes up, so its read
+    diagnostics come once however many issues it fixes."""
     samples: list[LabeledSample] = []
     skipped: list[str] = []
     diagnostics: list[str] = []
@@ -238,28 +237,31 @@ def build_labeled_dataset(store: CorpusStore, source: SmellSource,
         issue = store.issues[issue_id]
         text = textprep.report_text(issue.summary_raw, issue.description_raw)
         todo.append((issue_id, commit, text) if text else f"{issue_id}: empty report text")
-    with store.reading(item[1] for item in todo if isinstance(item, tuple)):
-        for item in todo:
-            if isinstance(item, str):
-                skipped.append(item)
-                continue
-            issue_id, commit, text = item
-            try:
-                vectors = source.file_vectors(commit, diagnostics)
-            except CorpusError as exc:
-                skipped.append(f"{issue_id}: {exc}")
-                continue
-            deltas = [smell_delta(commit, p, cur, prev) for p, cur, prev in vectors]
-            label, diags = label_commit(deltas)
-            diagnostics.extend(f"{issue_id}: {d}" for d in diags)
-            samples.append(LabeledSample(
-                issue_id=issue_id,
-                commit_hash=commit,
-                text=text,
-                label=label,
-                total_added_smells=sum(d.total_added for d in deltas),
-                raw_signed_delta=sum(d.signed_sum for d in deltas),
-            ))
-            stats.total += 1
-            stats.class1 += label
+    stream = source.file_vectors((item[1] for item in todo if isinstance(item, tuple)),
+                                 diagnostics)
+    read: dict[str, FileVectors | CorpusError] = {}  # the commits taken from the stream
+    for item in todo:
+        if isinstance(item, str):
+            skipped.append(item)
+            continue
+        issue_id, commit, text = item
+        if commit not in read:
+            _, read[commit] = next(stream)  # the stream yields commits in first-use order
+        vectors = read[commit]
+        if isinstance(vectors, CorpusError):
+            skipped.append(f"{issue_id}: {vectors}")
+            continue
+        deltas = [smell_delta(commit, p, cur, prev) for p, cur, prev in vectors]
+        label, diags = label_commit(deltas)
+        diagnostics.extend(f"{issue_id}: {d}" for d in diags)
+        samples.append(LabeledSample(
+            issue_id=issue_id,
+            commit_hash=commit,
+            text=text,
+            label=label,
+            total_added_smells=sum(d.total_added for d in deltas),
+            raw_signed_delta=sum(d.signed_sum for d in deltas),
+        ))
+        stats.total += 1
+        stats.class1 += label
     return LabeledDataset(samples, stats, skipped, diagnostics)

@@ -146,17 +146,15 @@ def check_indices(X: np.ndarray, vocab_size: int) -> None:
                          f"at position {c}")
 
 
-def forward_batch(model: Model, X: np.ndarray, training: bool = False,
-                  rng: np.random.Generator | None = None,
+def forward_batch(model: Model, X: np.ndarray,
                   dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """Probabilities for a batch of index sequences, plus cached activations.
-    The embedding, conv1 and pool1 run over the batch's real prefix only (see
+    """Probabilities for a batch of index sequences, plus cached activations;
+    `dropout_mask`, if given, scales the flattened pool2 outputs. The
+    embedding, conv1 and pool1 run over the batch's real prefix only (see
     _real_prefix); the conv1 outputs past it are b1."""
     cfg = model.cfg
     t1, p1, t2, p2, flat = cfg.stage_lengths()
     X = np.asarray(X)
-    if X.ndim == 1:
-        X = X[None, :]
     if X.shape[1] != cfg.seq_len:
         raise ValueError(f"sequence length {X.shape[1]} != configured {cfg.seq_len}")
     check_indices(X, cfg.vocab_size)
@@ -188,11 +186,6 @@ def forward_batch(model: Model, X: np.ndarray, training: bool = False,
     P2, idx2 = _pool(A2, cfg.pool_size, p2)
 
     flat_act = P2.reshape(b, flat)
-    if dropout_mask is None and training and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training forward with dropout needs an rng")
-        keep = 1.0 - cfg.dropout_rate
-        dropout_mask = (rng.random(flat_act.shape) < keep).astype(flat_act.dtype) / keep
     dropped = flat_act if dropout_mask is None else flat_act * dropout_mask
 
     z = dropped @ model.wd + model.bd
@@ -337,6 +330,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, seed: int) -> tuple[Model,
     rng = np.random.default_rng(seed)
     opt = _Adam(model.params(), cfg.learning_rate)
     n = len(X)
+    flat, keep = cfg.stage_lengths()[-1], 1.0 - cfg.dropout_rate
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         total_loss = 0.0
@@ -344,7 +338,10 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, seed: int) -> tuple[Model,
         for start in range(0, n, cfg.batch_size):
             batch = perm[start: start + cfg.batch_size]
             xb, yb = X[batch], y[batch]
-            prob, cache = forward_batch(model, xb, training=True, rng=rng)
+            mask = None
+            if cfg.dropout_rate > 0.0:
+                mask = (rng.random((len(batch), flat)) < keep).astype(cfg.dtype) / keep
+            prob, cache = forward_batch(model, xb, dropout_mask=mask)
             grads = backward_batch(model, cache, yb)
             total_loss += loss(prob, yb) * len(batch)
             correct += int(np.sum((prob >= 0.5).astype(int) == yb))
@@ -359,17 +356,16 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, seed: int) -> tuple[Model,
 
 
 def predict(model: Model, seq) -> tuple[int, float]:
-    """Class 1 iff probability >= 0.5."""
-    labels, probs = predict_batch(model, seq)
+    """Class 1 iff probability >= 0.5, for one index sequence."""
+    labels, probs = predict_batch(model, np.asarray(seq)[None, :])
     return int(labels[0]), float(probs[0])
 
 
 def predict_batch(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and probabilities, from forward passes over cfg.batch_size rows
     at a time, so memory is bounded by one chunk and not by len(X)."""
-    X = np.atleast_2d(X)
     step = model.cfg.batch_size
-    prob = np.concatenate([forward_batch(model, X[i: i + step], training=False)[0]
+    prob = np.concatenate([forward_batch(model, X[i: i + step])[0]
                            for i in range(0, len(X), step)])
     return (prob >= 0.5).astype(int), prob
 

@@ -235,10 +235,9 @@ def test_changed_files_unknown_hash(bug_repo):
     # a name that spans two lines of git's input names no commit, and does
     # not shift the other commits of its pass
     fix = bug_repo["hashes"][1]
-    with store.reading([f"{fix}\n{fix}", fix]):
-        with pytest.raises(CorpusError, match="unknown commit"):
-            store.changed_files_with_contents(f"{fix}\n{fix}")
-        assert len(store.changed_files_with_contents(fix)) == 2
+    split, files = _stream_all(store, [f"{fix}\n{fix}", fix]).values()
+    assert split == (f"unknown commit hash {fix}\n{fix}", [])
+    assert len(files[0]) == 2
 
 
 def test_changed_files_filters_extensions_and_sorts(bug_repo):
@@ -319,10 +318,9 @@ def test_a_hash_of_a_blob_or_tree_is_not_a_commit(bug_repo, kind, rev):
     with pytest.raises(CorpusError, match=f"^{sha} is a {kind}, not a commit$"):
         store.changed_files_with_contents(sha)
     fix = bug_repo["hashes"][1]
-    with store.reading([sha, fix]):
-        with pytest.raises(CorpusError, match=f"^{sha} is a {kind}, not a commit$"):
-            store.changed_files_with_contents(sha)
-        assert len(store.changed_files_with_contents(fix)) == 2
+    not_commit, files = _stream_all(store, [sha, fix]).values()
+    assert not_commit == (f"{sha} is a {kind}, not a commit", [])
+    assert len(files[0]) == 2
 
 
 def test_non_ascii_source_path_is_kept(tmp_path):
@@ -408,22 +406,35 @@ def _random_history(repo, seed: int) -> list[str]:
     return commits
 
 
-def _read_all(reader, commits):
-    """(files or error, diagnostics) of each commit in turn."""
-    out = []
+def _read_all(reader, commits) -> dict:
+    """Commit -> (files or error message, diagnostics), one read per commit."""
+    out = {}
     for commit in commits:
         diagnostics: list[str] = []
         try:
-            out.append((reader.changed_files_with_contents(commit, diagnostics), diagnostics))
+            out[commit] = (reader.changed_files_with_contents(commit, diagnostics), diagnostics)
         except CorpusError as exc:
-            out.append((str(exc), diagnostics))
+            out[commit] = (str(exc), diagnostics)
+    return out
+
+
+def _stream_all(store: CorpusStore, commits, on_item=lambda: None) -> dict:
+    """As `_read_all`, in the order of one `changed_files` stream; `on_item`
+    is called as each commit is yielded."""
+    out = {}
+    diagnostics: list[str] = []
+    for commit, files in store.changed_files(commits, diagnostics):
+        on_item()
+        out[commit] = (str(files) if isinstance(files, CorpusError) else files, diagnostics[:])
+        diagnostics.clear()
     return out
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_extraction_matches_the_per_file_oracle(tmp_path, monkeypatch, seed):
-    """One pass over the whole history, with an unknown hash among the
-    commits and a commit read twice, as when two issues share a fix."""
+    """One stream over the whole history, with an unknown hash among the
+    commits and a commit named twice, as when two issues share a fix: it
+    yields each commit once, in order."""
     repo = tmp_path / "repo"
     repo.mkdir()
     commits = _random_history(repo, seed)
@@ -431,14 +442,14 @@ def test_extraction_matches_the_per_file_oracle(tmp_path, monkeypatch, seed):
     store, oracle = CorpusStore(repo_path=repo), OracleStore(repo_path=repo)
     want = _read_all(oracle, order)
     calls = _count_git(monkeypatch)
-    with store.reading(order):
-        got = _read_all(store, order)
+    got = _stream_all(store, order)
     assert calls == ["cat-file", "diff-tree", "cat-file"]
-    for commit, got_one, want_one in zip(order, got, want):
-        assert got_one == want_one, commit
-    assert got[2] == (f"unknown commit hash {'e' * 40}", [])
-    seen = {"no files" for files, _ in got if files == []}
-    for files, diagnostics in got[:2] + got[3:]:
+    assert list(got) == list(want) == list(dict.fromkeys(order))
+    for commit in want:
+        assert got[commit] == want[commit], commit
+    assert got["e" * 40] == (f"unknown commit hash {'e' * 40}", [])
+    seen = {"no files" for files, _ in got.values() if files == []}
+    for files, diagnostics in (v for k, v in got.items() if k != "e" * 40):
         seen.update(("added" if f.content_at_parent is None else
                      "deleted" if f.content_at_commit is None else
                      "same" if f.content_at_commit == f.content_at_parent else "modified")
@@ -447,18 +458,22 @@ def test_extraction_matches_the_per_file_oracle(tmp_path, monkeypatch, seed):
     assert {"added", "deleted", "same", "modified", "merge", "no files"} <= seen
 
 
-def test_a_pass_read_in_chunks_matches_one_chunk(tmp_path, monkeypatch):
-    """A chunk's blobs are dropped when the next chunk is read, and read again
-    for a commit of an earlier chunk."""
+def test_a_pass_reads_its_chunks_forward_once(tmp_path, monkeypatch):
+    """Each chunk's blobs are read once, just before its first commit is
+    yielded; a commit named again is not yielded again."""
     repo = tmp_path / "repo"
     repo.mkdir()
     commits = _random_history(repo, 0)
     store = CorpusStore(repo_path=repo)
-    with store.reading(commits):
-        want = _read_all(store, commits + [commits[0]])
-    changing = sum(1 for files, _ in want[:-1] if files)
+    want = _stream_all(store, commits + [commits[0]])
+    changes = [bool(files) for files, _ in want.values()]
+    assert list(want) == commits and 4 < sum(changes) < len(commits)
     monkeypatch.setattr(corpus, "_CHUNK_COMMITS", 2)
     calls = _count_git(monkeypatch)
-    with store.reading(commits):
-        assert _read_all(store, commits + [commits[0]]) == want
-    assert calls == ["cat-file", "diff-tree"] + ["cat-file"] * ((changing + 1) // 2 + 1)
+    blob_reads = []
+    assert _stream_all(store, commits + [commits[0]],
+                       lambda: blob_reads.append(calls.count("cat-file") - 1)) == want
+    chunks = -(-sum(changes) // 2)
+    assert calls == ["cat-file", "diff-tree"] + ["cat-file"] * chunks
+    # the i-th commit is yielded once the chunks up to its own have been read
+    assert blob_reads == [min(sum(changes[:i]) // 2 + 1, chunks) for i in range(len(commits))]

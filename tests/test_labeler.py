@@ -145,8 +145,7 @@ def test_vector_table_source_returns_recorded_previous():
     prev = _vec([0] * 16)
     source = VectorTableSource({"a" * 40: [("A.java", cur, prev)]})
     diags = []
-    out = source.file_vectors("a" * 40, diags)
-    assert out == [("A.java", cur, prev)]
+    assert list(source.file_vectors(["a" * 40], diags)) == [("a" * 40, [("A.java", cur, prev)])]
     assert diags == []
 
 
@@ -155,7 +154,7 @@ def test_vector_table_source_without_parent_treats_prev_as_none():
     record = vectors_record("a" * 40, [("A.java", cur, None)])
     assert record["Files"][0]["Previous"] is None
     source = VectorTableSource.from_records([record])
-    assert source.file_vectors("a" * 40, []) == [("A.java", cur, None)]
+    assert list(source.file_vectors(["a" * 40], [])) == [("a" * 40, [("A.java", cur, None)])]
 
 
 @given(st.lists(
@@ -171,14 +170,16 @@ def test_vectors_record_roundtrip(raw):
                 _vec(p) if p is not None else None)
                for i, (c, p, n) in enumerate(raw)]
     record = json.loads(json.dumps(vectors_record("c" * 40, vectors)))
-    assert VectorTableSource.from_records([record]).file_vectors("c" * 40, []) == vectors
+    assert list(VectorTableSource.from_records([record]).file_vectors(["c" * 40], [])) == [
+        ("c" * 40, vectors)]
 
 
-def test_vector_table_source_unknown_commit_raises():
+def test_vector_table_source_streams_each_commit_once_and_an_unknown_one_as_an_error():
     source = VectorTableSource({"a" * 40: []})
-    assert source.file_vectors("a" * 40, []) == []
-    with pytest.raises(CorpusError, match="no smell vectors for commit " + "b" * 40):
-        source.file_vectors("b" * 40, [])
+    (a, vectors), (b, error) = source.file_vectors(["a" * 40, "b" * 40, "a" * 40], [])
+    assert (a, vectors, b) == ("a" * 40, [], "b" * 40)
+    assert isinstance(error, CorpusError)
+    assert str(error) == "no smell vectors for commit " + "b" * 40
 
 
 def _file_with(key, value):
@@ -210,7 +211,7 @@ def test_from_records_rejects_a_malformed_record(record, field):
 def test_whole_flags_and_counts_of_a_vector_load_as_they_are():
     record = _file_with("GodClass", True)
     record["Files"][0].update(DataClass=1.0, raw_npath_max=7.0)
-    (_, vec, _), = VectorTableSource.from_records([record]).file_vectors("a" * 40, [])
+    [(_, [(_, vec, _)])] = VectorTableSource.from_records([record]).file_vectors(["a" * 40], [])
     assert vec == SmellVector(tuple(i in (SmellRule.GodClass, SmellRule.DataClass)
                                     for i in range(16)), raw_npath_max=7)
 
@@ -344,3 +345,27 @@ def test_a_pass_starts_the_same_git_processes_however_many_commits_it_reads(
         assert dataset.stats.total == n and dataset.skipped == []
         assert calls == ["cat-file", "diff-tree", "cat-file"]
         assert started == ["git"] * len(calls)
+
+
+def test_a_fix_commit_shared_by_two_bug_issues_is_read_once(tmp_path):
+    """Its read diagnostics come once, and each of its issues gets a sample;
+    a commit that cannot be read gives each of its issues a skip."""
+    store, [base] = _history_store(tmp_path, [b"class Legacy {}\n"])
+    repo = store.repo_path
+    _git(repo, "checkout", "-q", "-b", "side")
+    (repo / "Side.java").write_text("class Side {}\n", encoding="utf-8")
+    _git(repo, "add", "."), _git(repo, "commit", "-q", "-m", "side")
+    _git(repo, "checkout", "-q", "main")
+    _git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side")
+    merge, lost = _git(repo, "rev-parse", "HEAD"), "f" * 40
+    date = store.commits[base].committed_date
+    for n, commit in enumerate([merge, lost, merge, lost], start=1):
+        store.commits[commit] = CommitRecord(commit, date)
+        store.issues[f"B-{n}"] = IssueRecord(f"B-{n}", IssueType.BUG, date,
+                                             summary_raw=f"crash number {n}")
+        store._insert(RecordKind.LINKS, ChangeLink(f"B-{n}", commit))
+    dataset = build_labeled_dataset(store, GitScanSource(store=store))
+    assert [(s.issue_id, s.commit_hash, s.label) for s in dataset.samples] == [
+        ("B-1", merge, 0), ("B-3", merge, 0)]
+    assert dataset.diagnostics == [f"merge commit {merge}: first-parent diff only"]
+    assert dataset.skipped == [f"B-{n}: unknown commit hash {lost}" for n in (2, 4)]

@@ -36,19 +36,19 @@ def test_forward_matches_hand_computation():
     # E = [1,2,3,0,1,2,3,0]; conv1 (sum of pairs) -> [3,5,3,1,3,5,3];
     # pool -> [5,3,5]; conv2 (difference) -> [2,-2]; relu -> [2,0];
     # pool -> [2]; dense 0.5*2 - 1 = 0 -> sigmoid 0.5
-    prob = nnet.forward_batch(_hand_model(), [1, 2, 3, 0, 1, 2, 3, 0])[0][0]
+    prob = nnet.forward_batch(_hand_model(), [[1, 2, 3, 0, 1, 2, 3, 0]])[0][0]
     assert prob == pytest.approx(0.5, abs=1e-12)
 
 
 def test_forward_hand_computation_with_bias_shift():
-    prob = nnet.forward_batch(_hand_model(bd=0.0), [1, 2, 3, 0, 1, 2, 3, 0])[0][0]
+    prob = nnet.forward_batch(_hand_model(bd=0.0), [[1, 2, 3, 0, 1, 2, 3, 0]])[0][0]
     assert prob == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
 
 
 def test_all_pad_input_gives_half():
     # embedding row 0 is zero, so the whole network collapses to sigmoid(bd)
     model = _hand_model(bd=0.0)
-    prob = nnet.forward_batch(model, [0] * 8)[0][0]
+    prob = nnet.forward_batch(model, [[0] * 8])[0][0]
     assert prob == pytest.approx(0.5, abs=1e-12)
 
 
@@ -94,19 +94,19 @@ def test_shape_law(seq_len, w1, w2, pool):
 def test_forward_rejects_out_of_vocab_index():
     model = _hand_model()
     with pytest.raises(ValueError, match="vocab"):
-        nnet.forward_batch(model, [1, 2, 9, 0, 0, 0, 0, 0])
+        nnet.forward_batch(model, [[1, 2, 9, 0, 0, 0, 0, 0]])
 
 
 def test_forward_rejects_negative_index():
     # a negative index would silently read an embedding row from the end
     model = _hand_model()
     with pytest.raises(ValueError, match="vocab size 4.* at position 2"):
-        nnet.forward_batch(model, [1, 2, -1, 0, 0, 0, 0, 0])
+        nnet.forward_batch(model, [[1, 2, -1, 0, 0, 0, 0, 0]])
 
 
 def test_forward_rejects_wrong_length():
     with pytest.raises(ValueError, match="length"):
-        nnet.forward_batch(_hand_model(), [1, 2, 3])
+        nnet.forward_batch(_hand_model(), [[1, 2, 3]])
 
 
 def test_loss_values():
@@ -275,7 +275,8 @@ def test_float32_model_stays_float32():
     model = init_model(cfg, seed=1)
     X = np.zeros((4, 30), dtype=np.int64)
     X[:, :12] = np.random.default_rng(1).integers(0, 20, size=(4, 12))
-    prob, cache = nnet.forward_batch(model, X, training=True, rng=np.random.default_rng(2))
+    mask = (np.random.default_rng(2).random((4, cfg.stage_lengths()[-1])) < 0.5).astype("float32")
+    prob, cache = nnet.forward_batch(model, X, dropout_mask=mask / 0.5)
     grads = nnet.backward_batch(model, cache, np.array([0, 1, 0, 1]))
     arrays = {**{k: v for k, v in cache.items() if k not in ("X", "idx1", "idx2")},
               **{f"d{k}": v for k, v in grads.items()}}
