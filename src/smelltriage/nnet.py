@@ -146,6 +146,19 @@ def check_indices(X: np.ndarray, vocab_size: int) -> None:
                          f"at position {c}")
 
 
+def _as_batch(X, cfg: ModelConfig) -> np.ndarray:
+    """`X` as an array, once it is a 2-D integer array of cfg.seq_len columns.
+    Raises ValueError naming its shape or dtype otherwise."""
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D batch of index sequences, got shape {X.shape}")
+    if not np.issubdtype(X.dtype, np.integer):
+        raise ValueError(f"expected integer token indices, got dtype {X.dtype}")
+    if X.shape[1] != cfg.seq_len:
+        raise ValueError(f"sequence length {X.shape[1]} != configured {cfg.seq_len}")
+    return X
+
+
 def forward_batch(model: Model, X: np.ndarray,
                   dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """Probabilities for a batch of index sequences, plus cached activations;
@@ -154,9 +167,7 @@ def forward_batch(model: Model, X: np.ndarray,
     _real_prefix); the conv1 outputs past it are b1."""
     cfg = model.cfg
     t1, p1, t2, p2, flat = cfg.stage_lengths()
-    X = np.asarray(X)
-    if X.shape[1] != cfg.seq_len:
-        raise ValueError(f"sequence length {X.shape[1]} != configured {cfg.seq_len}")
+    X = _as_batch(X, cfg)
     check_indices(X, cfg.vocab_size)
     b = X.shape[0]
 
@@ -165,9 +176,9 @@ def forward_batch(model: Model, X: np.ndarray,
     win1 = sliding_window_view(E, cfg.conv1_width, axis=1)      # (B, T, q, width)
     win1 = np.ascontiguousarray(win1.transpose(0, 1, 3, 2)).reshape(b, T, -1)
     w1f = model.w1.reshape(cfg.conv1_filters, -1)
+    # one BLAS call over all B*T windows; a stacked (B, T, .) product makes B
     Z1 = np.empty((b, t1, cfg.conv1_filters), dtype=np.result_type(win1, w1f, model.b1))
-    np.matmul(win1, w1f.T, out=Z1[:, :T])
-    Z1[:, :T] += model.b1
+    np.add((win1.reshape(b * T, -1) @ w1f.T).reshape(b, T, -1), model.b1, out=Z1[:, :T])
     Z1[:, T:] = model.b1
     n1 = _pooled_prefix(T, cfg.pool_size, p1)
     P1, idx1 = _pool(np.maximum(Z1[:, : n1 * cfg.pool_size], 0.0), cfg.pool_size, n1)
@@ -181,6 +192,7 @@ def forward_batch(model: Model, X: np.ndarray,
     win2 = sliding_window_view(P1, cfg.conv2_width, axis=1)
     win2 = np.ascontiguousarray(win2.transpose(0, 1, 3, 2)).reshape(b, t2, -1)
     w2f = model.w2.reshape(cfg.conv2_filters, -1)
+    # stacked on purpose: as one 2-D product it gives other last bits (t2=20)
     Z2 = win2 @ w2f.T + model.b2
     A2 = np.maximum(Z2, 0.0)
     P2, idx2 = _pool(A2, cfg.pool_size, p2)
@@ -207,10 +219,9 @@ def loss(prob, label) -> float:
 
 def _unpool(dP: np.ndarray, idx: np.ndarray, pool: int, full_len: int) -> np.ndarray:
     b, out_len, f = dP.shape
-    d_windows = np.zeros((b, out_len, pool, f), dtype=dP.dtype)
-    np.put_along_axis(d_windows, idx[:, :, None, :], dP[:, :, None, :], axis=2)
     d_full = np.zeros((b, full_len, f), dtype=dP.dtype)
-    d_full[:, : out_len * pool] = d_windows.reshape(b, out_len * pool, f)
+    d_windows = d_full[:, : out_len * pool].reshape(b, out_len, pool, f)  # a view
+    np.put_along_axis(d_windows, idx[:, :, None, :], dP[:, :, None, :], axis=2)
     return d_full
 
 
@@ -241,7 +252,7 @@ def backward_batch(model: Model, cache: dict, y: np.ndarray) -> dict[str, np.nda
     w2f = model.w2.reshape(cfg.conv2_filters, -1)
     dw2 = (dZ2.reshape(b * t2, -1).T @ cache["win2"].reshape(b * t2, -1)).reshape(model.w2.shape)
     db2 = dZ2.sum(axis=(0, 1))
-    dwin2 = (dZ2 @ w2f).reshape(b, t2, cfg.conv2_width, cfg.conv1_filters)
+    dwin2 = (dZ2.reshape(b * t2, -1) @ w2f).reshape(b, t2, cfg.conv2_width, cfg.conv1_filters)
     dP1 = np.zeros((b, p1, cfg.conv1_filters), dtype=dZ2.dtype)
     for j in range(cfg.conv2_width):
         dP1[:, j: j + t2] += dwin2[:, :, j, :]
@@ -259,7 +270,7 @@ def backward_batch(model: Model, cache: dict, y: np.ndarray) -> dict[str, np.nda
     dZ1 = np.ascontiguousarray(dZ1[:, :T])
     w1f = model.w1.reshape(cfg.conv1_filters, -1)
     dw1 = (dZ1.reshape(b * T, -1).T @ cache["win1"].reshape(b * T, -1)).reshape(model.w1.shape)
-    dwin1 = (dZ1 @ w1f).reshape(b, T, cfg.conv1_width, cfg.embed_dim)
+    dwin1 = (dZ1.reshape(b * T, -1) @ w1f).reshape(b, T, cfg.conv1_width, cfg.embed_dim)
     dE = np.zeros((b, T + cfg.conv1_width - 1, cfg.embed_dim), dtype=dZ1.dtype)
     for j in range(cfg.conv1_width):
         dE[:, j: j + T] += dwin1[:, :, j, :]
@@ -363,10 +374,18 @@ def predict(model: Model, seq) -> tuple[int, float]:
 
 def predict_batch(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and probabilities, from forward passes over cfg.batch_size rows
-    at a time, so memory is bounded by one chunk and not by len(X)."""
+    at a time, so memory is bounded by one chunk and not by len(X). Rows go
+    into chunks in order of their real length (up to the last non-zero
+    index), so that each chunk's real prefix is short; each probability is
+    written back at its row's position."""
+    X = _as_batch(X, model.cfg)
+    length = ((X != 0) * np.arange(1, X.shape[1] + 1)).max(axis=1, initial=0)
+    order = np.argsort(length, kind="stable")
     step = model.cfg.batch_size
-    prob = np.concatenate([forward_batch(model, X[i: i + step])[0]
-                           for i in range(0, len(X), step)])
+    prob = np.empty(len(X), dtype=model.wd.dtype)
+    for i in range(0, len(X), step):
+        rows = order[i: i + step]
+        prob[rows] = forward_batch(model, X[rows])[0]
     return (prob >= 0.5).astype(int), prob
 
 

@@ -422,29 +422,60 @@ def test_predict_of_one_row_is_within_1e_6_of_its_batch_at_real_shapes():
         assert one_label == label and abs(one_prob - float(prob)) <= 1e-6
 
 
+def _real_lengths(X):
+    return [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 0 for row in X]
+
+
+@pytest.mark.parametrize("order", ["shortest-first", "longest-first", "shuffled"])
 @pytest.mark.parametrize("rows", [1, 8, 16, 29])
-def test_predict_batch_chunks_match_one_forward_pass(rows, monkeypatch):
-    """predict_batch runs batch_size rows at a time; each chunk has its own
-    real prefix, and the probabilities are bit-identical to one pass."""
+def test_predict_batch_chunks_match_one_forward_pass(rows, order, monkeypatch):
+    """predict_batch runs batch_size rows at a time, shortest rows first;
+    each chunk has its own real prefix, and the probabilities come back in
+    input order, bit-identical to one pass."""
     cfg = ModelConfig(vocab_size=50, seq_len=40, embed_dim=6, conv1_filters=4, conv1_width=3,
                       conv2_filters=3, conv2_width=2, pool_size=2, batch_size=8)
     model = init_model(cfg, seed=4)
     rng = np.random.default_rng(4)
     model.b1 += rng.normal(0.0, 0.1, size=model.b1.shape).astype(model.b1.dtype)
     X = np.zeros((rows, cfg.seq_len), dtype=np.int64)
-    for i, row in enumerate(X):  # later chunks hold longer reports
+    for i, row in enumerate(X):  # later rows hold longer reports
         n = rng.integers(1, min(cfg.seq_len, 6 + 12 * (i // cfg.batch_size)) + 1)
         row[:n] = rng.integers(1, cfg.vocab_size, size=n)
+    X = {"shortest-first": X, "longest-first": X[::-1],
+         "shuffled": X[rng.permutation(rows)]}[order]
     prob_one, _ = nnet.forward_batch(model, X)
     chunks = []
     forward = nnet.forward_batch
     monkeypatch.setattr(nnet, "forward_batch",
-                        lambda m, xb, **kw: chunks.append(len(xb)) or forward(m, xb, **kw))
+                        lambda m, xb, **kw: chunks.append(_real_lengths(xb)) or forward(m, xb, **kw))
     labels, prob = nnet.predict_batch(model, X)
-    assert chunks == [min(8, rows - i) for i in range(0, rows, 8)]
+    assert [len(c) for c in chunks] == [min(8, rows - i) for i in range(0, rows, 8)]
+    assert sum(chunks, []) == sorted(_real_lengths(X))  # chunks by real length
     assert prob.dtype == prob_one.dtype
     np.testing.assert_array_equal(prob, prob_one)
     np.testing.assert_array_equal(labels, (prob_one >= 0.5).astype(int))
+
+
+@pytest.mark.parametrize("dtype", _DTYPES)
+def test_predict_batch_of_no_rows_gives_two_empty_arrays(dtype):
+    model = init_model(dataclasses.replace(_hand_model().cfg, dtype=dtype), seed=1)
+    labels, prob = nnet.predict_batch(model, np.zeros((0, 8), dtype=np.int64))
+    assert labels.shape == prob.shape == (0,)
+    assert prob.dtype == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("X, message", [
+    (np.array([1, 2, 3, 0, 0, 0, 0, 0]), r"2-D .* shape \(8,\)"),
+    (np.zeros((2, 8, 1), dtype=np.int64), r"2-D .* shape \(2, 8, 1\)"),
+    (np.array(5), r"2-D .* shape \(\)"),
+    (np.zeros((2, 8)), "integer .* dtype float64"),
+    (np.zeros((2, 8), dtype=bool), "integer .* dtype bool"),
+    (np.array([["a"] * 8]), "integer .* dtype <U1"),
+])
+@pytest.mark.parametrize("call", ["forward_batch", "predict_batch"])
+def test_batch_functions_refuse_anything_but_a_2d_integer_array(call, X, message):
+    with pytest.raises(ValueError, match=message):
+        getattr(nnet, call)(_hand_model(), X)
 
 
 @settings(max_examples=30)
