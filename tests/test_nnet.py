@@ -426,12 +426,11 @@ def _real_lengths(X):
     return [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 0 for row in X]
 
 
-@pytest.mark.parametrize("order", ["shortest-first", "longest-first", "shuffled"])
 @pytest.mark.parametrize("rows", [1, 8, 16, 29])
-def test_predict_batch_chunks_match_one_forward_pass(rows, order, monkeypatch):
+def test_predict_batch_chunks_match_one_forward_pass(rows, monkeypatch):
     """predict_batch runs batch_size rows at a time, shortest rows first;
     each chunk has its own real prefix, and the probabilities come back in
-    input order, bit-identical to one pass."""
+    input order, bit-identical to one pass, whatever order the rows come in."""
     cfg = ModelConfig(vocab_size=50, seq_len=40, embed_dim=6, conv1_filters=4, conv1_width=3,
                       conv2_filters=3, conv2_width=2, pool_size=2, batch_size=8)
     model = init_model(cfg, seed=4)
@@ -441,19 +440,19 @@ def test_predict_batch_chunks_match_one_forward_pass(rows, order, monkeypatch):
     for i, row in enumerate(X):  # later rows hold longer reports
         n = rng.integers(1, min(cfg.seq_len, 6 + 12 * (i // cfg.batch_size)) + 1)
         row[:n] = rng.integers(1, cfg.vocab_size, size=n)
-    X = {"shortest-first": X, "longest-first": X[::-1],
-         "shuffled": X[rng.permutation(rows)]}[order]
-    prob_one, _ = nnet.forward_batch(model, X)
     chunks = []
     forward = nnet.forward_batch
     monkeypatch.setattr(nnet, "forward_batch",
                         lambda m, xb, **kw: chunks.append(_real_lengths(xb)) or forward(m, xb, **kw))
-    labels, prob = nnet.predict_batch(model, X)
-    assert [len(c) for c in chunks] == [min(8, rows - i) for i in range(0, rows, 8)]
-    assert sum(chunks, []) == sorted(_real_lengths(X))  # chunks by real length
-    assert prob.dtype == prob_one.dtype
-    np.testing.assert_array_equal(prob, prob_one)
-    np.testing.assert_array_equal(labels, (prob_one >= 0.5).astype(int))
+    for Xo in (X, X[::-1], X[rng.permutation(rows)]):  # shortest-, longest-first, shuffled
+        prob_one, _ = forward(model, Xo)
+        chunks.clear()
+        labels, prob = nnet.predict_batch(model, Xo)
+        assert [len(c) for c in chunks] == [min(8, rows - i) for i in range(0, rows, 8)]
+        assert sum(chunks, []) == sorted(_real_lengths(Xo))  # chunks by real length
+        assert prob.dtype == prob_one.dtype
+        np.testing.assert_array_equal(prob, prob_one)
+        np.testing.assert_array_equal(labels, (prob_one >= 0.5).astype(int))
 
 
 @pytest.mark.parametrize("dtype", _DTYPES)
