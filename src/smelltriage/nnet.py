@@ -110,14 +110,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool(act: np.ndarray, pool: int, out_len: int):
-    """Max-pool along axis 1; returns pooled values and argmax offsets
-    (first occurrence on ties, which is numpy argmax behaviour)."""
+def _pool_windows(act: np.ndarray, pool: int, out_len: int) -> np.ndarray:
+    """The first out_len windows of `pool` rows along axis 1, as a view."""
     b, _, f = act.shape
-    windows = act[:, : out_len * pool].reshape(b, out_len, pool, f)
-    idx = windows.argmax(axis=2)
-    pooled = np.take_along_axis(windows, idx[:, :, None, :], axis=2)[:, :, 0, :]
-    return pooled, idx
+    return act[:, : out_len * pool].reshape(b, out_len, pool, f)
+
+
+def _pool(act: np.ndarray, pool: int, out_len: int) -> np.ndarray:
+    """Max-pool along axis 1, by value: the maximum is the value at the
+    offset that _pool_offsets gives."""
+    return _pool_windows(act, pool, out_len).max(axis=2)
+
+
+def _pool_offsets(act: np.ndarray, pool: int, out_len: int) -> np.ndarray:
+    """The offset of each pool window's maximum, the first on ties (numpy
+    argmax), by which backward_batch routes the pooled gradient."""
+    return _pool_windows(act, pool, out_len).argmax(axis=2)
 
 
 def _real_prefix(model: Model, X: np.ndarray, t1: int) -> int:
@@ -164,7 +172,9 @@ def forward_batch(model: Model, X: np.ndarray,
     """Probabilities for a batch of index sequences, plus cached activations;
     `dropout_mask`, if given, scales the flattened pool2 outputs. The
     embedding, conv1 and pool1 run over the batch's real prefix only (see
-    _real_prefix); the conv1 outputs past it are b1."""
+    _real_prefix); the conv1 outputs past it are b1. Max-pooling keeps
+    values only; backward_batch finds the offsets from the cached ReLU
+    activations `A1` and `A2`."""
     cfg = model.cfg
     t1, p1, t2, p2, flat = cfg.stage_lengths()
     X = _as_batch(X, cfg)
@@ -181,13 +191,12 @@ def forward_batch(model: Model, X: np.ndarray,
     np.add((win1.reshape(b * T, -1) @ w1f.T).reshape(b, T, -1), model.b1, out=Z1[:, :T])
     Z1[:, T:] = model.b1
     n1 = _pooled_prefix(T, cfg.pool_size, p1)
-    P1, idx1 = _pool(np.maximum(Z1[:, : n1 * cfg.pool_size], 0.0), cfg.pool_size, n1)
+    A1 = np.maximum(Z1[:, : n1 * cfg.pool_size], 0.0)
+    P1 = _pool(A1, cfg.pool_size, n1)
     if n1 < p1:
         # a pool1 window wholly past the prefix pools the constant relu(b1)
-        # and, on that tie, picks its first offset
         tail = (b, p1 - n1, cfg.conv1_filters)
         P1 = np.concatenate([P1, np.broadcast_to(np.maximum(model.b1, 0.0), tail)], axis=1)
-        idx1 = np.concatenate([idx1, np.zeros(tail, dtype=idx1.dtype)], axis=1)
 
     win2 = sliding_window_view(P1, cfg.conv2_width, axis=1)
     win2 = np.ascontiguousarray(win2.transpose(0, 1, 3, 2)).reshape(b, t2, -1)
@@ -195,7 +204,7 @@ def forward_batch(model: Model, X: np.ndarray,
     # stacked on purpose: as one 2-D product it gives other last bits (t2=20)
     Z2 = win2 @ w2f.T + model.b2
     A2 = np.maximum(Z2, 0.0)
-    P2, idx2 = _pool(A2, cfg.pool_size, p2)
+    P2 = _pool(A2, cfg.pool_size, p2)
 
     flat_act = P2.reshape(b, flat)
     dropped = flat_act if dropout_mask is None else flat_act * dropout_mask
@@ -203,8 +212,8 @@ def forward_batch(model: Model, X: np.ndarray,
     z = dropped @ model.wd + model.bd
     prob = _sigmoid(z)
     cache = {
-        "X": X, "win1": win1, "Z1": Z1, "idx1": idx1, "win2": win2, "Z2": Z2,
-        "idx2": idx2, "flat": flat_act, "mask": dropout_mask, "dropped": dropped,
+        "X": X, "win1": win1, "Z1": Z1, "A1": A1, "win2": win2, "Z2": Z2,
+        "A2": A2, "flat": flat_act, "mask": dropout_mask, "dropped": dropped,
         "prob": prob,
     }
     return prob, cache
@@ -227,8 +236,9 @@ def _unpool(dP: np.ndarray, idx: np.ndarray, pool: int, full_len: int) -> np.nda
 
 def backward_batch(model: Model, cache: dict, y: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the mean batch loss for every trainable parameter.
-    Max-pool routes gradient to the first argmax position; embedding row 0
-    stays frozen (zero gradient)."""
+    Max-pool routes gradient to the first argmax position, found here from
+    the cached ReLU activations; embedding row 0 stays frozen (zero
+    gradient)."""
     cfg = model.cfg
     t1, p1, t2, p2, flat = cfg.stage_lengths()
     X = cache["X"]
@@ -247,7 +257,8 @@ def backward_batch(model: Model, cache: dict, y: np.ndarray) -> dict[str, np.nda
     d_flat = d_dropped if cache["mask"] is None else d_dropped * cache["mask"]
 
     dP2 = d_flat.reshape(b, p2, cfg.conv2_filters)
-    dA2 = _unpool(dP2, cache["idx2"], cfg.pool_size, t2)
+    idx2 = _pool_offsets(cache["A2"], cfg.pool_size, p2)
+    dA2 = _unpool(dP2, idx2, cfg.pool_size, t2)
     dZ2 = dA2 * (cache["Z2"] > 0)
     w2f = model.w2.reshape(cfg.conv2_filters, -1)
     dw2 = (dZ2.reshape(b * t2, -1).T @ cache["win2"].reshape(b * t2, -1)).reshape(model.w2.shape)
@@ -259,12 +270,13 @@ def backward_batch(model: Model, cache: dict, y: np.ndarray) -> dict[str, np.nda
 
     # past the real prefix the conv1 windows hold only padding: their inputs
     # are zero, so they add nothing to dw1 or to the embedding gradient, and
-    # each pool1 window there routes its gradient to its first position,
-    # where Z1 is b1
+    # each pool1 window there, all ties of relu(b1), routes its gradient to
+    # its first position, where Z1 is b1
     T = cache["win1"].shape[1]
     n1 = _pooled_prefix(T, cfg.pool_size, p1)
     head = max(T, n1 * cfg.pool_size)
-    dA1 = _unpool(dP1[:, :n1], cache["idx1"][:, :n1], cfg.pool_size, head)
+    idx1 = _pool_offsets(cache["A1"], cfg.pool_size, n1)
+    dA1 = _unpool(dP1[:, :n1], idx1, cfg.pool_size, head)
     dZ1 = dA1 * (cache["Z1"][:, :head] > 0)
     db1 = dZ1.sum(axis=(0, 1)) + dP1[:, n1:].sum(axis=(0, 1)) * (model.b1 > 0)
     dZ1 = np.ascontiguousarray(dZ1[:, :T])

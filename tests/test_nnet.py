@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,17 +205,37 @@ def _padded_batches(draw):
     return model, X, y, mask
 
 
+def _backward_and_offsets(model, cache, y):
+    """backward_batch's gradients, and the pool2 and pool1 argmax offsets it
+    routed them by, in the order it found them."""
+    offsets, pool_offsets = [], nnet._pool_offsets
+
+    def record(*args):
+        offsets.append(pool_offsets(*args))
+        return offsets[-1]
+
+    with mock.patch.object(nnet, "_pool_offsets", record):
+        grads = nnet.backward_batch(model, cache, y)
+    return grads, offsets
+
+
 def _assert_matches_dense_passes(model, X, y, mask):
     prob, cache = nnet.forward_batch(model, X, dropout_mask=mask)
-    grads = nnet.backward_batch(model, cache, y)
+    grads, offsets = _backward_and_offsets(model, cache, y)
     prob_o, cache_o = oracle.forward_batch(model, X, dropout_mask=mask)
     grads_o = oracle.backward_batch(model, cache_o, y)
     np.testing.assert_allclose(prob, prob_o, rtol=1e-9, atol=0)
     for key in ("Z1", "Z2"):
         assert cache[key].shape == cache_o[key].shape
         np.testing.assert_allclose(cache[key], cache_o[key], rtol=1e-9, atol=1e-15)
-    for key in ("idx1", "idx2"):
-        np.testing.assert_array_equal(cache[key], cache_o[key])
+    assert len(offsets) == 2
+    idx2, idx1 = offsets
+    np.testing.assert_array_equal(idx2, cache_o["idx2"])
+    # backward finds pool1's offsets over the real prefix only; each window
+    # past it routes its gradient to offset 0, as the dense pass's tie does
+    n1 = idx1.shape[1]
+    np.testing.assert_array_equal(idx1, cache_o["idx1"][:, :n1])
+    np.testing.assert_array_equal(cache_o["idx1"][:, n1:], 0)
     for name in nnet.PARAM_NAMES:
         got, want = grads[name], grads_o[name]
         assert got.shape == want.shape and got.dtype == want.dtype, name
@@ -278,7 +299,7 @@ def test_float32_model_stays_float32():
     mask = (np.random.default_rng(2).random((4, cfg.stage_lengths()[-1])) < 0.5).astype("float32")
     prob, cache = nnet.forward_batch(model, X, dropout_mask=mask / 0.5)
     grads = nnet.backward_batch(model, cache, np.array([0, 1, 0, 1]))
-    arrays = {**{k: v for k, v in cache.items() if k not in ("X", "idx1", "idx2")},
+    arrays = {**{k: v for k, v in cache.items() if k != "X"},
               **{f"d{k}": v for k, v in grads.items()}}
     assert cache["win1"].shape[1] < 28  # the prefix bound is on
     promoted = {k: str(v.dtype) for k, v in arrays.items() if v.dtype != np.float32}

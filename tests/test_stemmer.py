@@ -1,9 +1,10 @@
+import itertools
 import string
 
 from hypothesis import given, settings, strategies as st
 
 import stemmer_oracle as oracle
-from smelltriage.stemmer import stem
+from smelltriage.stemmer import STEM_CACHE_SIZE, stem
 
 # classic published vectors for the 1980 algorithm, one per rule family
 VECTORS = {
@@ -143,7 +144,8 @@ _PIECES = st.sampled_from(list("aeiouyyyybcdlnrstwxz") + _SUFFIXES)
 
 
 def _assert_stems_like_the_oracle(word):
-    assert stem(word) == oracle.stem(word), word
+    """The cached stem, the function it caches and the old stemmer agree."""
+    assert stem(word) == stem.__wrapped__(word) == oracle.stem(word), word
 
 
 def test_letters_outside_a_to_z_are_consonants_as_before():
@@ -170,3 +172,11 @@ def test_a_long_run_of_y_is_stemmed():
     """The old stemmer recursed once per y in a row, so about 1,000 of them
     raised RecursionError."""
     assert stem("a" + "y" * 100_000) == "a" + "y" * 99_999 + "i"
+
+
+def test_the_cache_holds_at_most_its_bound_of_words():
+    words = ("".join(letters) for letters in itertools.product(string.ascii_lowercase, repeat=4))
+    for word in itertools.islice(words, STEM_CACHE_SIZE + 1000):
+        stem(word)
+    info = stem.cache_info()
+    assert info.maxsize == STEM_CACHE_SIZE and info.currsize == STEM_CACHE_SIZE
