@@ -126,10 +126,8 @@ def _write_dataset(cfg: config.RunConfig, dataset: labeler.LabeledDataset) -> Pa
                           seed=cfg.seed, kind="labeled-dataset")
     datafiles.write_jsonl(out_dir / "statistics.jsonl", [dataset.stats.to_record()],
                           seed=cfg.seed, kind="dataset-statistics")
-    if dataset.skipped:
-        datafiles.write_jsonl(out_dir / "skipped.jsonl",
-                              [{"reason": r} for r in dataset.skipped],
-                              seed=cfg.seed, kind="skip-report")
+    datafiles.write_jsonl(out_dir / "skipped.jsonl", [{"reason": r} for r in dataset.skipped],
+                          seed=cfg.seed, kind="skip-report")
     return ds_path
 
 
@@ -188,12 +186,12 @@ def cmd_train(cfg: config.RunConfig) -> int:
     evaluation.start_workers(1)  # the worker starts up while the dataset is read
     samples = labeler.load_dataset(ds_path)
     X, y, dictionary, model_cfg = _training_inputs(cfg, samples)
-    k = cfg.balance.k if cfg.balance.enabled else None
+    k = None if cfg.balance.scope == "none" else cfg.balance.k
     jobs = {"training": (X, y, model_cfg, k, cfg.seed, dictionary.content_hash())}
     try:  # in a one-thread worker, as a fold: no bit depends on the BLAS thread count
         [(model, epochs, diagnostics)] = evaluation.run_in_workers(evaluation.fit, jobs)
     except balance.TooFewMinorityError as exc:
-        raise _too_few_samples(ds_path, "balance.enabled=true", exc) from None
+        raise _too_few_samples(ds_path, f"balance.scope={cfg.balance.scope}", exc) from None
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = Path(cfg.paths.model) if cfg.paths.model else out_dir / "model.bin"
@@ -226,8 +224,7 @@ def cmd_evaluate(cfg: config.RunConfig) -> int:
         except evaluation.TooFewSamplesError as exc:
             raise _too_few_samples(ds_path, f"eval.folds={cfg.eval.folds}", exc) from None
         except balance.TooFewMinorityError as exc:  # SMOTE of the whole dataset
-            raise _too_few_samples(ds_path, f"balance.enabled=true, balance.scope={scope}",
-                                   exc) from None
+            raise _too_few_samples(ds_path, f"balance.scope={scope}", exc) from None
         suffix = f"_{scope}" if len(scopes) > 1 else ""
         (out_dir / f"report{suffix}.tsv").write_text(
             f"# seed={cfg.seed}\n" + evaluation.format_report(report, class1, total),

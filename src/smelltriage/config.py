@@ -102,8 +102,7 @@ class ModelConfig:
 @dataclass
 class BalanceConfig:
     k: int = 5
-    scope: Literal["train", "all", "both"] = "train"  # "train" is leak-free
-    enabled: bool = True
+    scope: Literal["train", "all", "both", "none"] = "train"  # "train" is leak-free
 
 
 @dataclass
@@ -195,11 +194,8 @@ def apply_override(cfg: RunConfig, dotted: str, raw: str) -> None:
     setattr(obj, leaf, _coerce(dotted, _TYPES[dotted], raw, flag=True))
 
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
 # scalar type -> (the JSON types that give it, the parser of a flag's string, its name)
-_SCALARS = {bool: ((bool,), lambda s: _BOOL_WORDS[s.lower()], "a boolean"),
-            int: ((int,), int, "an integer"),
+_SCALARS = {int: ((int,), int, "an integer"),
             float: ((int, float), float, "a number"),
             str: ((str,), str, "a string")}
 
@@ -231,7 +227,7 @@ def _coerce(key: str, hint, value, flag: bool):
             return parse(value)
         elif type(value) in kinds:
             return base(value)  # a JSON integer is a valid number
-    except (KeyError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         pass
     raise ConfigError(f"{key}: expected {expected}{' or null' if optional else ''}, "
                       f"got {json.dumps(value)}")

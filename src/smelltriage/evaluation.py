@@ -143,7 +143,7 @@ def _run_fold(X_train, y_train, X_test, y_test, model_cfg, balance_cfg, meta):
     the scope is `train`, on the fold's child seed (seed XOR fold id), score
     the test rows. Returns the fold's row and diagnostics."""
     fold, child_seed = meta["fold"], meta["seed"] ^ meta["fold"]
-    k = balance_cfg.k if balance_cfg.enabled and balance_cfg.scope == "train" else None
+    k = balance_cfg.k if balance_cfg.scope == "train" else None
     try:
         model, epochs, diagnostics = fit(X_train, y_train, model_cfg, k, child_seed)
     except balance.TooFewMinorityError as exc:
@@ -280,12 +280,12 @@ def run_kfold_experiment(X, y, model_cfg: nnet.ModelConfig,
     X = np.asarray(X)
     y = np.asarray(y).astype(int)
     balance_cfg = balance_cfg or BalanceConfig()
-    if balance_cfg.enabled and balance_cfg.scope not in ("train", "all"):
-        raise EvalError(f"balance scope {balance_cfg.scope!r}: an experiment balances "
-                        f"either the training folds ('train') or all samples ('all')")
+    if balance_cfg.scope == "both":
+        raise EvalError("balance scope 'both': an experiment balances the training folds "
+                        "('train'), all samples ('all') or nothing ('none')")
     diagnostics: list[str] = []
-    sampling = f"SMOTE/{balance_cfg.scope}" if balance_cfg.enabled else "none"
-    if balance_cfg.enabled and balance_cfg.scope == "all":
+    sampling = "none" if balance_cfg.scope == "none" else f"SMOTE/{balance_cfg.scope}"
+    if balance_cfg.scope == "all":
         res = balance.smote(X, y, k=balance_cfg.k, seed=seed)
         diagnostics.extend(res.diagnostics)
         X, y = res.X, res.y

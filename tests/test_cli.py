@@ -40,6 +40,14 @@ def test_build_dataset_end_to_end(bug_repo, tmp_path):
     assert stats[0]["total"] == 3 and stats[0]["class1"] == 1
     _, skipped = datafiles.read_jsonl(tmp_path / "skipped.jsonl")
     assert any("FEAT-1" in r["reason"] for r in skipped)
+    # a rerun into the same directory that skips nothing leaves no stale reasons behind
+    _, issues = datafiles.read_jsonl(bug_repo["record_paths"]["issues"])
+    datafiles.write_jsonl(tmp_path / "bugs.jsonl", [i for i in issues if i["Issue_type"] == "Bug"])
+    args = _base_args(bug_repo, tmp_path)
+    args[args.index("--paths.issues") + 1] = str(tmp_path / "bugs.jsonl")
+    assert cli.main(args + ["build-dataset"]) == EXIT_OK
+    assert datafiles.read_jsonl(tmp_path / "skipped.jsonl") == (
+        {"kind": "skip-report", "seed": 0}, [])
 
 
 def test_build_dataset_missing_input_is_fatal(bug_repo, tmp_path):
@@ -341,7 +349,7 @@ def test_predict_scores_a_report_as_its_training_row(bug_repo, tmp_path, capsys)
     args[args.index("--paths.issues") + 1] = str(tmp_path / "issues.jsonl")
     assert cli.main(args + ["build-dataset"]) == EXIT_DIAGNOSTICS  # FEAT-1 is skipped
     assert cli.main(["--paths.dataset", str(tmp_path / "dataset.jsonl"), "--out", str(tmp_path),
-                     "--balance.enabled", "false"] + _TINY_MODEL_FLAGS + ["train"]) == EXIT_OK
+                     "--balance.scope", "none"] + _TINY_MODEL_FLAGS + ["train"]) == EXIT_OK
     _, samples = datafiles.read_jsonl(tmp_path / "dataset.jsonl")
     dictionary = textprep.Dictionary.load(tmp_path / "dictionary.tsv")
     model = nnet.load_model(tmp_path / "model.bin")
@@ -672,8 +680,8 @@ def test_evaluate_names_the_dataset_and_the_folds_when_they_do_not_fit(folds, me
 
 
 @pytest.mark.parametrize("command,flags,setting", [
-    ("train", [], "balance.enabled=true"),
-    ("evaluate", ["--balance.scope", "all"], "balance.enabled=true, balance.scope=all"),
+    ("train", [], "balance.scope=train"),
+    ("evaluate", ["--balance.scope", "all"], "balance.scope=all"),
 ])
 def test_one_positive_sample_names_the_dataset_and_the_balance_setting(command, flags, setting,
                                                                         tmp_path, caplog):
@@ -688,12 +696,23 @@ def test_one_positive_sample_names_the_dataset_and_the_balance_setting(command, 
                                "minority class has <= 1 sample, cannot oversample"]
 
 
-def test_evaluate_single_scope_default_filename(tmp_path):
+def test_evaluate_single_scope_default_filename(tmp_path, monkeypatch):
+    """One experiment, one `report.*`. `none` runs it without SMOTE."""
     ds = _tiny_dataset(tmp_path / "dataset.jsonl", n=40)
-    rc = cli.main(["--paths.dataset", str(ds), "--out", str(tmp_path),
-                   "--eval.folds", "3"] + _TINY_MODEL_FLAGS + ["evaluate"])
-    assert rc == EXIT_OK
-    assert (tmp_path / "report.tsv").exists()
+    experiments, run = [], evaluation.run_kfold_experiment
+    monkeypatch.setattr(evaluation, "run_kfold_experiment",
+                        lambda *a, **kw: experiments.append(a) or run(*a, **kw))
+    for flags, sampling in (([], "SMOTE/train"), (["--balance.scope", "none"], "none")):
+        out = tmp_path / (flags[-1] if flags else "default")
+        experiments.clear()
+        rc = cli.main(["--paths.dataset", str(ds), "--out", str(out),
+                       "--eval.folds", "3"] + flags + _TINY_MODEL_FLAGS + ["evaluate"])
+        assert rc == EXIT_OK and len(experiments) == 1
+        assert sorted(f.name for f in out.glob("report*")) == ["report.jsonl", "report.tsv"]
+        _, rows = datafiles.read_jsonl(out / "report.jsonl")
+        assert {r["sampling"] for r in rows} == {sampling}
+        rows = [line.split("\t") for line in (out / "report.tsv").read_text().splitlines()]
+        assert {row[5] for row in rows if row[0] == "CNN"} == {sampling}
 
 
 def test_config_file_plus_flag_override(bug_repo, tmp_path):
@@ -717,15 +736,21 @@ def test_unknown_config_key_is_fatal(tmp_path):
     assert cli.main(["--config", str(cfg_file), "train"]) == EXIT_FATAL
 
 
-@pytest.mark.parametrize("dotted", ["balance.rounding", "textprep.remove_stopwords",
-                                    "textprep.seq_len", "model.vocab_size",
-                                    "paths.pmd_report", "paths.changes", "verbose"])
+@pytest.mark.parametrize("dotted", ["balance.enabled", "balance.rounding",
+                                    "textprep.remove_stopwords", "textprep.seq_len",
+                                    "model.vocab_size", "paths.pmd_report", "paths.changes",
+                                    "verbose"])
 def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
     section, _, key = dotted.rpartition(".")
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({section: {key: False}} if section else {key: True}))
     assert cli.main(["--config", str(cfg_file), "train"]) == EXIT_FATAL
     assert capsys.readouterr().err.splitlines() == [f"error: unknown config key {dotted}"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([f"--{dotted}", "false", "train"])
+    assert exc.value.code == EXIT_FATAL
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: unrecognized arguments: --{dotted} ")
 
 
 @pytest.mark.parametrize("flags,config_doc,command,message", [
@@ -739,7 +764,7 @@ def test_removed_config_key_is_a_one_line_error(dotted, tmp_path, capsys):
     ([], {"textprep": {"max_vocab": 0}}, "train",
      "textprep.max_vocab: expected an integer >= 3 or null, got 0"),
     (["--balance.scope", "bogus"], None, "evaluate",
-     'balance.scope: expected one of "train", "all", "both", got "bogus"'),
+     'balance.scope: expected one of "train", "all", "both", "none", got "bogus"'),
     (["--model.dtype", "float16"], None, "train",
      'model.dtype: expected one of "float32", "float64", got "float16"'),
     (["--seed", "-1"], None, "train", "seed: expected an integer >= 0, got -1"),

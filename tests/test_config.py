@@ -81,17 +81,12 @@ def test_overrides_coerce_types():
     cfg = RunConfig()
     apply_override(cfg, "model.epochs", "7")
     apply_override(cfg, "model.learning_rate", "0.01")
-    apply_override(cfg, "balance.enabled", "false")
+    apply_override(cfg, "balance.scope", "none")
     apply_override(cfg, "smell.allowed_package_prefixes", "com.a, com.b")
     assert cfg.model.epochs == 7
     assert cfg.model.learning_rate == 0.01
-    assert cfg.balance.enabled is False
+    assert cfg.balance.scope == "none"
     assert cfg.smell.allowed_package_prefixes == ("com.a", "com.b")
-
-
-def test_override_bad_boolean_rejected():
-    with pytest.raises(ConfigError, match="boolean"):
-        apply_override(RunConfig(), "balance.enabled", "maybe")
 
 
 def test_override_unknown_key_rejected():
@@ -105,7 +100,8 @@ def test_flat_keys_cover_nested_tree():
     assert "smell.cyclo_npath_threshold" in keys
     assert "paths.issues" in keys
     assert "project" in keys
-    assert len(keys) == 45
+    assert len(keys) == 44
+    assert bool not in {hint for _, hint in flat_keys()}  # balance.scope "none" turns SMOTE off
 
 
 def test_config_imports_no_stage_and_no_numpy():
@@ -139,7 +135,6 @@ def _get(cfg, key):
 _COERCE_CASES = [
     ("model.epochs", 7, "7", 7),
     ("model.learning_rate", 1, "1", 1.0),
-    ("balance.enabled", False, "Off", False),
     ("textprep.max_vocab", 500, "500", 500),
     ("balance.scope", "both", "both", "both"),
     ("source_extensions", [".java", " .scala"], ".java, .scala,", (".java", ".scala")),
@@ -164,7 +159,8 @@ def test_file_value_and_flag_string_coerce_alike(key, json_value, flag, expected
     ({"model": {"epochs": "2"}}, 'model.epochs: expected an integer, got "2"'),
     ({"model": {"epochs": True}}, "model.epochs: expected an integer, got true"),
     ({"model.epochs": 2}, "unknown config key model.epochs"),
-    ({"balance": {"scope": "bogus"}}, 'balance.scope: expected one of "train", "all", "both"'),
+    ({"balance": {"scope": "bogus"}},
+     'balance.scope: expected one of "train", "all", "both", "none"'),
     ({"model": {"dtype": "float16"}}, 'model.dtype: expected one of "float32", "float64"'),
     ({"source_extensions": [".java", 1]}, "source_extensions: expected a list of strings"),
 ])
@@ -173,10 +169,6 @@ def test_mistyped_file_value_is_a_config_error(doc, message, tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(p)
-
-
-_BOOL_WORDS = {"1": True, "TRUE": True, "yes": True, "On": True,
-               "0": False, "false": False, "NO": False, "off": False}
 
 
 def _inner(hint):
@@ -189,8 +181,6 @@ def _inner(hint):
 def _well_typed(hint):
     """(JSON value, flag string, setting) triples that mean the same setting."""
     hint = _inner(hint)
-    if hint is bool:
-        return st.sampled_from(sorted(_BOOL_WORDS.items())).map(lambda w: (w[1], w[0], w[1]))
     if hint is int:
         return st.integers().map(lambda i: (i, str(i), i))
     if hint is float:
@@ -239,14 +229,12 @@ def _file_may_give(hint, value) -> bool:
     if typing.get_origin(hint) is tuple:
         return type(value) is str or (type(value) is list
                                       and all(type(v) is str for v in value))
-    return type(value) in {bool: (bool,), int: (int,), float: (int, float), str: (str,)}[hint]
+    return type(value) in {int: (int,), float: (int, float), str: (str,)}[hint]
 
 
 def _flag_may_give(hint, text: str) -> bool:
     """Whether a flag may give the string `text` for a `hint` setting."""
     hint = _inner(hint)
-    if hint is bool:
-        return text.lower() in {w.lower() for w in _BOOL_WORDS}
     if typing.get_origin(hint) is Literal:
         return text in typing.get_args(hint)
     if hint in (int, float):

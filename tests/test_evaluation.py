@@ -150,7 +150,7 @@ def test_run_kfold_refuses_scope_both():
 
 def test_run_kfold_balance_disabled():
     X, y = _tiny_data()
-    cfg = BalanceConfig(enabled=False)
+    cfg = BalanceConfig(scope="none")
     report = run_kfold_experiment(X, y, _tiny_model_cfg(20), cfg, k=3, seed=5)
     assert report.mean.sampling == "none"
 
